@@ -83,6 +83,10 @@ class Arena:
     pickups: tuple[PickupSpot, ...]
 
     def __post_init__(self) -> None:
+        # Movement clamps agents to [r, size - r]; this keeps them strictly
+        # inside the boundary, which World.line_of_sight relies on.
+        if not 2 * CYLINDER_RADIUS < self.size < math.inf:
+            raise ValueError("arena size must be finite and wider than an agent")
         if len(self.spawn_points) < 4:
             raise ValueError("arena needs at least 4 spawn points")
         for sx, sy in self.spawn_points:
@@ -143,6 +147,12 @@ class PhysicsParams:
     rl_fov_deg: float = 360.0
     rl_turn_rate_deg_s: float = 720.0
     aim_lag_s: float = 0.1
+
+    def __post_init__(self) -> None:
+        if self.tick_hz < 1:
+            raise ValueError(f"tick_hz must be >= 1, got {self.tick_hz}")
+        if self.decision_every < 1:
+            raise ValueError(f"decision_every must be >= 1, got {self.decision_every}")
 
     @property
     def dt(self) -> float:
@@ -326,11 +336,7 @@ class PickupState:
 
     def __init__(self, spot: PickupSpot) -> None:
         self.spot = spot
-        self.timer = 0.0  # 0 means available
-
-    @property
-    def available(self) -> bool:
-        return self.timer <= 0.0
+        self.timer = 0.0  # <= 0 means available
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +539,10 @@ class World:
         self.rng = rng
         self.tick_count = 0
         self.segments = arena.blocking_segments
+        # Interior walls as (x1, y1, x2, y2, x2 - x1, y2 - y1), for line_of_sight.
+        self.walls = tuple(
+            (w.x1, w.y1, w.x2, w.y2, w.x2 - w.x1, w.y2 - w.y1) for w in arena.walls
+        )
         self.waypoints = tuple(
             [(p.x, p.y) for p in arena.pickups] + list(arena.spawn_points)
         )
@@ -605,9 +615,28 @@ class World:
 
     # -- perception --------------------------------------------------------
 
-    def line_of_sight(self, p1: tuple[float, float], p2: tuple[float, float]) -> bool:
-        for a, b in self.segments:
-            if geo.segments_intersect(p1, p2, a, b):
+    def line_of_sight(self, x1: float, y1: float, x2: float, y2: float) -> bool:
+        """True if no wall blocks the segment between two agent positions.
+
+        Equal to testing every blocking segment with segments_intersect, for
+        endpoints strictly inside the arena, which agents always are: the
+        boundary can never block them, so only the interior walls are tested.
+        The sign tests are segments_intersect's, with the same floating-point
+        expressions; only its collinear and touching cases are handed to it.
+        """
+        dx, dy = x2 - x1, y2 - y1
+        for wx1, wy1, wx2, wy2, ex, ey in self.walls:
+            d1 = ex * (y1 - wy1) - ey * (x1 - wx1)
+            d2 = ex * (y2 - wy1) - ey * (x2 - wx1)
+            if (d1 > 0) == (d2 > 0) and d1 != 0 and d2 != 0:
+                continue  # both ends strictly on one side of the wall's line
+            d3 = dx * (wy1 - y1) - dy * (wx1 - x1)
+            d4 = dx * (wy2 - y1) - dy * (wx2 - x1)
+            if (d3 > 0) == (d4 > 0) and d3 != 0 and d4 != 0:
+                continue  # the wall strictly on one side of the segment's line
+            if (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
+                return False
+            if geo.segments_intersect((x1, y1), (x2, y2), (wx1, wy1), (wx2, wy2)):
                 return False
         return True
 
@@ -616,17 +645,19 @@ class World:
     ) -> AgentState | None:
         best = None
         best_d = math.inf
+        ax, ay = agent.x, agent.y
         for other in self.agents:
             if other.id == agent.id or not other.alive:
                 continue
-            d = math.hypot(other.x - agent.x, other.y - agent.y)
+            ox, oy = other.x, other.y
+            d = math.hypot(ox - ax, oy - ay)
             if d >= best_d:
                 continue
             if fov_deg < 180.0:
-                bearing = geo.bearing_deg(agent.pos, other.pos)
+                bearing = geo.bearing_deg((ax, ay), (ox, oy))
                 if abs(geo.normalize_angle(bearing - agent.yaw)) > fov_deg:
                     continue
-            if self.line_of_sight(agent.pos, other.pos):
+            if self.line_of_sight(ax, ay, ox, oy):
                 best = other
                 best_d = d
         return best
@@ -684,7 +715,7 @@ class World:
         for agent in self.agents:
             if agent.alive and not agent.jumping:
                 for pit in self.arena.pits:
-                    if geo.point_in_circle(agent.pos, (pit.x, pit.y), pit.radius):
+                    if (agent.x - pit.x) ** 2 + (agent.y - pit.y) ** 2 <= pit.radius * pit.radius:
                         agent.pit_dead = True
                         agent.alive = False
                         break
@@ -751,17 +782,18 @@ class World:
                 self._finalize_life(death_events[-1])
 
         # Pickups.
+        living = [agent for agent in self.agents if agent.alive]
         for pickup in self.pickups:
-            if not pickup.available:
+            if not pickup.timer <= 0.0:
                 pickup.timer -= dt
                 continue
             spot = pickup.spot
-            for agent in self.agents:
-                if not agent.alive:
+            sx, sy = spot.x, spot.y
+            weapon_spot = spot.kind == "weapon"
+            for agent in living:
+                if weapon_spot and agent.controller == "scripted":
                     continue
-                if spot.kind == "weapon" and agent.controller == "scripted":
-                    continue
-                if (agent.x - spot.x) ** 2 + (agent.y - spot.y) ** 2 <= 60.0 ** 2:
+                if (agent.x - sx) ** 2 + (agent.y - sy) ** 2 <= 60.0 ** 2:
                     self._collect(agent, pickup, pickup_events)
                     break
 
@@ -1027,12 +1059,7 @@ class World:
         r = CYLINDER_RADIUS
         nx = min(max(nx, r), self.arena.size - r)
         ny = min(max(ny, r), self.arena.size - r)
-        blocked = False
-        for wall in self.arena.walls:
-            if geo.segments_intersect(agent.pos, (nx, ny), wall.a, wall.b):
-                blocked = True
-                break
-        if not blocked:
+        if self.line_of_sight(agent.x, agent.y, nx, ny):
             moved = math.hypot(nx - agent.x, ny - agent.y)
             agent.x, agent.y = nx, ny
         else:
@@ -1117,7 +1144,7 @@ class World:
             off = abs(geo.normalize_angle(geo.bearing_deg(agent.pos, other.pos) - aim_yaw))
             if off > 60.0:
                 continue
-            if self.line_of_sight(agent.pos, other.pos):
+            if self.line_of_sight(agent.x, agent.y, other.x, other.y):
                 best = other
                 best_d = d
         if best is None:
@@ -1273,7 +1300,13 @@ class World:
                 d = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if d >= weapon.splash_radius:
                     continue
-                if not self.line_of_sight((point[0], point[1]), other.pos):
+                # A rocket can detonate on the outer wall, so splash is
+                # tested against every blocking segment, boundary included.
+                splash_from = (point[0], point[1])
+                if any(
+                    geo.segments_intersect(splash_from, other.pos, a, b)
+                    for a, b in self.segments
+                ):
                     continue
                 amount = weapon.damage_per_hit * (1.0 - d / weapon.splash_radius)
                 if amount <= 0.0:

@@ -15,35 +15,38 @@ def normalize2(v: Vec2) -> Vec2:
     return (v[0] / n, v[1] / n)
 
 
+def _orient(a: Vec2, b: Vec2, c: Vec2) -> float:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _on_seg(a: Vec2, b: Vec2, c: Vec2) -> bool:
+    return (
+        min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+    )
+
+
 def segments_intersect(
     p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2
 ) -> bool:
     """True if the closed segments p1-p2 and q1-q2 intersect."""
-    def orient(a: Vec2, b: Vec2, c: Vec2) -> float:
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
     if ((d1 > 0) != (d2 > 0) or d1 == 0 or d2 == 0) and (
         (d3 > 0) != (d4 > 0) or d3 == 0 or d4 == 0
     ):
         # Conservative for collinear touching cases; fine for wall checks.
         if (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
             return True
-        def on_seg(a: Vec2, b: Vec2, c: Vec2) -> bool:
-            return (
-                min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-            )
-        if d1 == 0 and on_seg(q1, q2, p1):
+        if d1 == 0 and _on_seg(q1, q2, p1):
             return True
-        if d2 == 0 and on_seg(q1, q2, p2):
+        if d2 == 0 and _on_seg(q1, q2, p2):
             return True
-        if d3 == 0 and on_seg(p1, p2, q1):
+        if d3 == 0 and _on_seg(p1, p2, q1):
             return True
-        if d4 == 0 and on_seg(p1, p2, q2):
+        if d4 == 0 and _on_seg(p1, p2, q2):
             return True
     return False
 

@@ -7,6 +7,7 @@ seed) pair, down to the byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import random
 from dataclasses import dataclass, field
@@ -121,13 +122,14 @@ def run_campaign(
 
     lives_path = out / "lives.csv"
     games_path = out / "games.csv"
-    events_file = (out / "events.log").open("w", encoding="ascii") if (
-        settings.record_events
-    ) else None
     life_counter = 0
 
-    with lives_path.open("w", newline="", encoding="ascii") as lives_f, \
-            games_path.open("w", newline="", encoding="ascii") as games_f:
+    with contextlib.ExitStack() as files:
+        events_file = files.enter_context(
+            (out / "events.log").open("w", encoding="ascii")
+        ) if settings.record_events else None
+        lives_f = files.enter_context(lives_path.open("w", newline="", encoding="ascii"))
+        games_f = files.enter_context(games_path.open("w", newline="", encoding="ascii"))
         lives_w = csv.writer(lives_f)
         lives_w.writerow(LIVES_FIELDS)
         games_w = csv.writer(games_f)
@@ -207,8 +209,6 @@ def run_campaign(
             result.games.append(game_record)
             games_w.writerow(_game_row(game_record, weapon_names))
 
-    if events_file is not None:
-        events_file.close()
     write_snapshot(tset, out / f"snap_{settings.level}_final.rlsq")
     return result
 

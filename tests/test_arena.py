@@ -2,12 +2,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sarsa_arena import geometry as geo
 from sarsa_arena.arena import (
     Arena,
     AgentState,
     DamageEvent,
     KillEvent,
+    PhysicsParams,
     PickupEvent,
     Pit,
     RL_AGENT_ID,
@@ -318,9 +322,113 @@ class TestArenaValidation:
         with pytest.raises(ValueError):
             Arena(size=1000.0, walls=(), pits=(), spawn_points=((1, 1),), pickups=())
 
+    @pytest.mark.parametrize("size", [30.0, math.inf])
+    def test_arena_narrower_than_an_agent_or_infinite_rejected(self, size):
+        with pytest.raises(ValueError):
+            Arena(
+                size=size, walls=(), pits=(),
+                spawn_points=((10, 10), (20, 10), (10, 20), (20, 20)), pickups=(),
+            )
+
+    @pytest.mark.parametrize("field", ["tick_hz", "decision_every"])
+    def test_physics_rates_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            PhysicsParams(**{field: 0})
+
     def test_default_arena_is_valid(self):
         arena = default_arena()
         assert len(arena.blocking_segments) == len(arena.walls) + 4
 
     def test_default_profiles_cover_levels(self):
         assert set(default_profiles()) == {1, 3, 5}
+
+
+# ---------------------------------------------------------------------------
+# World.line_of_sight against the reference predicate
+
+
+DIAGONAL_ARENA = Arena(
+    size=4000.0,
+    walls=(
+        Wall(500, 500, 3500, 1700),
+        Wall(1000, 3000, 3000, 3000),
+        Wall(2600, 3400, 2000, 2000.5),
+    ),
+    pits=(),
+    spawn_points=((100, 100), (3900, 100), (100, 3900), (3900, 3900)),
+    pickups=(),
+)
+
+
+def world_in(arena):
+    cfg = default_config()
+    rng = random.Random(0)
+    ctrl = RlShooterController(new_table_set(cfg.learner), cfg.armory, cfg.priority, rng)
+    return World(arena, cfg.armory, cfg.physics, cfg.behavior, cfg.profiles[1], ctrl, rng)
+
+
+WORLDS = {"default": world_in(default_arena()), "diagonal": world_in(DIAGONAL_ARENA)}
+
+
+@st.composite
+def inside_points(draw, arena):
+    """Points strictly inside `arena`, many of them on or next to a wall."""
+    size = arena.size
+    coord = st.floats(0.0, size, exclude_min=True, exclude_max=True)
+    kind = draw(st.sampled_from(["free", "on-line", "end", "near-end"]))
+    if kind == "free" or not arena.walls:
+        return draw(coord), draw(coord)
+    w = draw(st.sampled_from(arena.walls))
+    if kind == "on-line":
+        # On the wall's line, inside or beyond the wall; exact for the
+        # axis-parallel walls, within rounding for the others.
+        t = draw(st.floats(-2.0, 3.0))
+        x, y = w.x1 + t * (w.x2 - w.x1), w.y1 + t * (w.y2 - w.y1)
+    else:
+        x, y = draw(st.sampled_from([w.a, w.b]))
+        if kind == "near-end":
+            for _ in range(draw(st.integers(0, 3))):
+                x = math.nextafter(x, draw(st.sampled_from([0.0, size])))
+            for _ in range(draw(st.integers(0, 3))):
+                y = math.nextafter(y, draw(st.sampled_from([0.0, size])))
+    x = min(max(x, 1.0), size - 1.0)
+    y = min(max(y, 1.0), size - 1.0)
+    return x, y
+
+
+def assert_matches_reference(world, p, q):
+    for a, b in ((p, q), (q, p)):
+        expected = not any(
+            geo.segments_intersect(a, b, s1, s2)
+            for s1, s2 in world.arena.blocking_segments
+        )
+        assert world.line_of_sight(a[0], a[1], b[0], b[1]) is expected
+
+
+class TestLineOfSight:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(WORLDS)))
+    def test_equals_segments_intersect_over_all_segments(self, data, name):
+        world = WORLDS[name]
+        p = data.draw(inside_points(world.arena), label="p")
+        q = data.draw(inside_points(world.arena), label="q")
+        assert_matches_reference(world, p, q)
+
+    def test_crossing_reported_outside_the_bounding_box(self):
+        # segments_intersect reports this crossing, one ulp past the wall's
+        # lower end, although the segment's bounding box misses the wall's:
+        # a bounding-box reject would disagree with it here.
+        p = (149.66157272965086, 264.9437894059264)
+        q = (1200.0000000000002, 1399.9999999999998)
+        assert max(p[1], q[1]) < 1400.0
+        assert geo.segments_intersect(p, q, (1200.0, 1400.0), (1200.0, 2600.0))
+        assert_matches_reference(WORLDS["default"], p, q)
+
+    def test_collinear_with_a_wall(self):
+        world = WORLDS["default"]
+        x = 1200.0
+        assert not world.line_of_sight(x, 1000.0, x, 1500.0)  # overlaps the wall
+        assert not world.line_of_sight(x, 2600.0, x, 3000.0)  # touches its end
+        assert world.line_of_sight(x, 2700.0, x, 3000.0)  # beyond its end
+        assert world.line_of_sight(1000.0, 2000.0, 1100.0, 2000.0)
+        assert not world.line_of_sight(1000.0, 2000.0, 1300.0, 2000.0)

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from sarsa_arena.cli import main
@@ -39,6 +42,46 @@ class TestTrain:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tick_hz", "decision_every"])
+    def test_zero_physics_rate_is_config_error(self, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[physics]\n{key} = 0\n")
+        code = main([
+            "train", "--level", "1", "--games", "1", "--minutes", "0.1",
+            "--config", str(cfg), "--out", str(tmp_path / "out"), "--no-plots",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over every file under `root`: relative path, length, bytes."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+# The simulator's outputs for SHORT_RUN, pinned.  A performance change must
+# leave them byte-identical; a change that moves them on purpose updates the
+# digest and says why.  Recorded with CPython on x86-64 Linux: the digest
+# relies on the platform's libm for atan2, sin and cos.
+SHORT_RUN = [
+    "train", "--level", "all", "--games", "1", "--minutes", "1", "--seed", "5",
+    "--events", "--no-plots",
+]
+SHORT_RUN_SHA256 = "e0e1438432a32b6ceee7570ca0e87101ffbf8caa3ff576b679e6f8090b27d775"
+
+
+class TestByteIdentity:
+    def test_short_run_outputs_are_pinned(self, tmp_path, capsys):
+        assert main(SHORT_RUN + ["--out", str(tmp_path)]) == 0
+        assert tree_digest(tmp_path) == SHORT_RUN_SHA256
 
 
 class TestReport:

@@ -19,6 +19,18 @@ class TestSegments:
     def test_disjoint(self):
         assert not geo.segments_intersect((0, 0), (1, 0), (2, 2), (3, 3))
 
+    def test_collinear_overlap(self):
+        assert geo.segments_intersect((0, 0), (6, 0), (4, 0), (9, 0))
+        assert geo.segments_intersect((2, 2), (8, 8), (3, 3), (5, 5))
+
+    def test_collinear_disjoint(self):
+        assert not geo.segments_intersect((0, 0), (3, 0), (4, 0), (9, 0))
+        assert not geo.segments_intersect((0, 5), (0, 9), (0, 1), (0, 4))
+
+    def test_endpoint_touching_interior(self):
+        assert geo.segments_intersect((5, 0), (5, 5), (0, 0), (10, 0))
+        assert not geo.segments_intersect((5, 1), (5, 5), (0, 0), (10, 0))
+
 
 class TestRaySegment:
     def test_hit_distance(self):

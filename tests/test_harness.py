@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sarsa_arena import harness
 from sarsa_arena.config import default_config
 from sarsa_arena.harness import (
     CampaignSettings,
@@ -106,6 +107,32 @@ class TestEventsLog:
         assert lines
         kinds = {line.split()[1] for line in lines}
         assert "damage" in kinds and "spawn" in kinds
+
+    def test_log_closed_when_a_game_raises(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = Path.open
+
+        def recording_open(path, *args, **kwargs):
+            f = real_open(path, *args, **kwargs)
+            opened.append((path.name, f))
+            return f
+
+        real_tick = harness.World.tick
+        ticks = 0
+
+        def failing_tick(world):
+            nonlocal ticks
+            ticks += 1
+            if ticks == 300:
+                raise RuntimeError("game failed")
+            return real_tick(world)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        monkeypatch.setattr(harness.World, "tick", failing_tick)
+        with pytest.raises(RuntimeError, match="game failed"):
+            run_campaign(CFG, settings(tmp_path, games=1, record_events=True))
+        logs = [f for name, f in opened if name == "events.log"]
+        assert len(logs) == 1 and logs[0].closed
 
 
 class TestReport:
