@@ -25,6 +25,7 @@ from .learner import (
 from .weapons import (
     ASSAULT_RIFLE,
     AimResolution,
+    LOCKED_ON,
     MID_Z,
     PriorityTables,
     SHIELD_GUN,
@@ -122,6 +123,12 @@ class OpponentProfile:
     aim_lag_s: float
     combat_jump_prob_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("fov_deg", "turn_rate_deg_s", "speed_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
 
 def default_profiles() -> dict[int, OpponentProfile]:
     return {
@@ -170,6 +177,20 @@ class BehaviorParams:
     fire_align_tolerance_deg: float = 20.0
     engage_range: float = 900.0
     scripted_stop_range: float = 600.0
+
+    def __post_init__(self) -> None:
+        for name in (
+            "dodge_radius", "waypoint_radius", "pit_avoid_margin",
+            "fire_align_tolerance_deg", "engage_range", "scripted_stop_range",
+        ):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if not self.strafe_flip_min_s <= self.strafe_flip_max_s:
+            raise ValueError(
+                f"strafe_flip_min_s ({self.strafe_flip_min_s}) must not exceed "
+                f"strafe_flip_max_s ({self.strafe_flip_max_s})"
+            )
 
 
 def default_arena() -> Arena:
@@ -304,10 +325,6 @@ class AgentState:
     @property
     def pos(self) -> tuple[float, float]:
         return (self.x, self.y)
-
-    @property
-    def jumping(self) -> bool:
-        return self.jump_t >= 0.0
 
 
 @dataclass
@@ -537,8 +554,11 @@ class World:
         self.profile = profile
         self.controller = controller
         self.rng = rng
+        self.dt = physics.dt
         self.tick_count = 0
         self.segments = arena.blocking_segments
+        # Agents are clamped to [CYLINDER_RADIUS, walk_max] on both axes.
+        self.walk_max = arena.size - CYLINDER_RADIUS
         # Interior walls as (x1, y1, x2, y2, x2 - x1, y2 - y1), for line_of_sight.
         self.walls = tuple(
             (w.x1, w.y1, w.x2, w.y2, w.x2 - w.x1, w.y2 - w.y1) for w in arena.walls
@@ -551,7 +571,19 @@ class World:
         for i in range(n_opponents):
             self.agents.append(AgentState(i + 1, "scripted"))
         self.projectiles: list[Projectile] = []
-        self.pickups = [PickupState(spot) for spot in arena.pickups]
+        # Values the per-tick loops read, computed once: pickups as
+        # (state, x, y, is_weapon), pit discs as (x, y, r^2) and pit steering
+        # as (x, y, margin, look-ahead).
+        self.pickups = tuple(
+            (PickupState(spot), spot.x, spot.y, spot.kind == "weapon")
+            for spot in arena.pickups
+        )
+        self.pit_discs = tuple((p.x, p.y, p.radius * p.radius) for p in arena.pits)
+        steering = []
+        for pit in arena.pits:
+            margin = pit.radius + behavior.pit_avoid_margin
+            steering.append((pit.x, pit.y, margin, margin * 2.5))
+        self.pit_steering = tuple(steering)
 
         # Per-life counters for the learning bot.
         self.life_hits = 0
@@ -645,7 +677,7 @@ class World:
     ) -> AgentState | None:
         best = None
         best_d = math.inf
-        ax, ay = agent.x, agent.y
+        ax, ay, yaw = agent.x, agent.y, agent.yaw
         for other in self.agents:
             if other.id == agent.id or not other.alive:
                 continue
@@ -654,8 +686,11 @@ class World:
             if d >= best_d:
                 continue
             if fov_deg < 180.0:
+                # abs(normalize_angle(bearing - yaw)), with its fast path inlined.
                 bearing = geo.bearing_deg((ax, ay), (ox, oy))
-                if abs(geo.normalize_angle(bearing - agent.yaw)) > fov_deg:
+                a = bearing - yaw + 180.0
+                off = a - 180.0 if 0.0 <= a < 360.0 else geo.normalize_angle(bearing - yaw)
+                if abs(off) > fov_deg:
                     continue
             if self.line_of_sight(ax, ay, ox, oy):
                 best = other
@@ -671,12 +706,12 @@ class World:
         radial = rvx * ux + rvy * uy
         tangential = ux * rvy - uy * rvx
         facing = geo.normalize_angle(
-            target.yaw - geo.bearing_deg(target.pos, agent.pos)
+            target.yaw - geo.bearing_deg((target.x, target.y), (agent.x, agent.y))
         )
         return CombatObservation(
             distance=math.hypot(target.x - agent.x, target.y - agent.y),
             rel_velocity=(radial, tangential),
-            opponent_jumping=target.jumping,
+            opponent_jumping=target.jump_t >= 0.0,
             facing_angle=facing,
             weapon_instant_hit=instant_hit,
         )
@@ -684,7 +719,7 @@ class World:
     # -- tick --------------------------------------------------------------
 
     def tick(self) -> list[Event]:
-        dt = self.physics.dt
+        dt = self.dt
         self.tick_count += 1
         t = self.tick_count
 
@@ -713,9 +748,9 @@ class World:
 
         # Pit deaths.
         for agent in self.agents:
-            if agent.alive and not agent.jumping:
-                for pit in self.arena.pits:
-                    if (agent.x - pit.x) ** 2 + (agent.y - pit.y) ** 2 <= pit.radius * pit.radius:
+            if agent.alive and agent.jump_t < 0.0:
+                for px, py, r_sq in self.pit_discs:
+                    if (agent.x - px) ** 2 + (agent.y - py) ** 2 <= r_sq:
                         agent.pit_dead = True
                         agent.alive = False
                         break
@@ -725,7 +760,8 @@ class World:
         for agent in self.agents:
             if not agent.alive:
                 continue
-            agent.cooldown = max(0.0, agent.cooldown - dt)
+            cooldown = agent.cooldown - dt
+            agent.cooldown = cooldown if cooldown > 0.0 else 0.0  # max(0.0, cooldown)
             cmd = agent.fire_command
             if cmd is None:
                 continue
@@ -757,7 +793,7 @@ class World:
             if not self_inflicted and 0 <= attacker < len(self.agents):
                 shooter = self.agents[attacker]
                 if shooter.alive:
-                    victim.alert_pos = shooter.pos
+                    victim.alert_pos = (shooter.x, shooter.y)
                     victim.alert_timer = 4.0
             if victim.health <= 0.0:
                 victim.alive = False
@@ -781,18 +817,14 @@ class World:
             if agent.id == RL_AGENT_ID:
                 self._finalize_life(death_events[-1])
 
-        # Pickups.
+        # Pickups: weapon spots serve only the learning bot.
         living = [agent for agent in self.agents if agent.alive]
-        for pickup in self.pickups:
+        rl_living = living[:1] if self.agents[RL_AGENT_ID].alive else []
+        for pickup, sx, sy, weapon_spot in self.pickups:
             if not pickup.timer <= 0.0:
                 pickup.timer -= dt
                 continue
-            spot = pickup.spot
-            sx, sy = spot.x, spot.y
-            weapon_spot = spot.kind == "weapon"
-            for agent in living:
-                if weapon_spot and agent.controller == "scripted":
-                    continue
+            for agent in rl_living if weapon_spot else living:
                 if (agent.x - sx) ** 2 + (agent.y - sy) ** 2 <= 60.0 ** 2:
                     self._collect(agent, pickup, pickup_events)
                     break
@@ -808,7 +840,7 @@ class World:
             hits=self.life_hits,
             misses=self.life_misses,
             reward=reward,
-            duration_s=(self.tick_count - self.life_start_tick) * self.physics.dt,
+            duration_s=(self.tick_count - self.life_start_tick) * self.dt,
             cause=cause,
         )
         self.life_hits = 0
@@ -822,7 +854,7 @@ class World:
             hits=self.life_hits,
             misses=self.life_misses,
             reward=reward,
-            duration_s=(self.tick_count - self.life_start_tick) * self.physics.dt,
+            duration_s=(self.tick_count - self.life_start_tick) * self.dt,
             cause="game-end",
         )
 
@@ -881,7 +913,7 @@ class World:
                 self._combat_strafe(agent, target, dt, 1.0)
             agent.yaw = geo.turn_towards(
                 agent.yaw,
-                geo.bearing_deg(agent.pos, target.pos),
+                geo.bearing_deg((agent.x, agent.y), (target.x, target.y)),
                 self.physics.rl_turn_rate_deg_s * dt,
             )
         else:
@@ -893,7 +925,7 @@ class World:
     ) -> AimResolution:
         return resolve_aim(
             action,
-            agent.pos,
+            (agent.x, agent.y),
             (target.x, target.y, target.z),
             (target.vx, target.vy),
             self.armory[weapon_name],
@@ -907,7 +939,7 @@ class World:
             if agent.alert_timer > 0.0 and agent.alert_pos is not None:
                 # Taking fire from outside the view cone: turn and close in.
                 agent.alert_timer -= dt
-                bearing = geo.bearing_deg(agent.pos, agent.alert_pos)
+                bearing = geo.bearing_deg((agent.x, agent.y), agent.alert_pos)
                 agent.yaw = geo.turn_towards(
                     agent.yaw, bearing, profile.turn_rate_deg_s * dt
                 )
@@ -922,7 +954,7 @@ class World:
             return
         agent.alert_timer = 0.0
 
-        bearing = geo.bearing_deg(agent.pos, target.pos)
+        bearing = geo.bearing_deg((agent.x, agent.y), (target.x, target.y))
         agent.yaw = geo.turn_towards(
             agent.yaw, bearing, profile.turn_rate_deg_s * dt
         )
@@ -938,17 +970,15 @@ class World:
 
         if profile.dodges:
             self._dodge_projectiles(agent)
-        if profile.combat_jump_prob_s > 0.0 and not agent.jumping:
+        if profile.combat_jump_prob_s > 0.0 and agent.jump_t < 0.0:
             if self.rng.random() < profile.combat_jump_prob_s * dt:
                 self._start_jump(agent)
 
-        aligned = abs(geo.normalize_angle(bearing - agent.yaw)) <= (
-            self.behavior.fire_align_tolerance_deg
-        )
-        if aligned:
-            agent.fire_command = FireCommand(
-                ASSAULT_RIFLE, AimResolution(point=None, locked_on=True), target.id
-            )
+        # abs(normalize_angle(bearing - yaw)), with its fast path inlined.
+        a = bearing - agent.yaw + 180.0
+        off = a - 180.0 if 0.0 <= a < 360.0 else geo.normalize_angle(bearing - agent.yaw)
+        if abs(off) <= self.behavior.fire_align_tolerance_deg:
+            agent.fire_command = FireCommand(ASSAULT_RIFLE, LOCKED_ON, target.id)
         else:
             agent.fire_command = None
 
@@ -967,11 +997,10 @@ class World:
 
     def _veer_around_pits(self, agent: AgentState, ux: float, uy: float):
         """Steer a purposeful heading around pits; sidestepping stays blind."""
-        for pit in self.arena.pits:
-            margin = pit.radius + self.behavior.pit_avoid_margin
-            px, py = pit.x - agent.x, pit.y - agent.y
+        for pit_x, pit_y, margin, look_ahead in self.pit_steering:
+            px, py = pit_x - agent.x, pit_y - agent.y
             along = px * ux + py * uy
-            if 0.0 < along < margin * 2.5:
+            if 0.0 < along < look_ahead:
                 side = ux * py - uy * px
                 if abs(side) < margin:
                     sign = 1.0 if side <= 0 else -1.0
@@ -1033,18 +1062,18 @@ class World:
             speed = self.physics.base_speed
             agent.vx = -py * side * speed
             agent.vy = px * side * speed
-            if not agent.jumping:
+            if agent.jump_t < 0.0:
                 self._start_jump(agent)
             break
 
     def _start_jump(self, agent: AgentState) -> None:
-        if not agent.jumping:
+        if agent.jump_t < 0.0:
             agent.jump_t = 0.0
 
     # -- physics -----------------------------------------------------------
 
     def _move(self, agent: AgentState, dt: float) -> None:
-        if agent.jumping:
+        if agent.jump_t >= 0.0:
             agent.jump_t += dt
             dur = self.physics.jump_duration_s
             if agent.jump_t >= dur:
@@ -1054,13 +1083,24 @@ class World:
                 frac = agent.jump_t / dur
                 agent.z = 4.0 * self.physics.jump_height_uu * frac * (1.0 - frac)
 
-        nx = agent.x + agent.vx * dt
-        ny = agent.y + agent.vy * dt
-        r = CYLINDER_RADIUS
-        nx = min(max(nx, r), self.arena.size - r)
-        ny = min(max(ny, r), self.arena.size - r)
-        if self.line_of_sight(agent.x, agent.y, nx, ny):
-            moved = math.hypot(nx - agent.x, ny - agent.y)
+        x, y = agent.x, agent.y
+        nx = x + agent.vx * dt
+        ny = y + agent.vy * dt
+        # min(max(n, CYLINDER_RADIUS), walk_max), exact because the radius is
+        # below walk_max (Arena requires size > 2 * CYLINDER_RADIUS).
+        lo, hi = CYLINDER_RADIUS, self.walk_max
+        if nx < lo:
+            nx = lo
+        elif nx > hi:
+            nx = hi
+        if ny < lo:
+            ny = lo
+        elif ny > hi:
+            ny = hi
+        if nx == x and ny == y:
+            moved = 0.0  # no step: the same outcome whatever line_of_sight says
+        elif self.line_of_sight(x, y, nx, ny):
+            moved = math.hypot(nx - x, ny - y)
             agent.x, agent.y = nx, ny
         else:
             moved = 0.0
@@ -1132,7 +1172,8 @@ class World:
         self._launch_projectile(agent, weapon, aim_point)
 
     def _melee(self, agent, weapon: WeaponSpec, aim_point, damage_records) -> bool:
-        aim_yaw = geo.bearing_deg(agent.pos, (aim_point[0], aim_point[1]))
+        ax, ay = agent.x, agent.y
+        aim_yaw = geo.bearing_deg((ax, ay), (aim_point[0], aim_point[1]))
         best = None
         best_d = weapon.melee_range
         for other in self.agents:
@@ -1141,10 +1182,11 @@ class World:
             d = math.hypot(other.x - agent.x, other.y - agent.y)
             if d > best_d:
                 continue
-            off = abs(geo.normalize_angle(geo.bearing_deg(agent.pos, other.pos) - aim_yaw))
+            bearing = geo.bearing_deg((ax, ay), (other.x, other.y))
+            off = abs(geo.normalize_angle(bearing - aim_yaw))
             if off > 60.0:
                 continue
-            if self.line_of_sight(agent.x, agent.y, other.x, other.y):
+            if self.line_of_sight(ax, ay, other.x, other.y):
                 best = other
                 best_d = d
         if best is None:
@@ -1170,16 +1212,12 @@ class World:
                 self.rng.uniform(-self.profile.max_aim_error_deg,
                                  self.profile.max_aim_error_deg)
             )
-            dx, dy = (
-                dx * math.cos(spread_yaw) - dy * math.sin(spread_yaw),
-                dx * math.sin(spread_yaw) + dy * math.cos(spread_yaw),
-            )
+            c, s = math.cos(spread_yaw), math.sin(spread_yaw)
+            dx, dy = dx * c - dy * s, dx * s + dy * c
         elif spread > 0.0:
             spread_yaw = math.radians(self.rng.uniform(-spread, spread))
-            dx, dy = (
-                dx * math.cos(spread_yaw) - dy * math.sin(spread_yaw),
-                dx * math.sin(spread_yaw) + dy * math.cos(spread_yaw),
-            )
+            c, s = math.cos(spread_yaw), math.sin(spread_yaw)
+            dx, dy = dx * c - dy * s, dx * s + dy * c
 
         direction = (dx, dy, dz)
         best_t = math.inf
@@ -1188,7 +1226,8 @@ class World:
             if other.id == agent.id or not other.alive:
                 continue
             t = geo.ray_cylinder_t(
-                origin, direction, other.pos, other.z, CYLINDER_RADIUS, CYLINDER_HEIGHT
+                origin, direction, (other.x, other.y), other.z,
+                CYLINDER_RADIUS, CYLINDER_HEIGHT,
             )
             if t is not None and t < best_t:
                 best_t = t

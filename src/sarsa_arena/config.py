@@ -33,6 +33,10 @@ class HarnessParams:
     minutes: float = 3.0
     opponents: int = 3
 
+    def __post_init__(self) -> None:
+        if self.opponents < 1:
+            raise ValueError(f"opponents must be >= 1, got {self.opponents}")
+
 
 @dataclass(frozen=True)
 class SimConfig:

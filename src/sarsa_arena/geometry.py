@@ -131,15 +131,23 @@ def point_in_circle(p: Vec2, center: Vec2, radius: float) -> bool:
 def bearing_deg(from_pos: Vec2, to_pos: Vec2) -> float:
     """World-frame heading (degrees in [-180, 180)) from one point to another."""
     angle = math.degrees(math.atan2(to_pos[1] - from_pos[1], to_pos[0] - from_pos[0]))
+    a = angle + 180.0
+    if 0.0 <= a < 360.0:
+        return a - 180.0  # normalize_angle's fast path, inlined
     return normalize_angle(angle)
 
 
 def normalize_angle(angle: float) -> float:
     """Wrap into [-180, 180)."""
-    angle = math.fmod(angle + 180.0, 360.0)
-    if angle < 0:
-        angle += 360.0
-    return angle - 180.0
+    a = angle + 180.0
+    if 0.0 <= a < 360.0:
+        # fmod(a, 360.0) is exact and equals a on this range, so this is
+        # bitwise the general path below.
+        return a - 180.0
+    a = math.fmod(a, 360.0)
+    if a < 0:
+        a += 360.0
+    return a - 180.0
 
 
 def turn_towards(yaw: float, target_yaw: float, max_step: float) -> float:

@@ -139,6 +139,7 @@ def run_campaign(
             world = World(
                 sim.arena, sim.armory, sim.physics, sim.behavior,
                 sim.profiles[settings.level], controller, rng,
+                n_opponents=sim.harness.opponents,
             )
             kills = deaths_by_others = suicides = 0
             streak = max_streak = 0

@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-N_STATES = 1296
+from .encoder import N_STATES
+
 N_ACTIONS = 5
 
 # Traces decay by gamma*lambda = 0.45 per step with the default parameters,

@@ -10,12 +10,15 @@ Format (text, bit-exact round trip on q values):
     ...
 
 Only nonzero q entries are written, states ascending and actions ascending
-within a state.  Eligibility traces and visit counts are not persisted;
-restoring a snapshot starts a fresh life.
+within a state.  Each category appears once, and every q value is finite.
+Eligibility traces and visit counts are not persisted; restoring a snapshot
+starts a fresh life.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from pathlib import Path
 
 from .learner import LearnerConfig, N_ACTIONS, N_STATES, QTable, QTableSet
@@ -61,6 +64,7 @@ def restore(text: str) -> QTableSet:
     by_name = {cat.value: cat for cat in WeaponCategory}
     tables = {cat: QTable(cat) for cat in CATEGORY_ORDER}
     current: QTable | None = None
+    seen: set[str] = set()
     for lineno, line in enumerate(lines[3:], start=4):
         if not line.strip():
             continue
@@ -68,6 +72,9 @@ def restore(text: str) -> QTableSet:
         if fields[0] == "category":
             if len(fields) != 2 or fields[1] not in by_name:
                 raise SnapshotError(f"line {lineno}: unknown category line {line!r}")
+            if fields[1] in seen:
+                raise SnapshotError(f"line {lineno}: category {fields[1]} appears twice")
+            seen.add(fields[1])
             current = tables[by_name[fields[1]]]
         elif fields[0] == "q":
             if current is None:
@@ -80,6 +87,8 @@ def restore(text: str) -> QTableSet:
                 value = float(fields[3])
             except ValueError as exc:
                 raise SnapshotError(f"line {lineno}: malformed q line {line!r}") from exc
+            if not math.isfinite(value):
+                raise SnapshotError(f"line {lineno}: q value {fields[3]!r} is not finite")
             if not 0 <= state < N_STATES:
                 raise SnapshotError(
                     f"line {lineno}: state index {state} out of range [0, {N_STATES})"
@@ -96,7 +105,16 @@ def restore(text: str) -> QTableSet:
 
 
 def write_snapshot(tset: QTableSet, path: str | Path) -> None:
-    Path(path).write_text(snapshot(tset), encoding="ascii")
+    """Write atomically: a temp file in the same directory, then os.replace,
+    so `path` holds either its previous document or the new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(snapshot(tset), encoding="ascii")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_snapshot(path: str | Path) -> QTableSet:

@@ -46,10 +46,15 @@ class ShootAction:
     label: str
 
 
-def actions_for(category: WeaponCategory) -> list[ShootAction]:
+_ACTIONS: dict[WeaponCategory, tuple[ShootAction, ...]] = {
+    category: tuple(ShootAction(category, i, label) for i, label in enumerate(labels))
+    for category, labels in ACTION_LABELS.items()
+}
+
+
+def actions_for(category: WeaponCategory) -> tuple[ShootAction, ...]:
     """The category's five aim actions in Q-table order."""
-    labels = ACTION_LABELS[category]
-    return [ShootAction(category, i, label) for i, label in enumerate(labels)]
+    return _ACTIONS[category]
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,10 @@ class AimResolution:
     locked_on: bool
 
 
+# Frozen, so every locked-on shot can share it.
+LOCKED_ON = AimResolution(point=None, locked_on=True)
+
+
 def resolve_aim(
     action: ShootAction,
     shooter_pos: tuple[float, float],
@@ -192,7 +201,7 @@ def resolve_aim(
 ) -> AimResolution:
     """Turn an abstract aim action into a target point (or a lock-on)."""
     if action.label == "Player":
-        return AimResolution(point=None, locked_on=True)
+        return LOCKED_ON
 
     ox, oy, oz = opponent_pos
     dx = ox - shooter_pos[0]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,12 +10,16 @@ from sarsa_arena import geometry as geo
 from sarsa_arena.arena import (
     Arena,
     AgentState,
+    BehaviorParams,
     DamageEvent,
+    GreedyController,
     KillEvent,
+    OpponentProfile,
     PhysicsParams,
     PickupEvent,
     Pit,
     RL_AGENT_ID,
+    RandomController,
     RlShooterController,
     SpawnEvent,
     SuicideEvent,
@@ -25,8 +30,14 @@ from sarsa_arena.arena import (
     format_event,
 )
 from sarsa_arena.config import default_config
-from sarsa_arena.encoder import CombatObservation, encode
-from sarsa_arena.weapons import ASSAULT_RIFLE, WeaponCategory, new_table_set
+from sarsa_arena.encoder import N_STATES, CombatObservation, encode
+from sarsa_arena.learner import N_ACTIONS
+from sarsa_arena.weapons import (
+    ASSAULT_RIFLE,
+    CYLINDER_RADIUS,
+    WeaponCategory,
+    new_table_set,
+)
 
 
 def make_world(seed=1, level=1, tset=None, cfg=None):
@@ -335,6 +346,27 @@ class TestArenaValidation:
         with pytest.raises(ValueError, match=field):
             PhysicsParams(**{field: 0})
 
+    @pytest.mark.parametrize("field", [
+        "dodge_radius", "waypoint_radius", "pit_avoid_margin",
+        "fire_align_tolerance_deg", "engage_range", "scripted_stop_range",
+    ])
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_negative_margins_radii_and_ranges_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BehaviorParams(**{field: value})
+
+    @pytest.mark.parametrize("lo,hi", [(1.6, 1.5), (math.nan, 1.5), (0.5, math.nan)])
+    def test_strafe_flip_min_above_max_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="strafe_flip_min_s"):
+            BehaviorParams(strafe_flip_min_s=lo, strafe_flip_max_s=hi)
+
+    @pytest.mark.parametrize("field", ["fov_deg", "turn_rate_deg_s", "speed_fraction"])
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+    def test_profile_angles_and_speed_must_be_finite_and_non_negative(self, field, value):
+        fields = dict(vars(default_profiles()[1]), **{field: value})
+        with pytest.raises(ValueError, match=field):
+            OpponentProfile(**fields)
+
     def test_default_arena_is_valid(self):
         arena = default_arena()
         assert len(arena.blocking_segments) == len(arena.walls) + 4
@@ -432,3 +464,125 @@ class TestLineOfSight:
         assert world.line_of_sight(x, 2700.0, x, 3000.0)  # beyond its end
         assert world.line_of_sight(1000.0, 2000.0, 1100.0, 2000.0)
         assert not world.line_of_sight(1000.0, 2000.0, 1300.0, 2000.0)
+
+
+# ---------------------------------------------------------------------------
+# _move's fast paths: the comparison clamp and the zero step
+
+
+OPEN_ARENA = Arena(
+    size=4000.0, walls=(), pits=(),
+    spawn_points=((100, 100), (3900, 100), (100, 3900), (3900, 3900)),
+    pickups=(),
+)
+walkable = st.floats(17.0, 4000.0 - 17.0)
+velocity = st.one_of(
+    st.floats(-2e5, 2e5),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+def same(a, b):
+    """Equal bit for bit, NaN included."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestMoveFastPaths:
+    @settings(max_examples=500, deadline=None)
+    @given(x=walkable, y=walkable, vx=velocity, vy=velocity)
+    def test_clamp_equals_min_max(self, x, y, vx, vy):
+        world = world_in(OPEN_ARENA)  # nothing blocks, so every step is taken
+        agent = world.agents[RL_AGENT_ID]
+        agent.x, agent.y, agent.vx, agent.vy = x, y, vx, vy
+        world._move(agent, world.dt)
+        r, size = CYLINDER_RADIUS, OPEN_ARENA.size
+        nx = min(max(x + vx * world.dt, r), size - r)
+        ny = min(max(y + vy * world.dt, r), size - r)
+        assert same(agent.x, nx) and same(agent.y, ny)
+        assert same(world.stat_distance, math.hypot(nx - x, ny - y))
+
+    @pytest.mark.parametrize("x,y,vx,clear", [
+        (1000.0, 1000.0, 0.0, True),  # standing still in the open
+        (1200.0, 2000.0, 0.0, False),  # standing on a wall: a blocked point
+        (CYLINDER_RADIUS, 1000.0, -300.0, True),  # pushing against the boundary
+    ])
+    def test_zero_step_skips_line_of_sight_with_the_same_outcome(self, x, y, vx, clear):
+        world = world_in(default_arena())
+        agent = world.agents[RL_AGENT_ID]
+        agent.x, agent.y, agent.vx, agent.vy = x, y, vx, 0.0
+        # Either answer of the old line-of-sight test left the position as it
+        # was and added hypot(0, 0) == 0.0 or 0.0 to the distance.
+        assert world.line_of_sight(x, y, x, y) is clear
+        calls = []
+        world.line_of_sight = lambda *args: calls.append(args) or True
+        before = (world.stat_distance, world.stat_time_moving)
+        world._move(agent, world.dt)
+        assert calls == []
+        assert (agent.x, agent.y) == (x, y)
+        assert (world.stat_distance, world.stat_time_moving) == before
+
+
+# ---------------------------------------------------------------------------
+# The frozen-policy loop, pinned
+
+
+def fixed_policy(cfg):
+    """A Q table set made from a fixed seed: about half of each category's
+    states hold values, the rest read 0, so greedy play meets ties too."""
+    rng = random.Random(11)
+    tset = new_table_set(cfg.learner)
+    for table in tset.tables.values():
+        for state in range(N_STATES):
+            if rng.random() < 0.5:
+                for action in range(N_ACTIONS):
+                    table.q[(state, action)] = rng.uniform(-3.0, 30.0)
+    return tset
+
+
+def frozen_lives(controller_cls, seeds, max_ticks=900):
+    """Lives of a frozen policy as criterion 7 plays them: one fresh level-1
+    World per life seed, capped at `max_ticks`."""
+    cfg = default_config()
+    policy = fixed_policy(cfg)
+    lives = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        tset = new_table_set(cfg.learner)
+        for cat in tset.tables:
+            tset.tables[cat].q = dict(policy.tables[cat].q)
+        world = World(
+            cfg.arena, cfg.armory, cfg.physics, cfg.behavior, cfg.profiles[1],
+            controller_cls(tset, cfg.armory, cfg.priority, rng), rng,
+        )
+        stats = None
+        for _ in range(max_ticks):
+            world.tick()
+            if world.completed_life is not None:
+                stats = world.completed_life
+                break
+        if stats is None:
+            stats = world.finalize_truncated_life()
+        lives.append((
+            controller_cls.__name__, seed, world.tick_count, stats.hits,
+            stats.misses, stats.reward, stats.duration_s, stats.cause,
+        ))
+    return lives
+
+
+# The per-life numbers of FROZEN_SEEDS under each controller, pinned like
+# test_cli.TestByteIdentity: a performance change must leave them as they are.
+# Recorded with CPython on x86-64 Linux; the digest relies on the platform's
+# libm for atan2, sin and cos.
+FROZEN_SEEDS = range(300, 306)
+FROZEN_LIVES_SHA256 = "2ab370c37722a6355fa731127becc850e38b8f4e990c8ad53c9399d3383fa139"
+
+
+class TestFrozenPolicyPin:
+    def test_greedy_and_random_lives_are_pinned(self):
+        lives = frozen_lives(GreedyController, FROZEN_SEEDS)
+        lives += frozen_lives(RandomController, FROZEN_SEEDS)
+        assert {life[-1] for life in lives} - {"game-end"}, "no life ended in a death"
+        text = "".join(" ".join(repr(v) for v in life) + "\n" for life in lives)
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_LIVES_SHA256

@@ -18,6 +18,16 @@ def trained(tmp_path_factory):
     return out
 
 
+def train_with_config(tmp_path, text):
+    """Exit code of a short `train` run with `text` as its --config file."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    return main([
+        "train", "--level", "1", "--games", "1", "--minutes", "0.1",
+        "--config", str(cfg), "--out", str(tmp_path / "out"), "--no-plots",
+    ])
+
+
 class TestTrain:
     def test_outputs_exist(self, trained):
         level_dir = trained / "level1"
@@ -45,15 +55,21 @@ class TestTrain:
 
     @pytest.mark.parametrize("key", ["tick_hz", "decision_every"])
     def test_zero_physics_rate_is_config_error(self, key, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"[physics]\n{key} = 0\n")
-        code = main([
-            "train", "--level", "1", "--games", "1", "--minutes", "0.1",
-            "--config", str(cfg), "--out", str(tmp_path / "out"), "--no-plots",
-        ])
-        assert code == 1
+        assert train_with_config(tmp_path, f"[physics]\n{key} = 0\n") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("behavior", "pit_avoid_margin", "-1"),
+        ("behavior", "strafe_flip_min_s", "2.0"),
+        ("opponent:1", "fov_deg", "nan"),
+        ("harness", "opponents", "0"),
+    ])
+    def test_out_of_range_value_is_config_error(self, section, key, value, tmp_path, capsys):
+        assert train_with_config(tmp_path, f"[{section}]\n{key} = {value}\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:") and key in err
         assert "Traceback" not in err
 
 
@@ -118,6 +134,17 @@ class TestInspect:
         bad.write_text("not a snapshot\n")
         assert main(["inspect", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        "category InstantHit\nq 0 0 nan\n",
+        "category InstantHit\ncategory InstantHit\n",
+    ])
+    def test_inspect_rejected_snapshot(self, body, tmp_path, capsys):
+        bad = tmp_path / "bad.rlsq"
+        bad.write_text("RLSQ 1\nlives 0\nparams 0.7 0.5 0.9\n" + body)
+        assert main(["inspect", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 5:") and "Traceback" not in err
 
     def test_snapshot_actually_restores(self, trained):
         tset = read_snapshot(trained / "level1" / "snap_1_final.rlsq")

@@ -1,7 +1,10 @@
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarsa_arena import geometry as geo
 
@@ -130,3 +133,70 @@ class TestAngles:
 
     def test_turn_takes_short_way_around(self):
         assert geo.turn_towards(-170.0, 170.0, 5.0) == pytest.approx(-175.0)
+
+
+# ---------------------------------------------------------------------------
+# normalize_angle's fast path against the plain fmod form
+
+
+def normalize_angle_fmod(angle):
+    """normalize_angle without its fast path: the reference it must equal."""
+    angle = math.fmod(angle + 180.0, 360.0)
+    if angle < 0:
+        angle += 360.0
+    return angle - 180.0
+
+
+def outcome(fn, *args):
+    """The float `fn` returns, bit for bit (NaN as one value), or the
+    exception type it raises (math.fmod raises ValueError for infinities)."""
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return type(exc)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+EDGE_ANGLES = [
+    180.0, -180.0, 0.0, -0.0,
+    math.nextafter(180.0, 0.0), math.nextafter(180.0, math.inf),
+    math.nextafter(-180.0, -math.inf), math.nextafter(-180.0, 0.0),
+    math.nextafter(540.0, 0.0), 540.0, -540.0, 359.99999999999994,
+    1e16, -1e16, 1e300, -1e300, 5e-324, -5e-324,
+    math.inf, -math.inf, math.nan,
+]
+
+angles = st.one_of(
+    st.sampled_from(EDGE_ANGLES),
+    st.floats(-720.0, 720.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestAngleFastPaths:
+    @settings(max_examples=2000, deadline=None)
+    @given(angle=angles)
+    def test_normalize_angle_is_bitwise_the_fmod_form(self, angle):
+        assert outcome(geo.normalize_angle, angle) == outcome(normalize_angle_fmod, angle)
+
+    @pytest.mark.parametrize("angle", EDGE_ANGLES)
+    def test_edge_angles(self, angle):
+        assert outcome(geo.normalize_angle, angle) == outcome(normalize_angle_fmod, angle)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        p=st.tuples(st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0)),
+        q=st.tuples(st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0)),
+    )
+    def test_bearing_is_bitwise_the_fmod_form(self, p, q):
+        angle = math.degrees(math.atan2(q[1] - p[1], q[0] - p[0]))
+        assert outcome(geo.bearing_deg, p, q) == outcome(normalize_angle_fmod, angle)
+
+    @pytest.mark.parametrize("q", [(-5.0, 0.0), (-5.0, -0.0), (0.0, -5.0), (5.0, 0.0)])
+    def test_bearing_on_the_wrap_line(self, q):
+        # atan2 gives +pi or -pi on the negative x axis, depending on the
+        # sign of zero: the +180 degree case takes the fmod path.
+        angle = math.degrees(math.atan2(q[1], q[0]))
+        assert outcome(geo.bearing_deg, (0.0, 0.0), q) == outcome(
+            normalize_angle_fmod, angle
+        )

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sarsa_arena import snapshots
 from sarsa_arena.learner import LearnerConfig
 from sarsa_arena.snapshots import (
     SnapshotError,
@@ -119,3 +120,57 @@ class TestRejections:
         doc = VALID_HEAD + "category InstantHit\nbogus\n"
         with pytest.raises(SnapshotError, match="unrecognized"):
             restore(doc)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_q_value(self, value):
+        doc = VALID_HEAD + f"category InstantHit\nq 0 0 {value}\n"
+        with pytest.raises(SnapshotError, match="line 5: q value .* is not finite"):
+            restore(doc)
+
+    def test_repeated_category_block(self):
+        doc = VALID_HEAD + (
+            "category InstantHit\nq 0 0 1.0\n"
+            "category MachineGun\n"
+            "category InstantHit\nq 0 0 2.0\n"
+        )
+        with pytest.raises(SnapshotError, match="line 7: category InstantHit appears twice"):
+            restore(doc)
+
+
+class TestAtomicWrite:
+    def tset(self, value):
+        tset = new_table_set()
+        tset.tables[WeaponCategory.OTHER].q[(5, 0)] = value
+        return tset
+
+    def test_writes_the_snapshot_bytes_and_nothing_else(self, tmp_path):
+        path = tmp_path / "snap.rlsq"
+        write_snapshot(self.tset(-0.7), path)
+        write_snapshot(self.tset(2.5), path)  # replaces an existing file
+        assert path.read_bytes() == snapshot(self.tset(2.5)).encode("ascii")
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.rlsq"]
+
+    def test_failed_replace_keeps_the_previous_snapshot(self, tmp_path, monkeypatch):
+        path = tmp_path / "snap.rlsq"
+        write_snapshot(self.tset(-0.7), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(snapshots.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_snapshot(self.tset(2.5), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.rlsq"]
+
+    def test_failed_write_keeps_the_previous_snapshot(self, tmp_path, monkeypatch):
+        path = tmp_path / "snap.rlsq"
+        write_snapshot(self.tset(-0.7), path)
+        before = path.read_bytes()
+        # Not ASCII: encoding fails after the temp file was opened.
+        monkeypatch.setattr(snapshots, "snapshot", lambda tset: "RLSQ 1\né\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_snapshot(self.tset(2.5), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.rlsq"]
