@@ -6,18 +6,15 @@ picking aim actions uniformly at random. Prints mean reward per life for
 both policies.
 """
 
-import random
 import statistics
 import tempfile
 from pathlib import Path
 
-from sarsa_arena.arena import GreedyController, RandomController, World
+from sarsa_arena.arena import GreedyController, RandomController
 from sarsa_arena.config import default_config
-from sarsa_arena.harness import CampaignSettings, run_campaign
-from sarsa_arena.weapons import new_table_set
+from sarsa_arena.harness import CampaignSettings, evaluate_policy, run_campaign
 
 N_LIVES = 120
-MAX_TICKS = 30 * 30  # cap a life at 30 simulated seconds
 
 sim = default_config()
 out = Path(tempfile.mkdtemp(prefix="frozen_policy_"))
@@ -27,31 +24,9 @@ trained = run_campaign(sim, CampaignSettings(
 ))
 print(f"done: {trained.tset.lives} lives of experience\n")
 
-
-def play_lives(controller_cls):
-    rewards = []
-    for seed in range(5000, 5000 + N_LIVES):
-        rng = random.Random(seed)
-        tables = new_table_set(sim.learner)
-        for cat in tables.tables:
-            tables.tables[cat].q = dict(trained.tset.tables[cat].q)
-        controller = controller_cls(tables, sim.armory, sim.priority, rng)
-        world = World(sim.arena, sim.armory, sim.physics, sim.behavior,
-                      sim.profiles[1], controller, rng)
-        reward = None
-        for _ in range(MAX_TICKS):
-            world.tick()
-            if world.completed_life is not None:
-                reward = world.completed_life.reward
-                break
-        if reward is None:
-            reward = world.finalize_truncated_life().reward
-        rewards.append(reward)
-    return rewards
-
-
 for name, cls in (("greedy", GreedyController), ("random", RandomController)):
-    rewards = play_lives(cls)
+    # Lives are capped at 30 simulated seconds (harness.EVAL_MAX_TICKS).
+    rewards = evaluate_policy(sim, trained.tset, cls, range(5000, 5000 + N_LIVES))
     print(f"{name:>6s}: mean reward {statistics.fmean(rewards):7.1f} "
           f"over {N_LIVES} lives "
           f"(median {statistics.median(rewards):.0f})")

@@ -19,7 +19,7 @@ from .learner import (
     terminal_update,
 )
 from .snapshots import read_snapshot, write_snapshot
-from .weapons import WeaponCategory, WeaponSpec, default_armory, new_table_set
+from .weapons import WeaponCategory, WeaponSpec, new_table_set
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "WeaponCategory",
     "WeaponSpec",
     "decode",
-    "default_armory",
     "default_config",
     "encode",
     "load_config",

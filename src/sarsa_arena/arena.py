@@ -33,6 +33,7 @@ from .weapons import (
     WeaponSpec,
     actions_for,
     resolve_aim,
+    reward_for,
     select_weapon,
 )
 from .weapons import CYLINDER_HEIGHT, CYLINDER_RADIUS
@@ -121,7 +122,7 @@ class OpponentProfile:
     fov_deg: float
     turn_rate_deg_s: float
     aim_lag_s: float
-    combat_jump_prob_s: float = 0.0
+    combat_jump_prob_s: float
 
     def __post_init__(self) -> None:
         for name in ("fov_deg", "turn_rate_deg_s", "speed_fraction"):
@@ -130,30 +131,22 @@ class OpponentProfile:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def default_profiles() -> dict[int, OpponentProfile]:
-    return {
-        1: OpponentProfile(1, 0.6, False, False, False, 2.6, 35.0, 180.0, 0.1, 0.0),
-        3: OpponentProfile(3, 0.8, True, False, False, 3.5, 40.0, 270.0, 0.09, 0.15),
-        5: OpponentProfile(5, 1.0, True, True, True, 2.5, 80.0, 360.0, 0.035, 1.2),
-    }
-
-
 @dataclass(frozen=True)
 class PhysicsParams:
-    tick_hz: int = 30
-    decision_every: int = 6
-    base_speed: float = 440.0
-    respawn_delay_s: float = 2.0
-    jump_duration_s: float = 0.7
-    jump_height_uu: float = 60.0
-    pickup_respawn_s: float = 20.0
-    spawn_assault_ammo: int = 600
-    weapon_pickup_ammo: int = 15
-    ammo_pickup_amount: int = 150
-    eye_height: float = 30.0
-    rl_fov_deg: float = 360.0
-    rl_turn_rate_deg_s: float = 720.0
-    aim_lag_s: float = 0.1
+    tick_hz: int
+    decision_every: int
+    base_speed: float
+    respawn_delay_s: float
+    jump_duration_s: float
+    jump_height_uu: float
+    pickup_respawn_s: float
+    spawn_assault_ammo: int
+    weapon_pickup_ammo: int
+    ammo_pickup_amount: int
+    eye_height: float
+    rl_fov_deg: float
+    rl_turn_rate_deg_s: float
+    aim_lag_s: float
 
     def __post_init__(self) -> None:
         if self.tick_hz < 1:
@@ -168,15 +161,15 @@ class PhysicsParams:
 
 @dataclass(frozen=True)
 class BehaviorParams:
-    strafe_flip_min_s: float = 0.5
-    strafe_flip_max_s: float = 1.5
-    jump_prob_per_s: float = 0.3
-    dodge_radius: float = 400.0
-    waypoint_radius: float = 60.0
-    pit_avoid_margin: float = 100.0
-    fire_align_tolerance_deg: float = 20.0
-    engage_range: float = 900.0
-    scripted_stop_range: float = 600.0
+    strafe_flip_min_s: float
+    strafe_flip_max_s: float
+    jump_prob_per_s: float
+    dodge_radius: float
+    waypoint_radius: float
+    pit_avoid_margin: float
+    fire_align_tolerance_deg: float
+    engage_range: float
+    scripted_stop_range: float
 
     def __post_init__(self) -> None:
         for name in (
@@ -191,37 +184,6 @@ class BehaviorParams:
                 f"strafe_flip_min_s ({self.strafe_flip_min_s}) must not exceed "
                 f"strafe_flip_max_s ({self.strafe_flip_max_s})"
             )
-
-
-def default_arena() -> Arena:
-    s = 4000.0
-    return Arena(
-        size=s,
-        walls=(
-            Wall(1200, 1400, 1200, 2600),
-            Wall(2800, 1400, 2800, 2600),
-        ),
-        pits=(
-            Pit(2000, 2000, 200),
-            Pit(1000, 3000, 160),
-            Pit(3000, 1000, 160),
-        ),
-        spawn_points=((400, 400), (3600, 400), (400, 3600), (3600, 3600)),
-        pickups=(
-            PickupSpot("weapon", "shock_rifle", 2000, 600),
-            PickupSpot("weapon", "rocket_launcher", 2000, 3400),
-            PickupSpot("weapon", "flak_cannon", 600, 2000),
-            PickupSpot("weapon", "lightning_gun", 3400, 2000),
-            PickupSpot("weapon", "mini_gun", 1400, 1000),
-            PickupSpot("weapon", "link_gun", 2600, 3000),
-            PickupSpot("ammo", None, 800, 800),
-            PickupSpot("ammo", None, 3200, 800),
-            PickupSpot("ammo", None, 800, 3200),
-            PickupSpot("ammo", None, 3200, 3200),
-            PickupSpot("ammo", None, 2000, 1200),
-            PickupSpot("ammo", None, 2000, 2800),
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +333,13 @@ class LifeStats:
 
 class RlShooterController:
     """Online Sarsa(lambda) shooting: observe, pick a weapon and aim action,
-    and feed realized damage back as reward on the following decision."""
+    and feed realized damage back as reward on the following decision.
+
+    With `learns = False` it plays a frozen policy: the same reward
+    bookkeeping, but no writes to the tables, their traces or visit counts.
+    """
+
+    learns = True
 
     def __init__(
         self,
@@ -384,22 +352,26 @@ class RlShooterController:
         self.armory = armory
         self.priority = priority
         self.rng = rng
-        self.pending: tuple | None = None  # (category, state, action)
+        self.life_reward = 0.0
+        self._open_interval(None)
+
+    def _open_interval(self, pending: tuple | None) -> None:
+        self.pending: tuple | None = pending  # (category, state, action)
         self.interval_damage = 0.0
         self.interval_shots = 0
-        self.life_reward = 0.0
 
     def _close_interval(self, next_state_action: tuple | None) -> None:
-        """Update the pending pair; `next_state_action` is (category, s', a')."""
-        if self.pending is None:
+        """Reward the pending pair and, when learning, update it;
+        `next_state_action` is (category, s', a')."""
+        if self.pending is None or self.interval_shots == 0:
+            # No decision yet, or the chosen action never discharged
+            # (cooldown): no reward and no update.
+            return
+        r = reward_for(self.interval_damage)
+        self.life_reward += r
+        if not self.learns:
             return
         pcat, ps, pa = self.pending
-        if self.interval_shots == 0:
-            # The chosen action never discharged (cooldown); no update.
-            self.pending = None
-            return
-        r = self.interval_damage if self.interval_damage > 0 else -1.0
-        self.life_reward += r
         ptable = self.tset.tables[pcat]
         cfg = self.tset.cfg
         if next_state_action is None:
@@ -416,12 +388,9 @@ class RlShooterController:
                 )
                 # Credit does not flow across weapon categories.
                 begin_life(ptable)
-        self.pending = None
 
-    def decide(
-        self, agent: AgentState, obs_distance: float, make_obs
-    ) -> tuple[str, ShootAction]:
-        """One shooting decision against a visible opponent.
+    def _observe(self, agent: AgentState, obs_distance: float, make_obs) -> tuple:
+        """(weapon name, category, state) for a decision at this distance.
 
         `make_obs` builds the CombatObservation once the weapon (and its
         instant-hit flag) is known.
@@ -430,19 +399,22 @@ class RlShooterController:
         weapon_name = select_weapon(agent.inventory, band, self.priority)
         weapon = self.armory[weapon_name]
         obs: CombatObservation = make_obs(weapon.instant_hit)
-        state = encode(obs)
-        category = weapon.category
-        table = self.tset.tables[category]
+        return weapon_name, weapon.category, encode(obs)
 
-        eps = epsilon_for_lives(self.tset.cfg.schedule, self.tset.lives)
-        action_idx, _ = select_action(table, state, eps, self.rng)
+    def _commit(self, weapon_name: str, category, state: int, action_idx: int):
+        """Close the previous interval and open one for the chosen action."""
         self._close_interval((category, state, action_idx))
-        self.pending = (category, state, action_idx)
-        self.interval_damage = 0.0
-        self.interval_shots = 0
+        self._open_interval((category, state, action_idx))
+        return weapon_name, actions_for(category)[action_idx]
 
-        action = actions_for(category)[action_idx]
-        return weapon_name, action
+    def decide(
+        self, agent: AgentState, obs_distance: float, make_obs
+    ) -> tuple[str, ShootAction]:
+        """One epsilon-greedy shooting decision against a visible opponent."""
+        weapon_name, category, state = self._observe(agent, obs_distance, make_obs)
+        eps = epsilon_for_lives(self.tset.cfg.schedule, self.tset.lives)
+        action_idx, _ = select_action(self.tset.tables[category], state, eps, self.rng)
+        return self._commit(weapon_name, category, state, action_idx)
 
     def on_shot(self) -> None:
         self.interval_shots += 1
@@ -453,82 +425,38 @@ class RlShooterController:
     def on_death(self) -> float:
         """Terminal update and episode bookkeeping; returns the life's reward."""
         self._close_interval(None)
-        reward = self.life_reward
-        self.life_reward = 0.0
-        self.interval_damage = 0.0
-        self.interval_shots = 0
         self.tset.lives += 1
-        self.tset.begin_life()
-        return reward
+        return self.on_game_end()
 
     def on_game_end(self) -> float:
         """Drop any open interval; the truncated life keeps its reward so far."""
-        self.pending = None
+        self._open_interval(None)
         reward = self.life_reward
         self.life_reward = 0.0
-        self.interval_damage = 0.0
-        self.interval_shots = 0
-        self.tset.begin_life()
+        if self.learns:
+            self.tset.begin_life()
         return reward
 
 
 class GreedyController(RlShooterController):
     """Frozen-policy variant: always greedy, never updates the tables."""
 
+    learns = False
+
     def decide(self, agent, obs_distance, make_obs):
-        band = discretize_distance(obs_distance)
-        weapon_name = select_weapon(agent.inventory, band, self.priority)
-        weapon = self.armory[weapon_name]
-        state = encode(make_obs(weapon.instant_hit))
-        table = self.tset.tables[weapon.category]
-        values = table.row(state)
+        weapon_name, category, state = self._observe(agent, obs_distance, make_obs)
+        values = self.tset.tables[category].row(state)
         best = max(values)
         action_idx = self.rng.choice([a for a, v in enumerate(values) if v == best])
-        self._track_reward()
-        self.pending = (weapon.category, state, action_idx)
-        self.interval_damage = 0.0
-        self.interval_shots = 0
-        return weapon_name, actions_for(weapon.category)[action_idx]
-
-    def _track_reward(self) -> None:
-        if self.pending is not None and self.interval_shots > 0:
-            self.life_reward += (
-                self.interval_damage if self.interval_damage > 0 else -1.0
-            )
-
-    def on_death(self) -> float:
-        self._track_reward()
-        reward = self.life_reward
-        self.life_reward = 0.0
-        self.pending = None
-        self.interval_damage = 0.0
-        self.interval_shots = 0
-        self.tset.lives += 1
-        return reward
-
-    def on_game_end(self) -> float:
-        reward = self.life_reward
-        self.life_reward = 0.0
-        self.pending = None
-        self.interval_damage = 0.0
-        self.interval_shots = 0
-        return reward
+        return self._commit(weapon_name, category, state, action_idx)
 
 
 class RandomController(GreedyController):
     """Uniform-random-action baseline; never updates the tables."""
 
     def decide(self, agent, obs_distance, make_obs):
-        band = discretize_distance(obs_distance)
-        weapon_name = select_weapon(agent.inventory, band, self.priority)
-        weapon = self.armory[weapon_name]
-        state = encode(make_obs(weapon.instant_hit))
-        action_idx = self.rng.randrange(5)
-        self._track_reward()
-        self.pending = (weapon.category, state, action_idx)
-        self.interval_damage = 0.0
-        self.interval_shots = 0
-        return weapon_name, actions_for(weapon.category)[action_idx]
+        weapon_name, category, state = self._observe(agent, obs_distance, make_obs)
+        return self._commit(weapon_name, category, state, self.rng.randrange(5))
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +827,10 @@ class World:
                     lambda instant: self.observation_for(agent, target, instant),
                 )
                 agent.current_weapon = weapon_name
-                aim = self._resolve_action_aim(agent, target, action, weapon_name)
+                aim = resolve_aim(
+                    action, (agent.x, agent.y), (target.x, target.y, target.z),
+                    self.armory[weapon_name],
+                )
                 agent.fire_command = FireCommand(weapon_name, aim, target.id)
                 if self.rng.random() < self.behavior.jump_prob_per_s * dt * self.physics.decision_every:
                     self._start_jump(agent)
@@ -919,17 +850,6 @@ class World:
         else:
             agent.fire_command = None
             self._patrol(agent, 1.0)
-
-    def _resolve_action_aim(
-        self, agent: AgentState, target: AgentState, action: ShootAction, weapon_name: str
-    ) -> AimResolution:
-        return resolve_aim(
-            action,
-            (agent.x, agent.y),
-            (target.x, target.y, target.z),
-            (target.vx, target.vy),
-            self.armory[weapon_name],
-        )
 
     def _control_scripted(self, agent: AgentState, dt: float) -> None:
         profile = self.profile

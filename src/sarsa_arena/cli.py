@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import load_config
 from .harness import (
     CampaignSettings,
     format_report,
@@ -59,24 +60,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args) -> int:
+    flags = {
+        "games": args.games, "minutes": args.minutes,
+        "snapshot_every": args.snapshot_every,
+    }
     try:
         sim = load_config(args.config)
-    except ConfigError as exc:
+        # The flags override [harness] and pass the same range checks.
+        harness = replace(
+            sim.harness, **{k: v for k, v in flags.items() if v is not None}
+        )
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     levels = LEVELS if args.level == "all" else (int(args.level),)
-    games = args.games if args.games is not None else sim.harness.games
-    minutes = args.minutes if args.minutes is not None else sim.harness.minutes
-    snapshot_every = (
-        args.snapshot_every if args.snapshot_every is not None
-        else sim.harness.snapshot_every
-    )
     summaries = []
     for level in levels:
         out_dir = args.out / f"level{level}"
         settings = CampaignSettings(
-            level=level, games=games, minutes=minutes, seed=args.seed,
-            out_dir=out_dir, snapshot_every=snapshot_every,
+            level=level, games=harness.games, minutes=harness.minutes, seed=args.seed,
+            out_dir=out_dir, snapshot_every=harness.snapshot_every,
             record_events=args.events,
         )
         result = run_campaign(sim, settings)
@@ -84,7 +87,7 @@ def cmd_train(args) -> int:
             render_campaign_plots(result.games, out_dir)
         summary = summarize_level(result.lives, result.games)
         summaries.append(summary)
-        print(f"level {level}: {games} games -> {out_dir}")
+        print(f"level {level}: {harness.games} games -> {out_dir}")
     print(format_report(summaries))
     return 0
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from .arena import (
@@ -28,12 +29,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class HarnessParams:
-    snapshot_every: int = 50
-    games: int = 30
-    minutes: float = 3.0
-    opponents: int = 3
+    snapshot_every: int
+    games: int
+    minutes: float
+    opponents: int
 
     def __post_init__(self) -> None:
+        # The `train` flags --games, --minutes and --snapshot-every are
+        # checked here too: the CLI applies them with dataclasses.replace.
+        if self.games < 1:
+            raise ValueError(f"games must be >= 1, got {self.games}")
+        if not 0.0 < self.minutes < math.inf:
+            raise ValueError(f"minutes must be finite and > 0, got {self.minutes}")
+        if self.snapshot_every < 0:
+            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         if self.opponents < 1:
             raise ValueError(f"opponents must be >= 1, got {self.opponents}")
 
@@ -50,46 +59,87 @@ class SimConfig:
     harness: HarnessParams
 
 
-def _parse_schedule(raw: str) -> ExplorationSchedule:
+def _parse_schedule(section: configparser.SectionProxy, key: str) -> tuple:
     bands = []
-    for chunk in raw.split(","):
+    for chunk in section[key].split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         bound, _, eps = chunk.partition(":")
         bands.append((int(bound), float(eps)))
-    return ExplorationSchedule(tuple(bands))
+    return tuple(bands)
 
 
-def _parse_floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split()]
+# How a field is read from its INI key, by the field's annotation (every
+# module here uses postponed annotations, so these are strings).
+_READERS = {
+    "int": lambda section, key: section.getint(key),
+    "float": lambda section, key: section.getfloat(key),
+    "bool": lambda section, key: section.getboolean(key),
+    "WeaponCategory": lambda section, key: WeaponCategory(section[key]),
+    "tuple[str, ...]": lambda section, key: tuple(
+        w.strip() for w in section[key].split(",")
+    ),
+    "tuple[tuple[int, float], ...]": _parse_schedule,
+}
+
+# [weapon:NAME] keys whose field has another name.
+_WEAPON_KEYS = {
+    "damage": "damage_per_hit",
+    "interval": "fire_interval",
+    "speed": "projectile_speed",
+    "splash": "splash_radius",
+}
+
+
+def _read(cls, section: configparser.SectionProxy, keys: dict[str, str] | None = None, **given):
+    """Build the dataclass `cls` from the keys `section` sets.
+
+    Each key fills the field `keys` maps it to, or else the field of its own
+    name; `given` supplies the fields that no key sets.  A key that no field
+    reads, or a field without a default that no key sets, is an error.
+    """
+    to_key = {name: key for key, name in (keys or {}).items()}
+    by_key = {to_key.get(f.name, f.name): f for f in fields(cls) if f.name not in given}
+    _check_keys(section, by_key)
+    values = dict(given)
+    for key, f in by_key.items():
+        if key in section:
+            try:
+                values[f.name] = _READERS[f.type](section, key)
+            except ValueError as exc:
+                raise ValueError(f"[{section.name}] {key}: {exc}") from exc
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"[{section.name}] lacks key {key!r}")
+    return cls(**values)
+
+
+def _check_keys(section: configparser.SectionProxy, known) -> None:
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ValueError(f"[{section.name}] has unknown key {min(unknown)!r}")
+
+
+_ARENA_KEYS = {"size", "walls", "pits", "spawns", "weapon_pickups", "ammo_pickups"}
+
+
+def _numbers(section: configparser.SectionProxy, key: str) -> list[list[float]]:
+    """The `;`-separated entries of `key`, each a list of numbers."""
+    items = section[key].split(";")
+    return [[float(tok) for tok in item.split()] for item in items if item.strip()]
 
 
 def _parse_arena(section: configparser.SectionProxy) -> Arena:
-    walls = []
-    for item in section["walls"].split(";"):
-        if item.strip():
-            x1, y1, x2, y2 = _parse_floats(item)
-            walls.append(Wall(x1, y1, x2, y2))
-    pits = []
-    for item in section["pits"].split(";"):
-        if item.strip():
-            x, y, r = _parse_floats(item)
-            pits.append(Pit(x, y, r))
-    spawns = []
-    for item in section["spawns"].split(";"):
-        if item.strip():
-            x, y = _parse_floats(item)
-            spawns.append((x, y))
+    _check_keys(section, _ARENA_KEYS)
+    walls = [Wall(x1, y1, x2, y2) for x1, y1, x2, y2 in _numbers(section, "walls")]
+    pits = [Pit(x, y, r) for x, y, r in _numbers(section, "pits")]
+    spawns = [(x, y) for x, y in _numbers(section, "spawns")]
     pickups = []
     for item in section["weapon_pickups"].split(";"):
         if item.strip():
             name, xs, ys = item.split()
             pickups.append(PickupSpot("weapon", name, float(xs), float(ys)))
-    for item in section["ammo_pickups"].split(";"):
-        if item.strip():
-            x, y = _parse_floats(item)
-            pickups.append(PickupSpot("ammo", None, x, y))
+    pickups += [PickupSpot("ammo", None, x, y) for x, y in _numbers(section, "ammo_pickups")]
     return Arena(
         size=section.getfloat("size"),
         walls=tuple(walls),
@@ -99,121 +149,50 @@ def _parse_arena(section: configparser.SectionProxy) -> Arena:
     )
 
 
-def _parse_weapon(name: str, section: configparser.SectionProxy) -> WeaponSpec:
-    try:
-        category = WeaponCategory(section["category"])
-    except ValueError as exc:
-        raise ConfigError(f"weapon {name!r}: {exc}") from exc
-    return WeaponSpec(
-        name=name,
-        category=category,
-        damage_per_hit=section.getfloat("damage"),
-        fire_interval=section.getfloat("interval"),
-        instant_hit=section.getboolean("instant_hit", fallback=False),
-        projectile_speed=section.getfloat("speed", fallback=float("inf")),
-        splash_radius=section.getfloat("splash", fallback=0.0),
-        self_damage=section.getboolean("self_damage", fallback=False),
-        aim_skew=section.getfloat("aim_skew", fallback=80.0),
-        above_step=section.getfloat("above_step", fallback=120.0),
-        pellets=section.getint("pellets", fallback=1),
-        spread_deg=section.getfloat("spread_deg", fallback=0.0),
-        melee_range=section.getfloat("melee_range", fallback=0.0),
-    )
-
-
-def _parse_profile(level: int, section: configparser.SectionProxy) -> OpponentProfile:
-    return OpponentProfile(
-        level=level,
-        speed_fraction=section.getfloat("speed_fraction"),
-        strafes=section.getboolean("strafes"),
-        dodges=section.getboolean("dodges"),
-        closes_distance=section.getboolean("closes_distance"),
-        max_aim_error_deg=section.getfloat("max_aim_error_deg"),
-        fov_deg=section.getfloat("fov_deg"),
-        turn_rate_deg_s=section.getfloat("turn_rate_deg_s"),
-        aim_lag_s=section.getfloat("aim_lag_s"),
-        combat_jump_prob_s=section.getfloat("combat_jump_prob_s"),
-    )
+_SECTIONS = {"learner", "schedule", "physics", "behavior", "arena", "priority", "harness"}
 
 
 def _build(parser: configparser.ConfigParser) -> SimConfig:
-    learner = LearnerConfig(
-        alpha=parser.getfloat("learner", "alpha"),
-        gamma=parser.getfloat("learner", "gamma"),
-        lam=parser.getfloat("learner", "lambda"),
-        schedule=_parse_schedule(parser.get("schedule", "bands")),
-    )
-    phys = parser["physics"]
-    physics = PhysicsParams(
-        tick_hz=phys.getint("tick_hz"),
-        decision_every=phys.getint("decision_every"),
-        base_speed=phys.getfloat("base_speed"),
-        respawn_delay_s=phys.getfloat("respawn_delay_s"),
-        jump_duration_s=phys.getfloat("jump_duration_s"),
-        jump_height_uu=phys.getfloat("jump_height_uu"),
-        pickup_respawn_s=phys.getfloat("pickup_respawn_s"),
-        spawn_assault_ammo=phys.getint("spawn_assault_ammo"),
-        weapon_pickup_ammo=phys.getint("weapon_pickup_ammo"),
-        ammo_pickup_amount=phys.getint("ammo_pickup_amount"),
-        eye_height=phys.getfloat("eye_height"),
-        rl_fov_deg=phys.getfloat("rl_fov_deg"),
-        rl_turn_rate_deg_s=phys.getfloat("rl_turn_rate_deg_s"),
-        aim_lag_s=phys.getfloat("aim_lag_s"),
-    )
-    beh = parser["behavior"]
-    behavior = BehaviorParams(
-        strafe_flip_min_s=beh.getfloat("strafe_flip_min_s"),
-        strafe_flip_max_s=beh.getfloat("strafe_flip_max_s"),
-        jump_prob_per_s=beh.getfloat("jump_prob_per_s"),
-        dodge_radius=beh.getfloat("dodge_radius"),
-        waypoint_radius=beh.getfloat("waypoint_radius"),
-        pit_avoid_margin=beh.getfloat("pit_avoid_margin"),
-        fire_align_tolerance_deg=beh.getfloat("fire_align_tolerance_deg"),
-        engage_range=beh.getfloat("engage_range"),
-        scripted_stop_range=beh.getfloat("scripted_stop_range"),
-    )
     armory = {}
     profiles = {}
     for section in parser.sections():
-        if section.startswith("weapon:"):
-            name = section.split(":", 1)[1]
-            armory[name] = _parse_weapon(name, parser[section])
-        elif section.startswith("opponent:"):
-            level = int(section.split(":", 1)[1])
-            profiles[level] = _parse_profile(level, parser[section])
-    priority = PriorityTables(
-        close=tuple(w.strip() for w in parser.get("priority", "close").split(",")),
-        medium=tuple(w.strip() for w in parser.get("priority", "medium").split(",")),
-        far=tuple(w.strip() for w in parser.get("priority", "far").split(",")),
-    )
+        kind, _, name = section.partition(":")
+        if kind == "weapon" and name:
+            armory[name] = _read(WeaponSpec, parser[section], _WEAPON_KEYS, name=name)
+        elif kind == "opponent" and name:
+            level = int(name)
+            profiles[level] = _read(OpponentProfile, parser[section], level=level)
+        elif section not in _SECTIONS:
+            raise ValueError(f"unknown section [{section}]")
+    priority = _read(PriorityTables, parser["priority"])
     priority.validate_against(armory)
-    harness = HarnessParams(
-        snapshot_every=parser.getint("harness", "snapshot_every"),
-        games=parser.getint("harness", "games"),
-        minutes=parser.getfloat("harness", "minutes"),
-        opponents=parser.getint("harness", "opponents"),
-    )
     arena = _parse_arena(parser["arena"])
     for spot in arena.pickups:
         if spot.kind == "weapon" and spot.weapon not in armory:
             raise ConfigError(f"pickup references unknown weapon {spot.weapon!r}")
+    schedule = _read(ExplorationSchedule, parser["schedule"])
     return SimConfig(
-        learner=learner,
+        learner=_read(LearnerConfig, parser["learner"], {"lambda": "lam"}, schedule=schedule),
         armory=armory,
         priority=priority,
         arena=arena,
-        physics=physics,
-        behavior=behavior,
+        physics=_read(PhysicsParams, parser["physics"]),
+        behavior=_read(BehaviorParams, parser["behavior"]),
         profiles=profiles,
-        harness=harness,
+        harness=_read(HarnessParams, parser["harness"]),
     )
+
+
+def _bundled_parser() -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    defaults = resources.files("sarsa_arena").joinpath("data/default.cfg")
+    parser.read_string(defaults.read_text(encoding="ascii"))
+    return parser
 
 
 def load_config(path: str | os.PathLike | None = None) -> SimConfig:
     """Bundled defaults, optionally overridden by `path` or $SARSA_ARENA_CONFIG."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    defaults = resources.files("sarsa_arena").joinpath("data/default.cfg")
-    parser.read_string(defaults.read_text(encoding="ascii"))
+    parser = _bundled_parser()
     if path is None:
         path = os.environ.get(ENV_VAR) or None
     if path is not None:
@@ -233,7 +212,4 @@ def load_config(path: str | os.PathLike | None = None) -> SimConfig:
 
 def default_config() -> SimConfig:
     """The bundled defaults, ignoring any environment override."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    defaults = resources.files("sarsa_arena").joinpath("data/default.cfg")
-    parser.read_string(defaults.read_text(encoding="ascii"))
-    return _build(parser)
+    return _build(_bundled_parser())

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .arena import (
     KillEvent,
-    PickupEvent,
+    LifeStats,
     RL_AGENT_ID,
     RlShooterController,
     SuicideEvent,
@@ -107,14 +107,13 @@ def run_campaign(
     sim: SimConfig,
     settings: CampaignSettings,
     tset: QTableSet | None = None,
-    controller_factory=RlShooterController,
 ) -> CampaignResult:
     """Play `settings.games` games at one opponent level, learning throughout."""
     out = Path(settings.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(settings.seed)
     tset = tset if tset is not None else new_table_set(sim.learner)
-    controller = controller_factory(tset, sim.armory, sim.priority, rng)
+    controller = RlShooterController(tset, sim.armory, sim.priority, rng)
     result = CampaignResult(settings=settings, tset=tset)
     weapon_names = list(sim.armory)
     games_fields = list(GAMES_BASE_FIELDS) + [f"shoot_s_{n}" for n in weapon_names]
@@ -122,7 +121,6 @@ def run_campaign(
 
     lives_path = out / "lives.csv"
     games_path = out / "games.csv"
-    life_counter = 0
 
     with contextlib.ExitStack() as files:
         events_file = files.enter_context(
@@ -134,6 +132,16 @@ def run_campaign(
         lives_w.writerow(LIVES_FIELDS)
         games_w = csv.writer(games_f)
         games_w.writerow(games_fields)
+
+        def record_life(game: int, stats: LifeStats) -> None:
+            record = LifeRecord(
+                run_id=settings.run_id, game=game, life=len(result.lives) + 1,
+                level=settings.level, hits=stats.hits, misses=stats.misses,
+                reward=stats.reward, duration_s=stats.duration_s,
+                death_cause=stats.cause,
+            )
+            result.lives.append(record)
+            lives_w.writerow(_life_row(record))
 
         for game in range(1, settings.games + 1):
             world = World(
@@ -162,17 +170,8 @@ def run_campaign(
                             streak = 0
 
                 if world.completed_life is not None:
-                    stats = world.completed_life
+                    record_life(game, world.completed_life)
                     world.completed_life = None
-                    life_counter += 1
-                    record = LifeRecord(
-                        run_id=settings.run_id, game=game, life=life_counter,
-                        level=settings.level, hits=stats.hits, misses=stats.misses,
-                        reward=stats.reward, duration_s=stats.duration_s,
-                        death_cause=stats.cause,
-                    )
-                    result.lives.append(record)
-                    lives_w.writerow(_life_row(record))
                     if settings.snapshot_every > 0 and (
                         tset.lives % settings.snapshot_every == 0
                     ):
@@ -183,16 +182,7 @@ def run_campaign(
 
             rl_agent = world.agents[RL_AGENT_ID]
             if rl_agent.alive:
-                stats = world.finalize_truncated_life()
-                life_counter += 1
-                record = LifeRecord(
-                    run_id=settings.run_id, game=game, life=life_counter,
-                    level=settings.level, hits=stats.hits, misses=stats.misses,
-                    reward=stats.reward, duration_s=stats.duration_s,
-                    death_cause=stats.cause,
-                )
-                result.lives.append(record)
-                lives_w.writerow(_life_row(record))
+                record_life(game, world.finalize_truncated_life())
             else:
                 # Dead at the whistle: the death was already recorded.
                 controller.on_game_end()
@@ -212,6 +202,40 @@ def run_campaign(
 
     write_snapshot(tset, out / f"snap_{settings.level}_final.rlsq")
     return result
+
+
+# Criterion 7 caps each evaluation life at 30 simulated seconds of 30 Hz ticks.
+EVAL_MAX_TICKS = 30 * 30
+
+
+def evaluate_policy(
+    sim: SimConfig, policy: QTableSet, controller_cls, seeds
+) -> list[float]:
+    """Each seed's reward for one life of `policy` played by `controller_cls`.
+
+    Every life gets its own `random.Random(seed)`, a copy of the policy's Q
+    values and a fresh World against level-1 opponents; a life still running
+    after EVAL_MAX_TICKS ticks ends there and keeps its reward so far.
+    """
+    rewards = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        tset = new_table_set(sim.learner)
+        for cat in tset.tables:
+            tset.tables[cat].q = dict(policy.tables[cat].q)
+        world = World(
+            sim.arena, sim.armory, sim.physics, sim.behavior, sim.profiles[1],
+            controller_cls(tset, sim.armory, sim.priority, rng), rng,
+            n_opponents=sim.harness.opponents,
+        )
+        for _ in range(EVAL_MAX_TICKS):
+            world.tick()
+            if world.completed_life is not None:
+                rewards.append(world.completed_life.reward)
+                break
+        else:
+            rewards.append(world.finalize_truncated_life().reward)
+    return rewards
 
 
 def _life_row(r: LifeRecord) -> list[str]:

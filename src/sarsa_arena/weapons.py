@@ -1,4 +1,4 @@
-"""Weapon categories, aim actions, armory defaults and priority selection."""
+"""Weapon categories, weapon specs, aim actions and priority selection."""
 
 from __future__ import annotations
 
@@ -59,6 +59,7 @@ def actions_for(category: WeaponCategory) -> tuple[ShootAction, ...]:
 
 @dataclass(frozen=True)
 class WeaponSpec:
+    # The fields with defaults are the keys a [weapon:NAME] section may omit.
     name: str
     category: WeaponCategory
     damage_per_hit: float
@@ -90,42 +91,9 @@ ASSAULT_RIFLE = "assault_rifle"
 SHIELD_GUN = "shield_gun"
 
 
-def default_armory() -> dict[str, WeaponSpec]:
-    """Representative UT-style armory; every number is overridable in config."""
-    specs = [
-        WeaponSpec(ASSAULT_RIFLE, WeaponCategory.MACHINE_GUN, 7, 0.11, instant_hit=True, spread_deg=2.5),
-        WeaponSpec("mini_gun", WeaponCategory.MACHINE_GUN, 8, 0.10, instant_hit=True, spread_deg=3.5),
-        WeaponSpec("shock_rifle", WeaponCategory.INSTANT_HIT, 45, 0.6, instant_hit=True, spread_deg=1.5),
-        WeaponSpec("lightning_gun", WeaponCategory.INSTANT_HIT, 70, 1.2, instant_hit=True, spread_deg=1.0),
-        WeaponSpec("sniper_rifle", WeaponCategory.INSTANT_HIT, 60, 1.1, instant_hit=True, spread_deg=1.0),
-        WeaponSpec(
-            "bio_rifle", WeaponCategory.PROJECTILE, 25, 0.4,
-            projectile_speed=700, splash_radius=60, self_damage=True,
-        ),
-        WeaponSpec(
-            "flak_cannon_alt", WeaponCategory.PROJECTILE, 50, 0.9,
-            projectile_speed=800, splash_radius=120, self_damage=True,
-        ),
-        WeaponSpec(
-            "rocket_launcher", WeaponCategory.SLOW_MOVING, 60, 0.95,
-            projectile_speed=1000, splash_radius=150, self_damage=True, aim_skew=60,
-        ),
-        WeaponSpec(
-            "link_gun", WeaponCategory.SLOW_MOVING, 20, 0.25,
-            projectile_speed=1200, aim_skew=60,
-        ),
-        WeaponSpec(
-            "flak_cannon", WeaponCategory.CLOSE_RANGE, 12, 0.9,
-            pellets=9, spread_deg=6.0,
-        ),
-        WeaponSpec(SHIELD_GUN, WeaponCategory.CLOSE_RANGE, 25, 0.8, melee_range=120),
-    ]
-    return {spec.name: spec for spec in specs}
-
-
 @dataclass(frozen=True)
 class PriorityTables:
-    """Hard-coded weapon preference per distance band."""
+    """Weapon preference per distance band, most preferred first."""
 
     close: tuple[str, ...]
     medium: tuple[str, ...]
@@ -144,17 +112,6 @@ class PriorityTables:
             for name in band:
                 if name not in armory:
                     raise ValueError(f"priority table names unknown weapon {name!r}")
-
-
-def default_priority_tables() -> PriorityTables:
-    return PriorityTables(
-        close=("flak_cannon", "shock_rifle", "mini_gun", "link_gun",
-               ASSAULT_RIFLE, SHIELD_GUN),
-        medium=("shock_rifle", "rocket_launcher", "link_gun", "mini_gun",
-                "flak_cannon_alt", ASSAULT_RIFLE),
-        far=("lightning_gun", "sniper_rifle", "shock_rifle", "link_gun",
-             ASSAULT_RIFLE),
-    )
 
 
 def select_weapon(
@@ -196,7 +153,6 @@ def resolve_aim(
     action: ShootAction,
     shooter_pos: tuple[float, float],
     opponent_pos: tuple[float, float, float],
-    opponent_vel: tuple[float, float],
     weapon: WeaponSpec,
 ) -> AimResolution:
     """Turn an abstract aim action into a target point (or a lock-on)."""

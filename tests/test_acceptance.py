@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sarsa_arena.arena import GreedyController, RandomController, RlShooterController, World
+from sarsa_arena.arena import GreedyController, RandomController
 from sarsa_arena.cli import main as cli_main
 from sarsa_arena.config import default_config
 from sarsa_arena.encoder import (
@@ -29,6 +29,7 @@ from sarsa_arena.encoder import (
 )
 from sarsa_arena.harness import (
     CampaignSettings,
+    evaluate_policy,
     load_games_csv,
     load_lives_csv,
     run_campaign,
@@ -45,7 +46,7 @@ from sarsa_arena.learner import (
     terminal_update,
 )
 from sarsa_arena.metrics import centred_moving_average, hit_percentage, kd_ratio
-from sarsa_arena.weapons import CATEGORY_ORDER, new_table_set
+from sarsa_arena.weapons import CATEGORY_ORDER
 
 from test_learner import run_chain_sarsa, value_iteration_chain
 
@@ -238,30 +239,6 @@ def test_criterion_6_difficulty_trends_across_levels(tmp_path):
 # -- criterion 7: the learned greedy policy beats random shooting -----------
 
 
-def _evaluate_policy(tset, controller_cls, seeds, max_ticks):
-    rewards = []
-    for seed in seeds:
-        rng = random.Random(seed)
-        eval_set = new_table_set(CFG.learner)
-        for cat in eval_set.tables:
-            eval_set.tables[cat].q = dict(tset.tables[cat].q)
-        controller = controller_cls(eval_set, CFG.armory, CFG.priority, rng)
-        world = World(
-            CFG.arena, CFG.armory, CFG.physics, CFG.behavior,
-            CFG.profiles[1], controller, rng,
-        )
-        reward = None
-        for _ in range(max_ticks):
-            world.tick()
-            if world.completed_life is not None:
-                reward = world.completed_life.reward
-                break
-        if reward is None:
-            reward = world.finalize_truncated_life().reward
-        rewards.append(reward)
-    return np.asarray(rewards)
-
-
 @pytest.mark.slow
 def test_criterion_7_frozen_greedy_policy_beats_random(tmp_path):
     trained = run_campaign(CFG, CampaignSettings(
@@ -269,9 +246,9 @@ def test_criterion_7_frozen_greedy_policy_beats_random(tmp_path):
         out_dir=tmp_path / "train", snapshot_every=0,
     ))
     seeds = list(range(1_000, 1_500))  # 500 matched lives per policy
-    max_ticks = 30 * 30  # cap each life at 30 simulated seconds
-    greedy = _evaluate_policy(trained.tset, GreedyController, seeds, max_ticks)
-    rand = _evaluate_policy(trained.tset, RandomController, seeds, max_ticks)
+    # Each life is capped at 30 simulated seconds (EVAL_MAX_TICKS).
+    greedy = np.asarray(evaluate_policy(CFG, trained.tset, GreedyController, seeds))
+    rand = np.asarray(evaluate_policy(CFG, trained.tset, RandomController, seeds))
 
     diff = greedy - rand
     boot = np.random.default_rng(0).choice(diff, size=(10_000, diff.size))

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,9 @@ from sarsa_arena import geometry as geo
 from sarsa_arena.arena import (
     Arena,
     AgentState,
-    BehaviorParams,
     DamageEvent,
     GreedyController,
     KillEvent,
-    OpponentProfile,
-    PhysicsParams,
     PickupEvent,
     Pit,
     RL_AGENT_ID,
@@ -25,12 +23,11 @@ from sarsa_arena.arena import (
     SuicideEvent,
     Wall,
     World,
-    default_arena,
-    default_profiles,
     format_event,
 )
 from sarsa_arena.config import default_config
 from sarsa_arena.encoder import N_STATES, CombatObservation, encode
+from sarsa_arena.harness import evaluate_policy
 from sarsa_arena.learner import N_ACTIONS
 from sarsa_arena.weapons import (
     ASSAULT_RIFLE,
@@ -344,7 +341,7 @@ class TestArenaValidation:
     @pytest.mark.parametrize("field", ["tick_hz", "decision_every"])
     def test_physics_rates_below_one_rejected(self, field):
         with pytest.raises(ValueError, match=field):
-            PhysicsParams(**{field: 0})
+            replace(default_config().physics, **{field: 0})
 
     @pytest.mark.parametrize("field", [
         "dodge_radius", "waypoint_radius", "pit_avoid_margin",
@@ -353,26 +350,25 @@ class TestArenaValidation:
     @pytest.mark.parametrize("value", [-1.0, math.nan])
     def test_negative_margins_radii_and_ranges_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            BehaviorParams(**{field: value})
+            replace(default_config().behavior, **{field: value})
 
     @pytest.mark.parametrize("lo,hi", [(1.6, 1.5), (math.nan, 1.5), (0.5, math.nan)])
     def test_strafe_flip_min_above_max_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="strafe_flip_min_s"):
-            BehaviorParams(strafe_flip_min_s=lo, strafe_flip_max_s=hi)
+            replace(default_config().behavior, strafe_flip_min_s=lo, strafe_flip_max_s=hi)
 
     @pytest.mark.parametrize("field", ["fov_deg", "turn_rate_deg_s", "speed_fraction"])
     @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
     def test_profile_angles_and_speed_must_be_finite_and_non_negative(self, field, value):
-        fields = dict(vars(default_profiles()[1]), **{field: value})
         with pytest.raises(ValueError, match=field):
-            OpponentProfile(**fields)
+            replace(default_config().profiles[1], **{field: value})
 
     def test_default_arena_is_valid(self):
-        arena = default_arena()
+        arena = default_config().arena
         assert len(arena.blocking_segments) == len(arena.walls) + 4
 
     def test_default_profiles_cover_levels(self):
-        assert set(default_profiles()) == {1, 3, 5}
+        assert set(default_config().profiles) == {1, 3, 5}
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +395,7 @@ def world_in(arena):
     return World(arena, cfg.armory, cfg.physics, cfg.behavior, cfg.profiles[1], ctrl, rng)
 
 
-WORLDS = {"default": world_in(default_arena()), "diagonal": world_in(DIAGONAL_ARENA)}
+WORLDS = {"default": world_in(default_config().arena), "diagonal": world_in(DIAGONAL_ARENA)}
 
 
 @st.composite
@@ -509,7 +505,7 @@ class TestMoveFastPaths:
         (CYLINDER_RADIUS, 1000.0, -300.0, True),  # pushing against the boundary
     ])
     def test_zero_step_skips_line_of_sight_with_the_same_outcome(self, x, y, vx, clear):
-        world = world_in(default_arena())
+        world = world_in(default_config().arena)
         agent = world.agents[RL_AGENT_ID]
         agent.x, agent.y, agent.vx, agent.vy = x, y, vx, 0.0
         # Either answer of the old line-of-sight test left the position as it
@@ -577,6 +573,47 @@ def frozen_lives(controller_cls, seeds, max_ticks=900):
 # libm for atan2, sin and cos.
 FROZEN_SEEDS = range(300, 306)
 FROZEN_LIVES_SHA256 = "2ab370c37722a6355fa731127becc850e38b8f4e990c8ad53c9399d3383fa139"
+
+
+def test_each_controller_defines_its_own_decide():
+    # The per-class decide counts of the benchmark's tracer wrap the function
+    # defined on each class itself, not an inherited one.
+    for cls in (RlShooterController, GreedyController, RandomController):
+        assert "decide" in vars(cls), cls.__name__
+
+
+@pytest.mark.parametrize("controller_cls", [GreedyController, RandomController])
+def test_frozen_play_writes_no_table_state(controller_cls):
+    cfg = default_config()
+    tset = fixed_policy(cfg)
+    for table in tset.tables.values():
+        table.traces[(0, 0)] = 0.5
+        table.visit_counts[(0, 0)] = 3
+    before = [(dict(t.q), dict(t.traces), dict(t.visit_counts)) for t in tset.tables.values()]
+    rng = random.Random(5)
+    ctrl = controller_cls(tset, cfg.armory, cfg.priority, rng)
+    world = World(
+        cfg.arena, cfg.armory, cfg.physics, cfg.behavior, cfg.profiles[3], ctrl, rng,
+    )
+    deaths = 0
+    for _ in range(GAME_TICKS):
+        world.tick()
+        if world.completed_life is not None:
+            world.completed_life = None
+            deaths += 1
+    ctrl.on_game_end()
+    assert deaths > 0 and tset.lives == deaths
+    after = [(dict(t.q), dict(t.traces), dict(t.visit_counts)) for t in tset.tables.values()]
+    assert after == before
+
+
+def test_evaluate_policy_plays_the_pinned_loop():
+    cfg = default_config()
+    for controller_cls in (GreedyController, RandomController):
+        policy = fixed_policy(cfg)
+        rewards = evaluate_policy(cfg, policy, controller_cls, FROZEN_SEEDS)
+        assert rewards == [life[5] for life in frozen_lives(controller_cls, FROZEN_SEEDS)]
+        assert policy.lives == 0 and all(not t.visit_counts for t in policy.tables.values())
 
 
 class TestFrozenPolicyPin:

@@ -65,12 +65,41 @@ class TestTrain:
         ("behavior", "strafe_flip_min_s", "2.0"),
         ("opponent:1", "fov_deg", "nan"),
         ("harness", "opponents", "0"),
+        ("harness", "games", "0"),
+        ("harness", "minutes", "nan"),
+        ("harness", "minutes", "-1"),
+        ("harness", "snapshot_every", "-1"),
     ])
     def test_out_of_range_value_is_config_error(self, section, key, value, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[{section}]\n{key} = {value}\n") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration:") and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,key", [
+        ("[opponent:7]\nspeed_fraction = 0.5\n", "strafes"),
+        ("[weapon:foo]\ncategory = Other\n", "damage"),
+        ("[physics]\ntick_hzz = 60\n", "tick_hzz"),
+    ])
+    def test_missing_or_unknown_key_is_config_error(self, text, key, tmp_path, capsys):
+        assert train_with_config(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:") and f"'{key}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--games", "0"], "games must be >= 1"),
+        (["--minutes", "nan"], "minutes must be finite and > 0"),
+        (["--minutes", "-1"], "minutes must be finite and > 0"),
+        (["--minutes", "inf"], "minutes must be finite and > 0"),
+        (["--snapshot-every", "-1"], "snapshot_every must be >= 0"),
+    ])
+    def test_campaign_flag_out_of_range_is_error(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--level", "1", "--out", str(out), "--no-plots"] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not out.exists()
 
 
 def tree_digest(root: Path) -> str:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sarsa_arena.config import default_config
 from sarsa_arena.encoder import DistanceBand, N_STATES
 from sarsa_arena.weapons import (
     ACTION_LABELS,
@@ -12,8 +13,6 @@ from sarsa_arena.weapons import (
     WeaponCategory,
     WeaponSpec,
     actions_for,
-    default_armory,
-    default_priority_tables,
     new_table_set,
     resolve_aim,
     reward_for,
@@ -22,7 +21,7 @@ from sarsa_arena.weapons import (
 
 ORIGIN = (0.0, 0.0)
 OPP = (100.0, 200.0, 0.0)
-STILL = (0.0, 0.0)
+CFG = default_config()
 
 
 class TestActions:
@@ -57,19 +56,19 @@ def spec_for(category: WeaponCategory, **kwargs) -> WeaponSpec:
 class TestResolveAim:
     def test_head_targets_cylinder_top(self):
         action = actions_for(WeaponCategory.INSTANT_HIT)[0]
-        aim = resolve_aim(action, ORIGIN, OPP, STILL, spec_for(WeaponCategory.INSTANT_HIT))
+        aim = resolve_aim(action, ORIGIN, OPP, spec_for(WeaponCategory.INSTANT_HIT))
         assert aim.point == (100.0, 200.0, 39.0)
         assert not aim.locked_on
 
     def test_player_is_locked_on(self):
         action = actions_for(WeaponCategory.PROJECTILE)[0]
-        aim = resolve_aim(action, ORIGIN, OPP, STILL, spec_for(WeaponCategory.PROJECTILE))
+        aim = resolve_aim(action, ORIGIN, OPP, spec_for(WeaponCategory.PROJECTILE))
         assert aim.locked_on and aim.point is None
 
     def test_left_skews_by_default_amount(self):
         action = actions_for(WeaponCategory.INSTANT_HIT)[3]
         weapon = spec_for(WeaponCategory.INSTANT_HIT, aim_skew=25.0)
-        aim = resolve_aim(action, ORIGIN, OPP, STILL, weapon)
+        aim = resolve_aim(action, ORIGIN, OPP, weapon)
         # Shooter at origin looking at (100, 200): left is (uy, -ux) scaled.
         norm = math.hypot(100, 200)
         expected = (
@@ -84,8 +83,8 @@ class TestResolveAim:
         acts = {a.label: a for a in actions_for(WeaponCategory.SLOW_MOVING)}
         mid = (OPP[0], OPP[1], OPP[2] + 19.5)
         for left_label, right_label in (("Left", "Right"), ("Left-2", "Right-2")):
-            lp = resolve_aim(acts[left_label], ORIGIN, OPP, STILL, weapon).point
-            rp = resolve_aim(acts[right_label], ORIGIN, OPP, STILL, weapon).point
+            lp = resolve_aim(acts[left_label], ORIGIN, OPP, weapon).point
+            rp = resolve_aim(acts[right_label], ORIGIN, OPP, weapon).point
             assert lp[0] + rp[0] == pytest.approx(2 * mid[0])
             assert lp[1] + rp[1] == pytest.approx(2 * mid[1])
             assert lp[2] == rp[2] == mid[2]
@@ -94,7 +93,7 @@ class TestResolveAim:
         weapon = spec_for(WeaponCategory.PROJECTILE, above_step=120.0)
         acts = actions_for(WeaponCategory.PROJECTILE)
         zs = [
-            resolve_aim(a, ORIGIN, OPP, STILL, weapon).point[2]
+            resolve_aim(a, ORIGIN, OPP, weapon).point[2]
             for a in acts
             if a.label.startswith("Above")
         ]
@@ -102,18 +101,18 @@ class TestResolveAim:
 
     def test_location_targets_mid_height(self):
         action = actions_for(WeaponCategory.PROJECTILE)[1]
-        aim = resolve_aim(action, ORIGIN, OPP, STILL, spec_for(WeaponCategory.PROJECTILE))
+        aim = resolve_aim(action, ORIGIN, OPP, spec_for(WeaponCategory.PROJECTILE))
         assert aim.point == (100.0, 200.0, 19.5)
 
 
 class TestSelectWeapon:
     def test_close_band_prefers_flak(self):
-        tables = default_priority_tables()
+        tables = CFG.priority
         inv = {"flak_cannon": 10, ASSAULT_RIFLE: 100}
         assert select_weapon(inv, DistanceBand.CLOSE, tables) == "flak_cannon"
 
     def test_spawn_loadout_falls_back_to_assault(self):
-        tables = default_priority_tables()
+        tables = CFG.priority
         inv = {ASSAULT_RIFLE: 100, SHIELD_GUN: 1}
         for band in DistanceBand:
             got = select_weapon(inv, band, tables)
@@ -121,16 +120,16 @@ class TestSelectWeapon:
         assert select_weapon(inv, DistanceBand.FAR, tables) == ASSAULT_RIFLE
 
     def test_out_of_ammo_weapon_skipped(self):
-        tables = default_priority_tables()
+        tables = CFG.priority
         inv = {"flak_cannon": 0, "shock_rifle": 5, ASSAULT_RIFLE: 100}
         assert select_weapon(inv, DistanceBand.CLOSE, tables) == "shock_rifle"
 
     def test_empty_inventory_rejected(self):
         with pytest.raises(ValueError):
-            select_weapon({}, DistanceBand.CLOSE, default_priority_tables())
+            select_weapon({}, DistanceBand.CLOSE, CFG.priority)
 
     def test_deterministic(self):
-        tables = default_priority_tables()
+        tables = CFG.priority
         inv = {"rocket_launcher": 3, "link_gun": 7, ASSAULT_RIFLE: 50}
         picks = {select_weapon(inv, DistanceBand.MEDIUM, tables) for _ in range(10)}
         assert picks == {"rocket_launcher"}
@@ -152,10 +151,10 @@ class TestRewardFor:
 
 class TestArmory:
     def test_priority_tables_reference_real_weapons(self):
-        default_priority_tables().validate_against(default_armory())
+        CFG.priority.validate_against(CFG.armory)
 
     def test_spawn_weapons_present(self):
-        armory = default_armory()
+        armory = CFG.armory
         assert ASSAULT_RIFLE in armory and SHIELD_GUN in armory
 
     def test_table_set_has_six_fresh_tables(self):
