@@ -27,6 +27,16 @@ class ConfigError(ValueError):
     pass
 
 
+def check_campaign_ranges(games: int, minutes: float, snapshot_every: int) -> None:
+    """The ranges a campaign needs, shared by `[harness]` and `CampaignSettings`."""
+    if games < 1:
+        raise ValueError(f"games must be >= 1, got {games}")
+    if not 0.0 < minutes < math.inf:
+        raise ValueError(f"minutes must be finite and > 0, got {minutes}")
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+
+
 @dataclass(frozen=True)
 class HarnessParams:
     snapshot_every: int
@@ -37,12 +47,7 @@ class HarnessParams:
     def __post_init__(self) -> None:
         # The `train` flags --games, --minutes and --snapshot-every are
         # checked here too: the CLI applies them with dataclasses.replace.
-        if self.games < 1:
-            raise ValueError(f"games must be >= 1, got {self.games}")
-        if not 0.0 < self.minutes < math.inf:
-            raise ValueError(f"minutes must be finite and > 0, got {self.minutes}")
-        if self.snapshot_every < 0:
-            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+        check_campaign_ranges(self.games, self.minutes, self.snapshot_every)
         if self.opponents < 1:
             raise ValueError(f"opponents must be >= 1, got {self.opponents}")
 

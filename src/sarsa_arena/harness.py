@@ -22,7 +22,7 @@ from .arena import (
     World,
     format_event,
 )
-from .config import SimConfig
+from .config import SimConfig, check_campaign_ranges
 from .learner import QTableSet
 from .metrics import FieldSummary, hit_percentage, kd_ratio, summarize_field
 from .snapshots import write_snapshot
@@ -85,6 +85,9 @@ class CampaignSettings:
     out_dir: Path
     snapshot_every: int = 50
     record_events: bool = False
+
+    def __post_init__(self) -> None:
+        check_campaign_ranges(self.games, self.minutes, self.snapshot_every)
 
     @property
     def run_id(self) -> str:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+# numpy is imported only by the two functions that compute with it: importing
+# the package, reading config and snapshots, and running campaigns and
+# evaluations load no third-party module.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def kd_ratio(kills: int, deaths_by_others: int, suicides: int) -> float | None:
@@ -30,6 +34,8 @@ def centred_moving_average(series: Sequence[float], window: int = 11) -> np.ndar
     The result covers indices (window-1)//2 .. len(series)-1-(window-1)//2 of
     the input; shorter inputs yield an empty array.
     """
+    import numpy as np
+
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
     values = np.asarray(series, dtype=float)
@@ -52,6 +58,8 @@ class FieldSummary:
 
 def summarize_field(values: Sequence[float]) -> FieldSummary:
     """Population statistics; median is the lower middle for even counts."""
+    import numpy as np
+
     if len(values) == 0:
         raise ValueError("cannot summarize an empty series")
     arr = np.asarray(values, dtype=float)

@@ -1,8 +1,12 @@
 import hashlib
+import inspect
 
 import pytest
 
+from sarsa_arena.arena import World
 from sarsa_arena.config import ConfigError, default_config, load_config
+from sarsa_arena.harness import CampaignSettings
+from sarsa_arena.learner import LearnerConfig
 from sarsa_arena.weapons import WeaponCategory, WeaponSpec
 
 # The bundled defaults as built, pinned: the INI file is their only source,
@@ -24,6 +28,20 @@ def test_default_config_repr_is_pinned():
 def test_load_config_without_overrides_equals_default_config(monkeypatch):
     monkeypatch.delenv("SARSA_ARENA_CONFIG", raising=False)
     assert load_config() == default_config()
+
+
+# Library defaults that repeat a value of default.cfg must stay in step with it.
+def test_world_opponents_default_matches_harness_opponents():
+    n_opponents = inspect.signature(World).parameters["n_opponents"].default
+    assert n_opponents == default_config().harness.opponents
+
+
+def test_campaign_snapshot_every_default_matches_harness():
+    assert CampaignSettings.snapshot_every == default_config().harness.snapshot_every
+
+
+def test_learner_config_defaults_match_learner_and_schedule_sections():
+    assert LearnerConfig() == default_config().learner
 
 
 def test_new_weapon_takes_optional_values_from_weapon_spec(tmp_path):

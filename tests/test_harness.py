@@ -161,6 +161,20 @@ class TestOpponents:
             load_config(cfg_file)
 
 
+class TestSettingsRanges:
+    @pytest.mark.parametrize("key,value,message", [
+        ("games", 0, "games must be >= 1"),
+        ("minutes", float("nan"), "minutes must be finite and > 0"),
+        ("minutes", 0.0, "minutes must be finite and > 0"),
+        ("snapshot_every", -1, "snapshot_every must be >= 0"),
+    ])
+    def test_out_of_range_campaign_raises_before_writing(self, tmp_path, key, value, message):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            run_campaign(CFG, settings(out, **{key: value}))
+        assert not out.exists()
+
+
 class TestReport:
     def test_summary_totals(self, campaign):
         result, _ = campaign
