@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import geometry as geo
 from .encoder import CombatObservation, discretize_distance, encode
@@ -39,6 +40,10 @@ from .weapons import (
 from .weapons import CYLINDER_HEIGHT, CYLINDER_RADIUS
 
 RL_AGENT_ID = 0
+# An agent collects a pickup whose spot is within this distance.
+PICKUP_RADIUS = 60.0
+# The proximity index cuts the arena into this many cells along each axis.
+INDEX_CELLS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +81,21 @@ class PickupSpot:
     y: float
 
 
+def _placeable(x: float, y: float, reach: float, cell: float) -> bool:
+    """Whether the proximity index can place a feature of centre (x, y) and
+    `reach`: all finite, `reach` >= 0, and a rounding step at |centre| +
+    reach under a sixteenth of a cell.  The box edges and the distance tests
+    each round by a few such steps, so the index's one-cell growth covers
+    them; a far feature (say a pit at -1e20 of radius 1e20, whose right edge
+    rounds to 0 though its test passes everywhere up to x = 8192) it could
+    not cover."""
+    return (
+        all(map(math.isfinite, (x, y, reach)))
+        and reach >= 0.0
+        and math.ulp(max(abs(x), abs(y)) + reach) < cell / 16
+    )
+
+
 @dataclass(frozen=True)
 class Arena:
     size: float
@@ -89,6 +109,24 @@ class Arena:
         # inside the boundary, which World.line_of_sight relies on.
         if not 2 * CYLINDER_RADIUS < self.size < math.inf:
             raise ValueError("arena size must be finite and wider than an agent")
+        # The proximity index places each pit and pickup by its bounding box,
+        # grown by one cell.  A negative radius would also kill like a
+        # positive one but steer agents with a negative margin.
+        cell = self.size / INDEX_CELLS
+        for pit in self.pits:
+            if not _placeable(pit.x, pit.y, pit.radius, cell):
+                raise ValueError(
+                    f"pits: {pit} needs a finite centre and radius >= 0, and "
+                    "a rounding step at |centre| + radius under 1/16 of an "
+                    f"index cell ({cell:g} uu)"
+                )
+        for spot in self.pickups:
+            if not _placeable(spot.x, spot.y, PICKUP_RADIUS, cell):
+                raise ValueError(
+                    f"pickups: {spot} needs finite coordinates, and a rounding "
+                    f"step at |centre| + {PICKUP_RADIUS:g} under 1/16 of an "
+                    f"index cell ({cell:g} uu)"
+                )
         if len(self.spawn_points) < 4:
             raise ValueError("arena needs at least 4 spawn points")
         for sx, sy in self.spawn_points:
@@ -109,6 +147,41 @@ class Arena:
             ((0.0, s), (0.0, 0.0)),
         ]
         return tuple(segs)
+
+    @cached_property
+    def proximity(self) -> tuple[float, dict]:
+        """(cell, index): `index` maps the cell `(x // cell, y // cell)` of a
+        point to `(pits, pickups)`, the pits as `(x, y, radius ** 2)` and the
+        positions of the pickup spots in `self.pickups`, each in arena order,
+        that are within reach of some point of that cell.  Cells that nothing
+        reaches are left out.
+
+        Each feature is entered in every cell that its bounding box touches,
+        grown by one whole cell, so no point that the distance tests accept,
+        rounding included, lies in a cell without it: __post_init__ admits
+        only features whose rounding is well under a cell (_placeable).
+        Only cells that agents can stand in are kept: [0, INDEX_CELLS] on
+        both axes.
+        """
+        cell = self.size / INDEX_CELLS
+
+        def reach(x: float, y: float, r: float) -> list[tuple[float, float]]:
+            def span(c: float) -> range:
+                lo = max(int((c - r) // cell) - 1, 0)
+                return range(lo, min(int((c + r) // cell) + 1, INDEX_CELLS) + 1)
+
+            return [(float(i), float(j)) for i in span(x) for j in span(y)]
+
+        index: dict[tuple[float, float], tuple[list, list]] = {}
+        for pit in self.pits:
+            for key in reach(pit.x, pit.y, pit.radius):
+                index.setdefault(key, ([], []))[0].append(
+                    (pit.x, pit.y, pit.radius * pit.radius)
+                )
+        for i, spot in enumerate(self.pickups):
+            for key in reach(spot.x, spot.y, PICKUP_RADIUS):
+                index.setdefault(key, ([], []))[1].append(i)
+        return cell, {key: (tuple(p), tuple(q)) for key, (p, q) in index.items()}
 
 
 @dataclass(frozen=True)
@@ -463,6 +536,14 @@ class RandomController(GreedyController):
 # The world
 
 
+def unit_towards(agent: AgentState, target: AgentState, dist: float) -> tuple[float, float]:
+    """geo.normalize2 of the offset from agent to target, given its length
+    `dist` (math.hypot of the offset)."""
+    if dist == 0.0:
+        return (1.0, 0.0)
+    return ((target.x - agent.x) / dist, (target.y - agent.y) / dist)
+
+
 class World:
     def __init__(
         self,
@@ -500,13 +581,13 @@ class World:
             self.agents.append(AgentState(i + 1, "scripted"))
         self.projectiles: list[Projectile] = []
         # Values the per-tick loops read, computed once: pickups as
-        # (state, x, y, is_weapon), pit discs as (x, y, r^2) and pit steering
-        # as (x, y, margin, look-ahead).
+        # (state, x, y, is_weapon), the arena's proximity index and pit
+        # steering as (x, y, margin, look-ahead).
         self.pickups = tuple(
             (PickupState(spot), spot.x, spot.y, spot.kind == "weapon")
             for spot in arena.pickups
         )
-        self.pit_discs = tuple((p.x, p.y, p.radius * p.radius) for p in arena.pits)
+        self.cell, self.nearby = arena.proximity
         steering = []
         for pit in arena.pits:
             margin = pit.radius + behavior.pit_avoid_margin
@@ -602,9 +683,15 @@ class World:
 
     def nearest_visible(
         self, agent: AgentState, fov_deg: float
-    ) -> AgentState | None:
+    ) -> tuple[AgentState, float, float] | None:
+        """The nearest living opponent in view and in sight, as (target,
+        distance, bearing from the agent), or None.  The controllers reuse
+        the distance and bearing: no agent moves between an agent's
+        perception and its own _move."""
         best = None
         best_d = math.inf
+        # Computed in the loop only for a view cone; otherwise for the target.
+        best_bearing = bearing = None
         ax, ay, yaw = agent.x, agent.y, agent.yaw
         for other in self.agents:
             if other.id == agent.id or not other.alive:
@@ -623,7 +710,12 @@ class World:
             if self.line_of_sight(ax, ay, ox, oy):
                 best = other
                 best_d = d
-        return best
+                best_bearing = bearing
+        if best is None:
+            return None
+        if best_bearing is None:
+            best_bearing = geo.bearing_deg((ax, ay), (best.x, best.y))
+        return best, best_d, best_bearing
 
     def observation_for(
         self, agent: AgentState, target: AgentState, instant_hit: bool
@@ -674,14 +766,9 @@ class World:
                 self._control_scripted(agent, dt)
             self._move(agent, dt)
 
-        # Pit deaths.
-        for agent in self.agents:
-            if agent.alive and agent.jump_t < 0.0:
-                for px, py, r_sq in self.pit_discs:
-                    if (agent.x - px) ** 2 + (agent.y - py) ** 2 <= r_sq:
-                        agent.pit_dead = True
-                        agent.alive = False
-                        break
+        # Pit deaths.  Nobody moves again this tick, so the pickups reuse
+        # the index entries looked up here.
+        near = self._pit_deaths()
 
         # Firing.
         damage_records: list[tuple[int, int, float, str, bool]] = []
@@ -745,17 +832,7 @@ class World:
             if agent.id == RL_AGENT_ID:
                 self._finalize_life(death_events[-1])
 
-        # Pickups: weapon spots serve only the learning bot.
-        living = [agent for agent in self.agents if agent.alive]
-        rl_living = living[:1] if self.agents[RL_AGENT_ID].alive else []
-        for pickup, sx, sy, weapon_spot in self.pickups:
-            if not pickup.timer <= 0.0:
-                pickup.timer -= dt
-                continue
-            for agent in rl_living if weapon_spot else living:
-                if (agent.x - sx) ** 2 + (agent.y - sy) ** 2 <= 60.0 ** 2:
-                    self._collect(agent, pickup, pickup_events)
-                    break
+        self._pickups(near, dt, pickup_events)
 
         return [*damage_events, *death_events, *spawn_events, *pickup_events]
 
@@ -786,6 +863,54 @@ class World:
             cause="game-end",
         )
 
+    def _pit_deaths(self) -> list[tuple[AgentState, tuple]]:
+        """Kill each grounded living agent standing in a pit, testing only the
+        pits that the proximity index lists for its cell.  Returns
+        (agent, (pits, pickups)) for each living agent in a listed cell."""
+        cell, nearby = self.cell, self.nearby
+        near = []
+        for agent in self.agents:
+            if not agent.alive:
+                continue
+            entry = nearby.get((agent.x // cell, agent.y // cell))
+            if entry is None:
+                continue
+            near.append((agent, entry))
+            if agent.jump_t < 0.0:
+                for px, py, r_sq in entry[0]:
+                    if (agent.x - px) ** 2 + (agent.y - py) ** 2 <= r_sq:
+                        agent.pit_dead = True
+                        agent.alive = False
+                        break
+        return near
+
+    def _pickups(self, near: list, dt: float, events: list[PickupEvent]) -> None:
+        """Count down the spots' timers and hand out the available ones: for
+        each, in arena order, the first living agent in agent order within
+        PICKUP_RADIUS collects it.  Weapon spots serve only the learning bot.
+        Only the spots that the proximity index lists for a living agent's
+        cell (`near`, from _pit_deaths this tick) are tested."""
+        spots = {i for agent, (_, s) in near if agent.alive for i in s}
+        if not spots:
+            # Most ticks (four in five in frozen-eval) no living agent is
+            # near a spot, and only the timers move.
+            for pickup, _, _, _ in self.pickups:
+                if not pickup.timer <= 0.0:
+                    pickup.timer -= dt
+            return
+        living = [agent for agent in self.agents if agent.alive]
+        rl_living = living[:1] if self.agents[RL_AGENT_ID].alive else []
+        for i, (pickup, sx, sy, weapon_spot) in enumerate(self.pickups):
+            if not pickup.timer <= 0.0:
+                pickup.timer -= dt
+                continue
+            if i not in spots:
+                continue
+            for agent in rl_living if weapon_spot else living:
+                if (agent.x - sx) ** 2 + (agent.y - sy) ** 2 <= PICKUP_RADIUS ** 2:
+                    self._collect(agent, pickup, events)
+                    break
+
     def _collect(
         self, agent: AgentState, pickup: PickupState, events: list[PickupEvent]
     ) -> None:
@@ -814,13 +939,13 @@ class World:
 
     def _control_rl(self, agent: AgentState, dt: float) -> None:
         decision_tick = self.tick_count % self.physics.decision_every == 0
-        target = self.nearest_visible(agent, self.physics.rl_fov_deg)
+        seen = self.nearest_visible(agent, self.physics.rl_fov_deg)
+        target, dist, bearing = seen or (None, 0.0, 0.0)
 
         if decision_tick:
             if target is None:
                 agent.fire_command = None
             else:
-                dist = math.hypot(target.x - agent.x, target.y - agent.y)
                 weapon_name, action = self.controller.decide(
                     agent,
                     dist,
@@ -837,15 +962,13 @@ class World:
 
         # Movement: close to fighting range, strafe there, patrol otherwise.
         if target is not None:
-            dist = math.hypot(target.x - agent.x, target.y - agent.y)
+            ux, uy = unit_towards(agent, target, dist)
             if dist > self.behavior.engage_range:
-                self._approach(agent, target, dt, 1.0, self.behavior.engage_range * 0.35)
+                self._approach(agent, ux, uy, dist, dt, 1.0, self.behavior.engage_range * 0.35)
             else:
-                self._combat_strafe(agent, target, dt, 1.0)
+                self._combat_strafe(agent, ux, uy, dt, 1.0)
             agent.yaw = geo.turn_towards(
-                agent.yaw,
-                geo.bearing_deg((agent.x, agent.y), (target.x, target.y)),
-                self.physics.rl_turn_rate_deg_s * dt,
+                agent.yaw, bearing, self.physics.rl_turn_rate_deg_s * dt
             )
         else:
             agent.fire_command = None
@@ -853,8 +976,8 @@ class World:
 
     def _control_scripted(self, agent: AgentState, dt: float) -> None:
         profile = self.profile
-        target = self.nearest_visible(agent, profile.fov_deg)
-        if target is None:
+        seen = self.nearest_visible(agent, profile.fov_deg)
+        if seen is None:
             agent.fire_command = None
             if agent.alert_timer > 0.0 and agent.alert_pos is not None:
                 # Taking fire from outside the view cone: turn and close in.
@@ -874,17 +997,19 @@ class World:
             return
         agent.alert_timer = 0.0
 
-        bearing = geo.bearing_deg((agent.x, agent.y), (target.x, target.y))
+        target, dist, bearing = seen
         agent.yaw = geo.turn_towards(
             agent.yaw, bearing, profile.turn_rate_deg_s * dt
         )
 
         # Movement while engaged.
         if profile.closes_distance:
-            self._approach(agent, target, dt, profile.speed_fraction,
+            ux, uy = unit_towards(agent, target, dist)
+            self._approach(agent, ux, uy, dist, dt, profile.speed_fraction,
                            self.behavior.scripted_stop_range)
         elif profile.strafes:
-            self._combat_strafe(agent, target, dt, profile.speed_fraction)
+            ux, uy = unit_towards(agent, target, dist)
+            self._combat_strafe(agent, ux, uy, dt, profile.speed_fraction)
         else:
             agent.vx = agent.vy = 0.0  # static during combat
 
@@ -928,15 +1053,15 @@ class World:
         return (ux, uy)
 
     def _combat_strafe(
-        self, agent: AgentState, target: AgentState, dt: float, speed_fraction: float
+        self, agent: AgentState, ux: float, uy: float, dt: float, speed_fraction: float
     ) -> None:
+        """Strafe across (ux, uy), the unit vector towards the target."""
         agent.strafe_timer -= dt
         if agent.strafe_timer <= 0.0:
             agent.strafe_dir = self.rng.choice((-1.0, 1.0))
             agent.strafe_timer = self.rng.uniform(
                 self.behavior.strafe_flip_min_s, self.behavior.strafe_flip_max_s
             )
-        ux, uy = geo.normalize2((target.x - agent.x, target.y - agent.y))
         speed = self.physics.base_speed * speed_fraction
         agent.vx = -uy * agent.strafe_dir * speed
         agent.vy = ux * agent.strafe_dir * speed
@@ -944,13 +1069,15 @@ class World:
     def _approach(
         self,
         agent: AgentState,
-        target: AgentState,
+        ux: float,
+        uy: float,
+        dist: float,
         dt: float,
         speed_fraction: float,
         stop_range: float,
     ) -> None:
-        ux, uy = geo.normalize2((target.x - agent.x, target.y - agent.y))
-        dist = math.hypot(target.x - agent.x, target.y - agent.y)
+        """Close in along (ux, uy), the unit vector towards a target `dist`
+        away, down to `stop_range`, then strafe."""
         speed = self.physics.base_speed * speed_fraction
         if dist > stop_range:
             # Advance with a diagonal strafe component.
@@ -966,7 +1093,7 @@ class World:
             agent.vx = mx * speed
             agent.vy = my * speed
         else:
-            self._combat_strafe(agent, target, dt, speed_fraction)
+            self._combat_strafe(agent, ux, uy, dt, speed_fraction)
 
     def _dodge_projectiles(self, agent: AgentState) -> None:
         radius_sq = self.behavior.dodge_radius ** 2

@@ -108,10 +108,16 @@ def cmd_report(args) -> int:
         return 1
     summaries = []
     for d in dirs:
-        lives = load_lives_csv(d / "lives.csv")
-        games = load_games_csv(d / "games.csv")
-        if games:
-            summaries.append(summarize_level(lives, games))
+        try:
+            lives = load_lives_csv(d / "lives.csv")
+            games = load_games_csv(d / "games.csv")
+            if games:
+                summaries.append(summarize_level(lives, games))
+        except (OSError, KeyError, ValueError) as exc:
+            # A missing file or column, a cell that does not parse, or
+            # games without lives.
+            print(f"error: cannot report on {d}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
     if not summaries:
         print(f"error: campaign data under {args.dir} is empty", file=sys.stderr)
         return 1

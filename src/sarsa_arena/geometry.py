@@ -83,8 +83,9 @@ def ray_cylinder_t(
     dx, dy, dz = direction
     cx, cy = center
     top_z = base_z + height
-
-    hits: list[float] = []
+    # The smallest entry so far; a later t replaces it only when smaller, so
+    # of 0.0 and -0.0 the first found is returned, as min() of a list would.
+    best: float | None = None
 
     # Origin already inside the solid cylinder: immediate hit.
     fx, fy = ox - cx, oy - cy
@@ -102,8 +103,8 @@ def ray_cylinder_t(
             for t in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
                 if t >= 0.0:
                     z = oz + t * dz
-                    if base_z <= z <= top_z:
-                        hits.append(t)
+                    if base_z <= z <= top_z and (best is None or t < best):
+                        best = t
 
     # End caps.
     if dz != 0.0:
@@ -112,16 +113,12 @@ def ray_cylinder_t(
             if t >= 0.0:
                 x = ox + t * dx
                 y = oy + t * dy
-                if (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius:
-                    hits.append(t)
-    elif dz == 0.0 and base_z <= oz <= top_z and a == 0.0:
-        # Degenerate vertical-zero ray starting inside the slab.
-        if fx * fx + fy * fy <= radius * radius:
-            hits.append(0.0)
-
-    if not hits:
-        return None
-    return min(hits)
+                if (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius and (
+                    best is None or t < best
+                ):
+                    best = t
+    # A zero direction finds nothing: starting inside, it returned 0.0 above.
+    return best
 
 
 def point_in_circle(p: Vec2, center: Vec2, radius: float) -> bool:

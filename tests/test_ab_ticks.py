@@ -1,0 +1,53 @@
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("ab_ticks", ROOT / "tools" / "ab_ticks.py")
+ab_ticks = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_ticks)
+
+
+def test_a_checkout_against_itself(capsys):
+    assert ab_ticks.main(["--base", str(ROOT), "--change", str(ROOT),
+                          "--lives", "3", "--games", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" base/change")[0] for line in lines] == [
+        "frozen-eval: 3 pairs, cpu_s", "frozen-eval: 3 pairs, wall_s",
+        "level-5 game: 1 pairs, cpu_s", "level-5 game: 1 pairs, wall_s",
+    ]
+
+
+class FakeSide:
+    def __init__(self, name, lines, seconds, log):
+        self.name, self.lines, self.seconds, self.log = name, lines, seconds, log
+
+    def run(self, unit):
+        self.log.append((self.name, unit["seed"]))
+        return {"cpu_s": self.seconds, "wall_s": self.seconds, "lines": self.lines}
+
+
+def test_sides_alternate_abba_and_ratios_are_base_over_change():
+    log = []
+    base, change = FakeSide("A", ["a"], 2.0, log), FakeSide("B", ["a"], 1.0, log)
+    units = ab_ticks.units(4, 0)["frozen-eval"]
+    ratios = ab_ticks.compare(base, change, units)
+    assert ratios == {"cpu_s": [2.0] * 4, "wall_s": [2.0] * 4}
+    timed = log[2 * ab_ticks.WARMUP_UNITS:]
+    assert "".join(name for name, _ in timed) == "ABBAABBA"
+    assert [seed for _, seed in timed] == [u["seed"] for u in units for _ in "AB"]
+
+
+def test_differing_life_lines_stop_the_comparison():
+    base, change = FakeSide("A", ["a"], 1.0, []), FakeSide("B", ["b"], 1.0, [])
+    with pytest.raises(SystemExit, match="outputs differ"):
+        ab_ticks.compare(base, change, ab_ticks.units(1, 0)["frozen-eval"])
+
+
+def test_bootstrap_interval_brackets_the_median():
+    ratios = [1.0, 1.1, 0.9, 1.05, 0.95, 1.2, 0.8]
+    lo, hi = ab_ticks.bootstrap_median_ci(ratios, random.Random(0))
+    assert lo <= 1.0 <= hi
+    assert ab_ticks.bootstrap_median_ci([1.5] * 5, random.Random(0)) == (1.5, 1.5)

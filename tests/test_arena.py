@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import struct
 from dataclasses import replace
 
 import pytest
@@ -13,8 +14,11 @@ from sarsa_arena.arena import (
     AgentState,
     DamageEvent,
     GreedyController,
+    INDEX_CELLS,
     KillEvent,
+    PICKUP_RADIUS,
     PickupEvent,
+    PickupSpot,
     Pit,
     RL_AGENT_ID,
     RandomController,
@@ -24,6 +28,7 @@ from sarsa_arena.arena import (
     Wall,
     World,
     format_event,
+    unit_towards,
 )
 from sarsa_arena.config import default_config
 from sarsa_arena.encoder import N_STATES, CombatObservation, encode
@@ -338,6 +343,46 @@ class TestArenaValidation:
                 spawn_points=((10, 10), (20, 10), (10, 20), (20, 20)), pickups=(),
             )
 
+    @pytest.mark.parametrize("pit", [
+        Pit(math.nan, 2000.0, 200.0),
+        Pit(2000.0, math.inf, 200.0),
+        Pit(2000.0, 2000.0, -200.0),
+        Pit(2000.0, 2000.0, math.nan),
+        Pit(2000.0, 2000.0, math.inf),
+        Pit(1e308, 2000.0, 1e308),  # finite, but its bounding box is not
+        # Finite box, but one rounding step at |centre| + radius is 32768 uu,
+        # wider than the cells (500 uu at size 20000): see FAR_PIT below.
+        Pit(-1e20, 2000.0, 1e20),
+    ])
+    def test_pit_needs_finite_centre_and_radius_at_least_zero(self, pit):
+        with pytest.raises(ValueError, match="pit"):
+            replace(default_config().arena, size=20000.0, pits=(pit,))
+
+    def test_pit_accepted_while_its_rounding_stays_under_a_sixteenth_cell(self):
+        # size 20000: cells of 500 uu, so a step under 31.25 uu is accepted.
+        near = Pit(-2.0 ** 47, 2000.0, 2.0 ** 47 - 1000.0)  # |c| + r < 2 ** 48: step 1/32
+        far = Pit(-2.0 ** 60, 2000.0, 2.0 ** 60 - 1000.0)  # |c| + r >= 2 ** 60: step 256
+        replace(default_config().arena, size=20000.0, pits=(near,))
+        with pytest.raises(ValueError, match="1/16 of an index cell"):
+            replace(default_config().arena, size=20000.0, pits=(far,))
+
+    def test_far_pickup_spot_rejected(self):
+        with pytest.raises(ValueError, match="pickup"):
+            replace(default_config().arena, pickups=(PickupSpot("ammo", None, 1e18, 600.0),))
+
+    @pytest.mark.parametrize("x,y", [(math.nan, 600.0), (600.0, math.inf), (-math.inf, 600.0)])
+    def test_pickup_spot_must_be_finite(self, x, y):
+        with pytest.raises(ValueError, match="pickup"):
+            replace(default_config().arena, pickups=(PickupSpot("ammo", None, x, y),))
+
+    def test_zero_radius_pit_and_arena_edge_features_accepted(self):
+        arena = replace(
+            default_config().arena,
+            pits=(Pit(2000.0, 2000.0, 0.0), Pit(-5000.0, 2000.0, 5100.0)),
+            pickups=(PickupSpot("ammo", None, 0.0, 4000.0),),
+        )
+        assert arena.proximity[1]
+
     @pytest.mark.parametrize("field", ["tick_hz", "decision_every"])
     def test_physics_rates_below_one_rejected(self, field):
         with pytest.raises(ValueError, match=field):
@@ -518,6 +563,274 @@ class TestMoveFastPaths:
         assert calls == []
         assert (agent.x, agent.y) == (x, y)
         assert (world.stat_distance, world.stat_time_moving) == before
+
+
+# ---------------------------------------------------------------------------
+# The proximity index against the full scans it replaced
+
+
+# Pits and pickups that straddle cell edges and reach past the arena's edge.
+# The first pit's right edge, x + radius, is 199.99999999994179, in cell 1
+# (cells are 100 wide); yet at (200.0, 2000.0), in cell 2, 200.0 - x rounds
+# to the radius exactly and the pit test passes.  Only the index's growth by
+# one whole cell puts the pit in cell 2.
+EDGE_PIT = Pit(-524100.0 - 2.0 ** -34, 2000.0, 524300.0)
+STRADDLE_ARENA = Arena(
+    size=4000.0,
+    walls=(),
+    pits=(EDGE_PIT, Pit(3950.5, 1234.5678, 75.25), Pit(2000.0, 2000.0, 0.0),
+          Pit(2050.0, 2099.9, 60.0)),
+    spawn_points=((400, 400), (3600, 400), (400, 3600), (3600, 3600)),
+    pickups=(
+        PickupSpot("weapon", "shock_rifle", 2050.0, 30.0),
+        PickupSpot("ammo", None, 199.9, 3999.0),
+        PickupSpot("ammo", None, 2000.0, 2030.0),
+        PickupSpot("weapon", "link_gun", 2000.0, 2100.0),
+        PickupSpot("ammo", None, 3970.1, 100.0),
+    ),
+)
+INDEX_ARENAS = {"default": default_config().arena, "straddle": STRADDLE_ARENA}
+# A pit whose bounding box rounds by far more than a cell; Arena rejects it.
+FAR_PIT = Pit(-1e20, 2000.0, 1e20)
+
+
+# World.tick's pit and pickup phases before the proximity index, testing
+# every pit and pickup against every living agent: the reference.
+
+
+def full_scan_pits(world):
+    pit_discs = tuple((p.x, p.y, p.radius * p.radius) for p in world.arena.pits)
+    for agent in world.agents:
+        if agent.alive and agent.jump_t < 0.0:
+            for px, py, r_sq in pit_discs:
+                if (agent.x - px) ** 2 + (agent.y - py) ** 2 <= r_sq:
+                    agent.pit_dead = True
+                    agent.alive = False
+                    break
+
+
+def full_scan_pickups(world, _, dt, events):
+    living = [agent for agent in world.agents if agent.alive]
+    rl_living = living[:1] if world.agents[RL_AGENT_ID].alive else []
+    for pickup, sx, sy, weapon_spot in world.pickups:
+        if not pickup.timer <= 0.0:
+            pickup.timer -= dt
+            continue
+        for agent in rl_living if weapon_spot else living:
+            if (agent.x - sx) ** 2 + (agent.y - sy) ** 2 <= 60.0 ** 2:
+                world._collect(agent, pickup, events)
+                break
+
+
+FULL_SCAN = (full_scan_pits, full_scan_pickups)
+INDEXED = (World._pit_deaths, World._pickups)
+
+
+def features(arena):
+    """(x, y, reach) of each pit and pickup spot."""
+    return [(p.x, p.y, p.radius) for p in arena.pits] + [
+        (s.x, s.y, PICKUP_RADIUS) for s in arena.pickups
+    ]
+
+
+@st.composite
+def standing_points(draw, arena):
+    """Points where an agent can stand: anywhere, on cell edges, within a
+    pit or a pickup's reach and on its rim, each nudged by up to two ulps."""
+    lo, hi = CYLINDER_RADIUS, arena.size - CYLINDER_RADIUS
+    anywhere = st.floats(lo, hi)
+    cell, _ = arena.proximity
+    kind = draw(st.sampled_from(["free", "cell-edge", "inside", "rim"]))
+    if kind == "free":
+        x, y = draw(anywhere), draw(anywhere)
+    elif kind == "cell-edge":
+        edge = st.integers(0, INDEX_CELLS).map(lambda k: k * cell)
+        x, y = draw(st.one_of(edge, anywhere)), draw(edge)
+        if draw(st.booleans()):
+            x, y = y, x
+    elif kind == "inside":
+        cx, cy, r = draw(st.sampled_from(features(arena)))
+        angle, frac = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.0, 1.0))
+        x, y = cx + frac * r * math.cos(angle), cy + frac * r * math.sin(angle)
+    else:
+        cx, cy, r = draw(st.sampled_from(features(arena)))
+        side = draw(st.sampled_from(["left", "right", "below", "above", "round"]))
+        if side == "round":
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
+            x, y = cx + r * math.cos(angle), cy + r * math.sin(angle)
+        else:
+            x = {"left": cx - r, "right": cx + r}.get(side, cx)
+            y = {"below": cy - r, "above": cy + r}.get(side, cy)
+    for _ in range(draw(st.integers(0, 2))):
+        x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+    for _ in range(draw(st.integers(0, 2))):
+        y = math.nextafter(y, draw(st.sampled_from([-math.inf, math.inf])))
+    return min(max(x, lo), hi), min(max(y, lo), hi)
+
+
+def outcome_of(world, events):
+    agents = [(a.alive, a.pit_dead, sorted(a.inventory.items())) for a in world.agents]
+    timers = [struct.pack("<d", pickup.timer) for pickup, *_ in world.pickups]
+    stats = (world.stat_weapons_collected, world.stat_ammo_collected)
+    return agents, timers, stats, [format_event(e) for e in events]
+
+
+def play_pits_and_pickups(arena, phases, positions, alive, grounded, killed, timers):
+    """Set a world's agents and pickups as given and run its pit and pickup
+    phases with `phases`; agents in `killed` die between the two, as firing
+    can kill them.  Returns everything the phases can change."""
+    world = world_in(arena)
+    for agent, (x, y), up, ground in zip(world.agents, positions, alive, grounded):
+        agent.x, agent.y, agent.alive = x, y, up
+        agent.jump_t = -1.0 if ground else 0.1
+    for (pickup, *_), timer in zip(world.pickups, timers):
+        pickup.timer = timer
+    pits, pickups = phases
+    events = []
+    near = pits(world)
+    for agent, dies in zip(world.agents, killed):
+        agent.alive = agent.alive and not dies
+    pickups(world, near, world.dt, events)
+    return outcome_of(world, events)
+
+
+def reached(arena, x, y):
+    """The pits and pickup positions whose tests pass at (x, y), by full scan."""
+    pits = [
+        (p.x, p.y, p.radius * p.radius) for p in arena.pits
+        if (x - p.x) ** 2 + (y - p.y) ** 2 <= p.radius * p.radius
+    ]
+    spots = [
+        i for i, s in enumerate(arena.pickups)
+        if (x - s.x) ** 2 + (y - s.y) ** 2 <= 60.0 ** 2
+    ]
+    return pits, spots
+
+
+def assert_index_lists(arena, x, y):
+    """The index entry of (x, y)'s cell holds every pit and pickup whose test
+    passes there, in arena order, so its first passing pit is the scan's."""
+    cell, index = arena.proximity
+    pits, spots = index.get((x // cell, y // cell), ((), ()))
+    want_pits, want_spots = reached(arena, x, y)
+    assert [d for d in pits if (x - d[0]) ** 2 + (y - d[1]) ** 2 <= d[2]] == want_pits
+    assert [i for i in spots if i in want_spots] == want_spots
+
+
+# Mostly available spots; the rest become available, or not, this tick.
+timer_values = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0]),
+    st.sampled_from([-1.0, -0.0, 0.0, 1.0 / 60.0, 1.0 / 30.0, 5.0, math.nan]),
+)
+
+
+def mostly(value):
+    return st.sampled_from([value, value, value, not value])
+
+
+class TestProximityIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(INDEX_ARENAS)))
+    def test_same_pit_deaths_and_pickups_as_the_full_scan(self, data, name):
+        arena = INDEX_ARENAS[name]
+        positions = [data.draw(standing_points(arena))]
+        for _ in range(3):  # agents often share a spot, to see who collects
+            share = data.draw(st.booleans())
+            positions.append(
+                data.draw(st.sampled_from(positions)) if share
+                else data.draw(standing_points(arena))
+            )
+        state = (
+            positions,
+            data.draw(st.lists(mostly(True), min_size=4, max_size=4), label="alive"),
+            data.draw(st.lists(st.booleans(), min_size=4, max_size=4), label="grounded"),
+            data.draw(st.lists(mostly(False), min_size=4, max_size=4), label="killed"),
+            data.draw(st.lists(timer_values, min_size=len(arena.pickups),
+                               max_size=len(arena.pickups)), label="timers"),
+        )
+        for x, y in state[0]:
+            assert_index_lists(arena, x, y)
+        assert play_pits_and_pickups(arena, INDEXED, *state) == play_pits_and_pickups(
+            arena, FULL_SCAN, *state
+        )
+
+    @pytest.mark.parametrize("x,y", [
+        (200.0, 2000.0),  # the edge pit, one cell past its bounding box
+        (math.nextafter(200.0, 0.0), 2000.0),
+        (199.9, 3939.0), (199.9 - 60.0, 3975.0),  # the corner pickup's rim
+        (2000.0, 2040.0), (2000.0, 2039.9),  # both pickups and the small pit
+        (2050.0, 2039.9), (2110.0, 2099.9),
+    ])
+    def test_straddling_rims(self, x, y):
+        assert_index_lists(STRADDLE_ARENA, x, y)
+        state = ([(x, y)] * 4, [True] * 4, [True, False, True, False],
+                 [False] * 4, [0.0] * len(STRADDLE_ARENA.pickups))
+        assert play_pits_and_pickups(STRADDLE_ARENA, INDEXED, *state) == (
+            play_pits_and_pickups(STRADDLE_ARENA, FULL_SCAN, *state)
+        )
+
+    def test_edge_pit_is_reached_one_cell_past_its_bounding_box(self):
+        cell, _ = STRADDLE_ARENA.proximity
+        assert (EDGE_PIT.x + EDGE_PIT.radius) // cell == 1.0 and 200.0 // cell == 2.0
+        assert (200.0 - EDGE_PIT.x) ** 2 <= EDGE_PIT.radius * EDGE_PIT.radius
+        assert reached(STRADDLE_ARENA, 200.0, 2000.0)[0]
+
+    def test_far_pit_would_reach_cells_its_box_leaves_out(self):
+        # Why Arena rejects FAR_PIT: its right edge rounds to 0.0, in cell 0
+        # (cells are 500 wide at size 20000), yet its test passes at every
+        # x < 8192, where x + 1e20 rounds to 1e20, far past the one-cell growth.
+        cell = 20000.0 / INDEX_CELLS
+        assert (FAR_PIT.x + FAR_PIT.radius) // cell == 0.0
+        x = 8000.0
+        assert x // cell == 16.0
+        assert (x - FAR_PIT.x) ** 2 + (2000.0 - FAR_PIT.y) ** 2 <= FAR_PIT.radius ** 2
+
+    def test_index_is_built_once_and_leaves_repr_and_equality_alone(self):
+        arena = replace(default_config().arena)
+        assert arena.proximity is arena.proximity
+        assert arena == default_config().arena
+        assert repr(arena) == repr(default_config().arena)
+
+
+# ---------------------------------------------------------------------------
+# One target geometry per agent per tick
+
+
+class TestTargetGeometry:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        positions=st.lists(st.tuples(walkable, walkable), min_size=4, max_size=4),
+        yaws=st.lists(st.floats(-180.0, 180.0), min_size=4, max_size=4),
+        fov=st.sampled_from([35.0, 80.0, 180.0, 360.0]),
+        coincide=st.booleans(),
+    )
+    def test_perception_returns_hypot_bearing_and_the_unit_vector(
+        self, positions, yaws, fov, coincide
+    ):
+        world = world_in(OPEN_ARENA)
+        if coincide:
+            positions[1] = positions[0]
+        for agent, (x, y), yaw in zip(world.agents, positions, yaws):
+            agent.x, agent.y, agent.yaw = x, y, yaw
+        for agent in world.agents:
+            seen = world.nearest_visible(agent, fov)
+            if seen is None:
+                continue
+            target, dist, bearing = seen
+            dx, dy = target.x - agent.x, target.y - agent.y
+            assert same(dist, math.hypot(dx, dy))
+            assert same(bearing, geo.bearing_deg((agent.x, agent.y), (target.x, target.y)))
+            ux, uy = unit_towards(agent, target, dist)
+            nx, ny = geo.normalize2((dx, dy))
+            assert same(ux, nx) and same(uy, ny)
+
+    def test_coincident_target(self):
+        world = world_in(OPEN_ARENA)
+        for agent in world.agents:
+            agent.x, agent.y, agent.yaw = 1000.0, 1000.0, 0.0
+        target, dist, bearing = world.nearest_visible(world.agents[0], 35.0)
+        assert (dist, bearing) == (0.0, 0.0)
+        assert unit_towards(world.agents[0], target, dist) == geo.normalize2((0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

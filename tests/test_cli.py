@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,18 @@ class TestTrain:
         assert err.startswith("error: invalid configuration:") and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value,message", [
+        ("pits = 2000 2000 -200", "pits: Pit(x=2000.0, y=2000.0, radius=-200.0)"),
+        ("pits = 2000 2000 nan", "pits: Pit(x=2000.0, y=2000.0, radius=nan)"),
+        ("pits = inf 2000 200", "pits: Pit(x=inf, y=2000.0, radius=200.0)"),
+        ("ammo_pickups = 800 nan", "pickups: PickupSpot(kind='ammo', weapon=None, x=800.0, y=nan)"),
+    ])
+    def test_arena_geometry_out_of_range_is_config_error(self, value, message, tmp_path, capsys):
+        assert train_with_config(tmp_path, f"[arena]\n{value}\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid configuration: {message}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("text,key", [
         ("[opponent:7]\nspeed_fraction = 0.5\n", "strafes"),
         ("[weapon:foo]\ncategory = Other\n", "damage"),
@@ -145,6 +159,34 @@ class TestReport:
     def test_report_empty_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         assert "lives.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("lives.csv", lambda rows: rows[:1], "cannot summarize an empty series"),
+        ("games.csv", lambda rows: [rows[0], ["x" if c == "game" else v
+                                               for c, v in zip(rows[0], rows[1])]],
+         "invalid literal for int()"),
+        ("games.csv", lambda rows: [[v for c, v in zip(rows[0], row) if c != "kills"]
+                                    for row in rows], "KeyError: 'kills'"),
+    ])
+    def test_report_on_unreadable_campaign_data_is_error(
+        self, name, edit, message, trained, tmp_path, capsys
+    ):
+        level_dir = tmp_path / "level1"
+        shutil.copytree(trained / "level1", level_dir)
+        with (level_dir / name).open(newline="", encoding="ascii") as f:
+            rows = list(csv.reader(f))
+        with (level_dir / name).open("w", newline="", encoding="ascii") as f:
+            csv.writer(f).writerows(edit(rows))
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    def test_report_without_games_csv_is_error(self, trained, tmp_path, capsys):
+        level_dir = tmp_path / "level1"
+        shutil.copytree(trained / "level1", level_dir)
+        (level_dir / "games.csv").unlink()
+        assert main(["report", str(tmp_path)]) == 1
+        assert "No such file" in capsys.readouterr().err
 
 
 class TestInspect:

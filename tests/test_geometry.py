@@ -200,3 +200,115 @@ class TestAngleFastPaths:
         assert outcome(geo.bearing_deg, (0.0, 0.0), q) == outcome(
             normalize_angle_fmod, angle
         )
+
+
+# ---------------------------------------------------------------------------
+# ray_cylinder_t's running minimum against the list form
+
+
+def ray_cylinder_t_list(origin, direction, center, base_z, radius, height):
+    """ray_cylinder_t as it was, collecting every entry in a list and
+    returning min() of it: the reference the running minimum must equal."""
+    ox, oy, oz = origin
+    dx, dy, dz = direction
+    cx, cy = center
+    top_z = base_z + height
+    hits = []
+    fx, fy = ox - cx, oy - cy
+    if fx * fx + fy * fy <= radius * radius and base_z <= oz <= top_z:
+        return 0.0
+    a = dx * dx + dy * dy
+    if a > 0.0:
+        b = 2.0 * (fx * dx + fy * dy)
+        c = fx * fx + fy * fy - radius * radius
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            for t in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
+                if t >= 0.0:
+                    z = oz + t * dz
+                    if base_z <= z <= top_z:
+                        hits.append(t)
+    if dz != 0.0:
+        for plane_z in (base_z, top_z):
+            t = (plane_z - oz) / dz
+            if t >= 0.0:
+                x = ox + t * dx
+                y = oy + t * dy
+                if (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius:
+                    hits.append(t)
+    elif dz == 0.0 and base_z <= oz <= top_z and a == 0.0:
+        if fx * fx + fy * fy <= radius * radius:
+            hits.append(0.0)
+    if not hits:
+        return None
+    return min(hits)
+
+
+def entry(fn, *args):
+    """None, the float `fn` returns bit for bit (the sign of zero included),
+    or the exception type it raises (`** 2` overflows past 1e154)."""
+    try:
+        value = fn(*args)
+    except OverflowError as exc:
+        return type(exc)
+    return None if value is None else struct.pack("<d", value)
+
+
+# Small integers put origins on the cylinder's surface, its caps and its
+# axis, and give tangent and zero directions; the signed zeros and extreme
+# values reach the branches that only exact arithmetic meets.
+small = st.one_of(
+    st.sampled_from([0.0, -0.0, 17.0, -17.0, 39.0, 5e-324]),
+    st.integers(-60, 60).map(float),
+    st.floats(-60.0, 60.0),
+)
+extreme = st.one_of(
+    small, st.sampled_from([1e300, -1e300, math.inf, -math.inf, math.nan]),
+)
+near_axis = st.one_of(st.sampled_from([0.0, -0.0, 17.0, -17.0]), st.floats(-20.0, 20.0))
+in_slab = st.one_of(st.sampled_from([0.0, -0.0, 39.0]), st.floats(-5.0, 45.0))
+
+
+class TestRayCylinderRunningMinimum:
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        origin=st.tuples(small, small, small),
+        offset=st.tuples(near_axis, near_axis, in_slab),
+        towards=st.booleans(),
+        center=st.tuples(small, small),
+        base_z=small,
+        radius=st.sampled_from([17.0, 0.0, 1.5]),
+        height=st.sampled_from([39.0, 0.0]),
+    )
+    def test_equals_the_list_form(self, origin, offset, towards, center, base_z, radius, height):
+        # Half the rays aim from the origin at a point near the cylinder,
+        # so that many of them enter it; the rest go along the offset.
+        aim = (center[0] + offset[0], center[1] + offset[1], base_z + offset[2])
+        direction = tuple(b - a for a, b in zip(origin, aim)) if towards else offset
+        args = (origin, direction, center, base_z, radius, height)
+        assert entry(geo.ray_cylinder_t, *args) == entry(ray_cylinder_t_list, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        origin=st.tuples(extreme, extreme, extreme),
+        direction=st.tuples(extreme, extreme, extreme),
+        center=st.tuples(extreme, extreme),
+        base_z=extreme,
+    )
+    def test_equals_the_list_form_at_extremes(self, origin, direction, center, base_z):
+        args = (origin, direction, center, base_z, 17.0, 39.0)
+        assert entry(geo.ray_cylinder_t, *args) == entry(ray_cylinder_t_list, *args)
+
+    @pytest.mark.parametrize("origin,direction,base_z", [
+        ((100.0, 0.0, 10.0), (0.0, 0.0, 0.0), 0.0),  # zero ray inside: 0.0 early
+        ((100.0, 0.0, 50.0), (0.0, 0.0, 0.0), 0.0),  # zero ray above: a miss
+        ((100.0, 0.0, 50.0), (0.0, 0.0, -1.0), 0.0),  # vertical ray onto the top cap
+        ((100.0, 0.0, -5.0), (0.0, 0.0, 1.0), 0.0),  # vertical ray onto the bottom cap
+        ((100.0, 0.0, 0.0), (0.0, 0.0, -1.0), -0.0),  # -0.0 - 0.0 on the bottom cap
+        ((117.0, 0.0, 50.0), (0.0, 1.0, 0.0), 0.0),  # tangent to the side, above it
+        ((117.0, 0.0, 50.0), (0.0, 1.0, -1.0), 0.0),  # along the side onto the top rim
+    ])
+    def test_degenerate_and_signed_zero_rays(self, origin, direction, base_z):
+        args = (origin, direction, (100.0, 0.0), base_z, 17.0, 39.0)
+        assert entry(geo.ray_cylinder_t, *args) == entry(ray_cylinder_t_list, *args)
