@@ -25,8 +25,6 @@ from .learner import (
 )
 from .weapons import (
     ASSAULT_RIFLE,
-    AimResolution,
-    LOCKED_ON,
     MID_Z,
     PriorityTables,
     SHIELD_GUN,
@@ -44,6 +42,10 @@ RL_AGENT_ID = 0
 PICKUP_RADIUS = 60.0
 # The proximity index cuts the arena into this many cells along each axis.
 INDEX_CELLS = 40
+# The widest arena accepted.  _placeable admits features out to about
+# 7e12 * size, so squared distances between agents and admitted features stay
+# under 1e227 here; float `** 2` would overflow from a size near 1e141 on.
+MAX_ARENA_SIZE = 1e100
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +109,11 @@ class Arena:
     def __post_init__(self) -> None:
         # Movement clamps agents to [r, size - r]; this keeps them strictly
         # inside the boundary, which World.line_of_sight relies on.
-        if not 2 * CYLINDER_RADIUS < self.size < math.inf:
-            raise ValueError("arena size must be finite and wider than an agent")
+        if not 2 * CYLINDER_RADIUS < self.size <= MAX_ARENA_SIZE:
+            raise ValueError(
+                f"arena size {self.size:g} must be wider than an agent and at "
+                f"most {MAX_ARENA_SIZE:g}"
+            )
         # The proximity index places each pit and pickup by its bounding box,
         # grown by one cell.  A negative radius would also kill like a
         # positive one but steer agents with a negative margin.
@@ -324,16 +329,15 @@ def format_event(e: Event) -> str:
 
 class AgentState:
     __slots__ = (
-        "id", "controller", "x", "y", "z", "vx", "vy", "yaw", "health",
+        "id", "x", "y", "z", "vx", "vy", "yaw", "health",
         "jump_t", "inventory", "alive", "respawn_timer", "current_weapon",
         "cooldown", "fire_command", "waypoint", "strafe_dir", "strafe_timer",
         "last_attacker", "last_attack_self", "pit_dead",
         "alert_pos", "alert_timer",
     )
 
-    def __init__(self, agent_id: int, controller: str) -> None:
+    def __init__(self, agent_id: int) -> None:
         self.id = agent_id
-        self.controller = controller  # "rl" or "scripted"
         self.x = 0.0
         self.y = 0.0
         self.z = 0.0
@@ -365,22 +369,19 @@ class AgentState:
 @dataclass
 class FireCommand:
     weapon: str
-    aim: AimResolution
+    aim: tuple[float, float, float] | None  # None: locked on the target
     target_id: int
 
 
 class Projectile:
-    __slots__ = ("shooter", "weapon", "x", "y", "z", "vx", "vy", "vz",
-                 "remaining", "shot_marker")
+    __slots__ = ("shooter", "weapon", "x", "y", "z", "vx", "vy", "vz", "remaining")
 
-    def __init__(self, shooter: int, weapon: str, pos, vel, travel: float,
-                 shot_marker: list | None) -> None:
+    def __init__(self, shooter: int, weapon: str, pos, vel, travel: float) -> None:
         self.shooter = shooter
         self.weapon = weapon
         self.x, self.y, self.z = pos
         self.vx, self.vy, self.vz = vel
         self.remaining = travel
-        self.shot_marker = shot_marker
 
 
 class PickupState:
@@ -576,9 +577,7 @@ class World:
             [(p.x, p.y) for p in arena.pickups] + list(arena.spawn_points)
         )
 
-        self.agents = [AgentState(RL_AGENT_ID, "rl")]
-        for i in range(n_opponents):
-            self.agents.append(AgentState(i + 1, "scripted"))
+        self.agents = [AgentState(i) for i in range(n_opponents + 1)]
         self.projectiles: list[Projectile] = []
         # Values the per-tick loops read, computed once: pickups as
         # (state, x, y, is_weapon), the arena's proximity index and pit
@@ -760,7 +759,7 @@ class World:
         for agent in self.agents:
             if not agent.alive:
                 continue
-            if agent.controller == "rl":
+            if agent.id == RL_AGENT_ID:
                 self._control_rl(agent, dt)
             else:
                 self._control_scripted(agent, dt)
@@ -836,32 +835,28 @@ class World:
 
         return [*damage_events, *death_events, *spawn_events, *pickup_events]
 
-    def _finalize_life(self, death_event: Event) -> None:
-        reward = self.controller.on_death()
-        cause = "killed"
-        if isinstance(death_event, SuicideEvent):
-            cause = f"suicide-{death_event.cause}"
-        self.completed_life = LifeStats(
+    def _life_stats(self, reward: float, cause: str) -> LifeStats:
+        return LifeStats(
             hits=self.life_hits,
             misses=self.life_misses,
             reward=reward,
             duration_s=(self.tick_count - self.life_start_tick) * self.dt,
             cause=cause,
         )
+
+    def _finalize_life(self, death_event: Event) -> None:
+        cause = "killed"
+        if isinstance(death_event, SuicideEvent):
+            cause = f"suicide-{death_event.cause}"
+        self.completed_life = self._life_stats(self.controller.on_death(), cause)
+        # finalize_truncated_life reads these while the bot waits to respawn.
         self.life_hits = 0
         self.life_misses = 0
         self.life_start_tick = self.tick_count
 
     def finalize_truncated_life(self) -> LifeStats:
         """Close the in-progress life at game end without counting a death."""
-        reward = self.controller.on_game_end()
-        return LifeStats(
-            hits=self.life_hits,
-            misses=self.life_misses,
-            reward=reward,
-            duration_s=(self.tick_count - self.life_start_tick) * self.dt,
-            cause="game-end",
-        )
+        return self._life_stats(self.controller.on_game_end(), "game-end")
 
     def _pit_deaths(self) -> list[tuple[AgentState, tuple]]:
         """Kill each grounded living agent standing in a pit, testing only the
@@ -1023,7 +1018,7 @@ class World:
         a = bearing - agent.yaw + 180.0
         off = a - 180.0 if 0.0 <= a < 360.0 else geo.normalize_angle(bearing - agent.yaw)
         if abs(off) <= self.behavior.fire_align_tolerance_deg:
-            agent.fire_command = FireCommand(ASSAULT_RIFLE, LOCKED_ON, target.id)
+            agent.fire_command = FireCommand(ASSAULT_RIFLE, None, target.id)
         else:
             agent.fire_command = None
 
@@ -1052,19 +1047,25 @@ class World:
                     return geo.normalize2((ux - sign * uy, uy + sign * ux))
         return (ux, uy)
 
-    def _combat_strafe(
-        self, agent: AgentState, ux: float, uy: float, dt: float, speed_fraction: float
-    ) -> None:
-        """Strafe across (ux, uy), the unit vector towards the target."""
+    def _strafe_dir(self, agent: AgentState, dt: float) -> float:
+        """Count the strafe timer down; when it runs out, draw a new side
+        and a new period."""
         agent.strafe_timer -= dt
         if agent.strafe_timer <= 0.0:
             agent.strafe_dir = self.rng.choice((-1.0, 1.0))
             agent.strafe_timer = self.rng.uniform(
                 self.behavior.strafe_flip_min_s, self.behavior.strafe_flip_max_s
             )
+        return agent.strafe_dir
+
+    def _combat_strafe(
+        self, agent: AgentState, ux: float, uy: float, dt: float, speed_fraction: float
+    ) -> None:
+        """Strafe across (ux, uy), the unit vector towards the target."""
+        side = self._strafe_dir(agent, dt)
         speed = self.physics.base_speed * speed_fraction
-        agent.vx = -uy * agent.strafe_dir * speed
-        agent.vy = ux * agent.strafe_dir * speed
+        agent.vx = -uy * side * speed
+        agent.vy = ux * side * speed
 
     def _approach(
         self,
@@ -1081,13 +1082,8 @@ class World:
         speed = self.physics.base_speed * speed_fraction
         if dist > stop_range:
             # Advance with a diagonal strafe component.
-            agent.strafe_timer -= dt
-            if agent.strafe_timer <= 0.0:
-                agent.strafe_dir = self.rng.choice((-1.0, 1.0))
-                agent.strafe_timer = self.rng.uniform(
-                    self.behavior.strafe_flip_min_s, self.behavior.strafe_flip_max_s
-                )
-            sx, sy = -uy * agent.strafe_dir, ux * agent.strafe_dir
+            side = self._strafe_dir(agent, dt)
+            sx, sy = -uy * side, ux * side
             mx, my = geo.normalize2((ux + 0.6 * sx, uy + 0.6 * sy))
             mx, my = self._veer_around_pits(agent, mx, my)
             agent.vx = mx * speed
@@ -1158,27 +1154,32 @@ class World:
 
     # -- firing ------------------------------------------------------------
 
-    def _muzzle(self, agent: AgentState) -> tuple[float, float, float]:
-        return (agent.x, agent.y, agent.z + self.physics.eye_height)
+    def _ray(self, agent: AgentState, aim_point):
+        """(muzzle, unit direction, length) of the line from the agent's eye
+        to `aim_point`, or None when the two coincide."""
+        ox, oy, oz = agent.x, agent.y, agent.z + self.physics.eye_height
+        dx = aim_point[0] - ox
+        dy = aim_point[1] - oy
+        dz = aim_point[2] - oz
+        norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if norm == 0.0:
+            return None
+        return (ox, oy, oz), (dx / norm, dy / norm, dz / norm), norm
 
     def _aim_point(
         self, agent: AgentState, cmd: FireCommand
     ) -> tuple[float, float, float] | None:
-        if cmd.aim.locked_on:
-            target = self.agents[cmd.target_id]
-            if not target.alive:
-                return None
-            # Tracking trails a moving target by the shooter's reaction lag.
-            if agent.controller == "scripted":
-                lag = self.profile.aim_lag_s
-            else:
-                lag = self.physics.aim_lag_s
-            return (
-                target.x - target.vx * lag,
-                target.y - target.vy * lag,
-                MID_Z,
-            )
-        return cmd.aim.point
+        if cmd.aim is not None:
+            return cmd.aim
+        target = self.agents[cmd.target_id]
+        if not target.alive:
+            return None
+        # Tracking trails a moving target by the shooter's reaction lag.
+        if agent.id == RL_AGENT_ID:
+            lag = self.physics.aim_lag_s
+        else:
+            lag = self.profile.aim_lag_s
+        return (target.x - target.vx * lag, target.y - target.vy * lag, MID_Z)
 
     def _discharge(
         self,
@@ -1202,21 +1203,19 @@ class World:
 
         if weapon.melee_range > 0.0:
             hit = self._melee(agent, weapon, aim_point, damage_records)
-            if is_rl:
-                self.life_hits += 1 if hit else 0
-                self.life_misses += 0 if hit else 1
-            return
-
-        if weapon.is_hitscan:
-            hit_any = False
+        elif weapon.is_hitscan:
+            hit = False
             for _ in range(weapon.pellets):
-                hit_any |= self._hitscan(agent, weapon, aim_point, damage_records)
-            if is_rl:
-                self.life_hits += 1 if hit_any else 0
-                self.life_misses += 0 if hit_any else 1
+                hit |= self._hitscan(agent, weapon, aim_point, damage_records)
+        else:
+            # A rocket is counted a miss at launch; _detonate may make it a hit.
+            self._launch_projectile(agent, weapon, aim_point)
             return
-
-        self._launch_projectile(agent, weapon, aim_point)
+        if is_rl:
+            if hit:
+                self.life_hits += 1
+            else:
+                self.life_misses += 1
 
     def _melee(self, agent, weapon: WeaponSpec, aim_point, damage_records) -> bool:
         ax, ay = agent.x, agent.y
@@ -1244,24 +1243,16 @@ class World:
         return True
 
     def _hitscan(self, agent, weapon: WeaponSpec, aim_point, damage_records) -> bool:
-        origin = self._muzzle(agent)
-        dx = aim_point[0] - origin[0]
-        dy = aim_point[1] - origin[1]
-        dz = aim_point[2] - origin[2]
-        norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if norm == 0.0:
+        ray = self._ray(agent, aim_point)
+        if ray is None:
             return False
-        dx, dy, dz = dx / norm, dy / norm, dz / norm
+        origin, (dx, dy, dz), _ = ray
 
-        spread = weapon.spread_deg
-        if agent.controller == "scripted":
-            spread_yaw = math.radians(
-                self.rng.uniform(-self.profile.max_aim_error_deg,
-                                 self.profile.max_aim_error_deg)
-            )
-            c, s = math.cos(spread_yaw), math.sin(spread_yaw)
-            dx, dy = dx * c - dy * s, dx * s + dy * c
-        elif spread > 0.0:
+        # Opponents miss by up to their profile's aim error, drawn even at 0;
+        # the bot's shots scatter by the weapon's spread.
+        is_rl = agent.id == RL_AGENT_ID
+        spread = weapon.spread_deg if is_rl else self.profile.max_aim_error_deg
+        if spread > 0.0 or not is_rl:
             spread_yaw = math.radians(self.rng.uniform(-spread, spread))
             c, s = math.cos(spread_yaw), math.sin(spread_yaw)
             dx, dy = dx * c - dy * s, dx * s + dy * c
@@ -1291,22 +1282,16 @@ class World:
         return True
 
     def _launch_projectile(self, agent, weapon: WeaponSpec, aim_point) -> None:
-        origin = self._muzzle(agent)
-        dx = aim_point[0] - origin[0]
-        dy = aim_point[1] - origin[1]
-        dz = aim_point[2] - origin[2]
-        norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if norm == 0.0:
+        ray = self._ray(agent, aim_point)
+        if ray is None:
             return
+        origin, (ux, uy, uz), norm = ray
         speed = weapon.projectile_speed
-        vel = (dx / norm * speed, dy / norm * speed, dz / norm * speed)
-        marker = None
         if agent.id == RL_AGENT_ID:
             self.life_misses += 1
-            marker = [False]
-        self.projectiles.append(
-            Projectile(agent.id, weapon.name, origin, vel, norm, marker)
-        )
+        self.projectiles.append(Projectile(
+            agent.id, weapon.name, origin, (ux * speed, uy * speed, uz * speed), norm
+        ))
 
     def _advance_projectiles(self, dt: float, damage_records: list) -> None:
         survivors: list[Projectile] = []
@@ -1403,8 +1388,8 @@ class World:
                 )
                 if not self_inflicted:
                     damaged_opponent = True
-        if damaged_opponent and proj.shot_marker is not None:
-            if not proj.shot_marker[0]:
-                proj.shot_marker[0] = True
-                self.life_misses -= 1
-                self.life_hits += 1
+        # Each projectile detonates once, so this turns its launch miss into
+        # a hit at most once.
+        if damaged_opponent and proj.shooter == RL_AGENT_ID:
+            self.life_misses -= 1
+            self.life_hits += 1

@@ -23,6 +23,14 @@ from .weapons import ACTION_LABELS
 LEVELS = (1, 3, 5)
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for counts: an int of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sarsa-arena",
@@ -54,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     inspect = sub.add_parser("inspect", help="describe a Q-table snapshot")
     inspect.add_argument("snapshot", type=Path)
-    inspect.add_argument("--top", type=int, default=5,
+    inspect.add_argument("--top", type=non_negative_int, default=5,
                          help="strongest entries to list per category")
     return parser
 

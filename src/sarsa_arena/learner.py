@@ -77,14 +77,6 @@ class LearnerConfig:
             raise ValueError(f"lambda {self.lam} outside [0, 1]")
 
 
-@dataclass
-class StepDiagnostics:
-    delta: float
-    reward: float
-    epsilon_used: float | None = None
-    was_exploratory: bool = False
-
-
 class QTable:
     """Sparse state-action value, trace and visit store for one weapon category."""
 
@@ -166,8 +158,8 @@ def sarsa_update(
     a_next: int,
     cfg: LearnerConfig,
     next_value: float | None = None,
-) -> StepDiagnostics:
-    """One Sarsa(lambda) step on `table`.
+) -> float:
+    """One Sarsa(lambda) step on `table`; returns the TD error.
 
     The TD error uses the pre-update values.  `next_value` overrides the
     bootstrap Q(s', a') when the next pair lives in a different table.
@@ -181,19 +173,20 @@ def sarsa_update(
         next_value = table.value(s_next, a_next)
     delta = r + cfg.gamma * next_value - table.value(s, a)
     _apply_td(table, s, a, delta, cfg)
-    return StepDiagnostics(delta=delta, reward=r)
+    return delta
 
 
 def terminal_update(
     table: QTable, s: int, a: int, r: float, cfg: LearnerConfig
-) -> StepDiagnostics:
-    """Final step of a life: bootstraps against a terminal value of 0."""
+) -> float:
+    """Final step of a life: bootstraps against a terminal value of 0.
+    Returns the TD error."""
     table._check_pair(s, a)
     if not math.isfinite(r):
         raise ValueError(f"reward {r} is not finite")
     delta = r - table.value(s, a)
     _apply_td(table, s, a, delta, cfg)
-    return StepDiagnostics(delta=delta, reward=r)
+    return delta
 
 
 def begin_life(table: QTable) -> None:

@@ -137,27 +137,16 @@ def reward_for(damage: float) -> float:
     return damage if damage > 0 else -1.0
 
 
-@dataclass(frozen=True)
-class AimResolution:
-    """Either a fixed world-space target point or a lock on the opponent."""
-
-    point: tuple[float, float, float] | None
-    locked_on: bool
-
-
-# Frozen, so every locked-on shot can share it.
-LOCKED_ON = AimResolution(point=None, locked_on=True)
-
-
 def resolve_aim(
     action: ShootAction,
     shooter_pos: tuple[float, float],
     opponent_pos: tuple[float, float, float],
     weapon: WeaponSpec,
-) -> AimResolution:
-    """Turn an abstract aim action into a target point (or a lock-on)."""
+) -> tuple[float, float, float] | None:
+    """Turn an abstract aim action into a world-space target point, or None
+    for a lock on the opponent."""
     if action.label == "Player":
-        return LOCKED_ON
+        return None
 
     ox, oy, oz = opponent_pos
     dx = ox - shooter_pos[0]
@@ -172,22 +161,20 @@ def resolve_aim(
 
     label = action.label
     if label == "Head":
-        return AimResolution((ox, oy, oz + HEAD_Z), False)
+        return (ox, oy, oz + HEAD_Z)
     if label in ("Mid", "Location"):
-        return AimResolution((ox, oy, oz + MID_Z), False)
+        return (ox, oy, oz + MID_Z)
     if label == "Legs":
-        return AimResolution((ox, oy, oz + LEGS_Z), False)
+        return (ox, oy, oz + LEGS_Z)
     if label.startswith("Above"):
         steps = {"Above": 1, "Above-2": 2, "Above-3": 3}[label]
-        return AimResolution((ox, oy, oz + MID_Z + steps * weapon.above_step), False)
+        return (ox, oy, oz + MID_Z + steps * weapon.above_step)
     if label.startswith(("Left", "Right")):
         factor = 2.0 if label.endswith("-2") else 1.0
         skew = factor * weapon.aim_skew
         if label.startswith("Left"):
             skew = -skew
-        return AimResolution(
-            (ox + skew * right[0], oy + skew * right[1], oz + MID_Z), False
-        )
+        return (ox + skew * right[0], oy + skew * right[1], oz + MID_Z)
     raise ValueError(f"unknown aim action {label!r}")
 
 

@@ -16,6 +16,7 @@ from sarsa_arena.arena import (
     GreedyController,
     INDEX_CELLS,
     KillEvent,
+    MAX_ARENA_SIZE,
     PICKUP_RADIUS,
     PickupEvent,
     PickupSpot,
@@ -231,6 +232,53 @@ class TestShooting:
         self_hits = [r for r in records if r[1] == 0 and r[4]]
         assert self_hits, "splash should reach the shooter"
 
+    def test_hitscan_spread_draws(self):
+        # Opponents draw their aim error even when it is 0; the bot draws its
+        # weapon's spread only when it is above 0.  Either way one shot uses
+        # at most one draw of the world's stream.
+        world, _, _ = make_world(seed=1)
+        world.profile = replace(world.profile, max_aim_error_deg=0.0)
+        shock = replace(world.armory["shock_rifle"], spread_deg=0.0)
+        aim = (2000.0, 400.0, 19.5)
+        state = world.rng.getstate()
+        world._hitscan(world.agents[0], shock, aim, [])
+        assert world.rng.getstate() == state
+        world._hitscan(world.agents[1], shock, aim, [])
+        probe = random.Random()
+        probe.setstate(state)
+        probe.random()
+        assert world.rng.getstate() == probe.getstate()
+        world._hitscan(world.agents[0], replace(shock, spread_deg=1.0), aim, [])
+        probe.random()
+        assert world.rng.getstate() == probe.getstate()
+
+    FAR = [(3600.0, 400.0), (400.0, 3600.0), (3600.0, 3600.0)]
+
+    @pytest.mark.parametrize("positions,aim_point,ticks,damaged,ledger,flying", [
+        # A direct hit on 1 and splash on 2: one hit, not two.
+        (
+            [(1000.0, 1000.0), (1300.0, 1000.0), (1300.0, 1060.0), (3600.0, 3600.0)],
+            (1300.0, 1000.0, 19.5), 20, [(1, False), (2, False)], (1, 0), 0,
+        ),
+        # Splash on the shooter alone stays a miss.
+        ([(1000.0, 1000.0)] + FAR, (1010.0, 1000.0, 0.0), 5, [(0, True)], (0, 1), 0),
+        # Counted a miss at launch, and still one while in flight.
+        ([(1000.0, 1000.0)] + FAR, (3000.0, 1000.0, 19.5), 1, [], (0, 1), 1),
+    ])
+    def test_bot_rocket_ledger(self, positions, aim_point, ticks, damaged, ledger, flying):
+        world, _, _ = make_world(seed=1)
+        for agent, (x, y) in zip(world.agents, positions):
+            agent.x, agent.y = x, y
+        world._launch_projectile(
+            world.agents[0], world.armory["rocket_launcher"], aim_point
+        )
+        records = []
+        for _ in range(ticks):
+            world._advance_projectiles(world.physics.dt, records)
+        assert [(r[1], r[4]) for r in records] == damaged
+        assert (world.life_hits, world.life_misses) == ledger
+        assert len(world.projectiles) == flying
+
     def test_jumping_target_evades_locked_on_shot(self):
         world, _, _ = make_world(seed=1)
         shooter, target = world.agents[0], world.agents[1]
@@ -257,7 +305,7 @@ def make_controller():
     cfg = default_config()
     tset = new_table_set(cfg.learner)
     ctrl = RlShooterController(tset, cfg.armory, cfg.priority, random.Random(0))
-    agent = AgentState(0, "rl")
+    agent = AgentState(0)
     agent.inventory = {ASSAULT_RIFLE: 1000}
     return ctrl, tset, agent
 
@@ -335,7 +383,11 @@ class TestArenaValidation:
         with pytest.raises(ValueError):
             Arena(size=1000.0, walls=(), pits=(), spawn_points=((1, 1),), pickups=())
 
-    @pytest.mark.parametrize("size", [30.0, math.inf])
+    # Above MAX_ARENA_SIZE, squared distances could overflow float (at 1e200
+    # the spawn-in-pit test did).
+    @pytest.mark.parametrize(
+        "size", [30.0, math.nextafter(MAX_ARENA_SIZE, math.inf), 1e200, math.inf]
+    )
     def test_arena_narrower_than_an_agent_or_infinite_rejected(self, size):
         with pytest.raises(ValueError):
             Arena(
@@ -365,6 +417,20 @@ class TestArenaValidation:
         replace(default_config().arena, size=20000.0, pits=(near,))
         with pytest.raises(ValueError, match="1/16 of an index cell"):
             replace(default_config().arena, size=20000.0, pits=(far,))
+
+    def test_widest_arena_plays_with_its_farthest_pit(self):
+        # |centre| + radius = 6e112 rounds by 2 ** 322 < 1/16 of a cell, so
+        # the pit is admitted; its squared distances stay finite in play.
+        far = Pit(-6e112, 5e99, 1e99)
+        arena = Arena(
+            size=MAX_ARENA_SIZE, walls=(), pits=(far,),
+            spawn_points=((1e99, 1e99), (9e99, 1e99), (1e99, 9e99), (9e99, 9e99)),
+            pickups=(),
+        )
+        world = world_in(arena)
+        for _ in range(60):
+            world.tick()
+        assert all(agent.alive for agent in world.agents)
 
     def test_far_pickup_spot_rejected(self):
         with pytest.raises(ValueError, match="pickup"):

@@ -83,6 +83,12 @@ class TestTrain:
         ("pits = 2000 2000 nan", "pits: Pit(x=2000.0, y=2000.0, radius=nan)"),
         ("pits = inf 2000 200", "pits: Pit(x=inf, y=2000.0, radius=200.0)"),
         ("ammo_pickups = 800 nan", "pickups: PickupSpot(kind='ammo', weapon=None, x=800.0, y=nan)"),
+        # Once an OverflowError traceback from the spawn-in-pit test.
+        (
+            "size = 1e200\nspawns = 1e199 1e199; 9e199 1e199; 1e199 9e199; 9e199 9e199\n"
+            "pits = 5e199 5e199 1e198",
+            "arena size 1e+200 must be wider than an agent and at most 1e+100",
+        ),
     ])
     def test_arena_geometry_out_of_range_is_config_error(self, value, message, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[arena]\n{value}\n") == 1
@@ -196,6 +202,20 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "lives completed" in out
         assert "MachineGun" in out
+
+    def test_negative_top_is_usage_error(self, trained, capsys):
+        snap = trained / "level1" / "snap_1_final.rlsq"
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect", str(snap), "--top", "-2"])
+        assert exc.value.code == 2
+        assert "--top: must be >= 0, got -2" in capsys.readouterr().err
+
+    def test_top_zero_prints_only_the_counts(self, trained, capsys):
+        snap = trained / "level1" / "snap_1_final.rlsq"
+        assert main(["inspect", str(snap), "--top", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 + 6
+        assert all(line.endswith("learned state-action values") for line in lines[2:])
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "none.rlsq")]) == 1

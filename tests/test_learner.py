@@ -149,23 +149,23 @@ class TestSarsaUpdate:
     def test_single_step_hand_trace(self):
         table = QTable("cat")
         cfg = LearnerConfig()
-        diag = sarsa_update(table, 0, 0, 10.0, 1, 1, cfg)
-        assert diag.delta == pytest.approx(10.0)
+        delta = sarsa_update(table, 0, 0, 10.0, 1, 1, cfg)
+        assert delta == pytest.approx(10.0)
         assert table.value(0, 0) == pytest.approx(7.0)
         assert table.trace(0, 0) == pytest.approx(0.45)
 
     def test_miss_penalty_step(self):
         table = QTable("cat")
-        diag = sarsa_update(table, 0, 0, -1.0, 1, 1, LearnerConfig())
-        assert diag.delta == pytest.approx(-1.0)
+        delta = sarsa_update(table, 0, 0, -1.0, 1, 1, LearnerConfig())
+        assert delta == pytest.approx(-1.0)
         assert table.value(0, 0) == pytest.approx(-0.7)
 
     def test_trace_mediated_credit_over_two_steps(self):
         table = QTable("cat")
         cfg = LearnerConfig()
         sarsa_update(table, 0, 0, 10.0, 1, 1, cfg)
-        diag = sarsa_update(table, 1, 1, 4.0, 2, 2, cfg)
-        assert diag.delta == pytest.approx(4.0)
+        delta = sarsa_update(table, 1, 1, 4.0, 2, 2, cfg)
+        assert delta == pytest.approx(4.0)
         assert table.value(1, 1) == pytest.approx(2.8)
         assert table.value(0, 0) == pytest.approx(7.0 + 0.7 * 4.0 * 0.45)
 
@@ -174,8 +174,8 @@ class TestSarsaUpdate:
         table.q[(2, 3)] = 4.0
         table.q[(5, 1)] = 6.0
         cfg = LearnerConfig()
-        diag = sarsa_update(table, 2, 3, 1.0, 5, 1, cfg)
-        assert diag.delta == pytest.approx(1.0 + 0.5 * 6.0 - 4.0)
+        delta = sarsa_update(table, 2, 3, 1.0, 5, 1, cfg)
+        assert delta == pytest.approx(1.0 + 0.5 * 6.0 - 4.0)
 
     def test_zero_step_leaves_table_unchanged(self):
         table = QTable("cat")
@@ -238,7 +238,7 @@ class TestBeginLife:
         fresh = QTable("cat")
         d1 = sarsa_update(fresh, 0, 0, 10.0, 1, 1, cfg)
         d2 = sarsa_update(dirty, 0, 0, 10.0, 1, 1, cfg)
-        assert d1.delta == d2.delta == pytest.approx(10.0)
+        assert d1 == d2 == pytest.approx(10.0)
         assert dirty.value(0, 0) == fresh.value(0, 0) == pytest.approx(7.0)
         assert dirty.trace(0, 0) == fresh.trace(0, 0) == pytest.approx(0.45)
 

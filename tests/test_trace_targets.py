@@ -1,0 +1,61 @@
+"""The per-layer tracer of perfbench/ must find every name it wraps.
+
+perfbench/tracing.py replaces functions and methods of sarsa_arena by name.
+A refactor that renames or moves one of them breaks only traced benchmark
+runs, so these tests load the tracer by file path (without changing it) and
+check its targets against this checkout.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # Leave no bytecode cache beside it.
+    before, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = before
+    return module
+
+
+tracing = load_tracing()
+
+
+def resolve(module_path: str, chain: str):
+    """The object the tracer wraps: `vars(owner)[attr]`, as Tracer.install
+    looks it up."""
+    owner = importlib.import_module(module_path)
+    *owners, attr = chain.split(".")
+    for part in owners:
+        owner = getattr(owner, part)
+    return vars(owner)[attr]
+
+
+TARGETS = [(module_path, chain) for _, module_path, chain, _ in tracing.TARGETS]
+
+
+@pytest.mark.parametrize("module_path,chain", TARGETS, ids=[f"{m}:{c}" for m, c in TARGETS])
+def test_target_resolves(module_path, chain):
+    assert callable(resolve(module_path, chain))
+
+
+def test_install_then_uninstall_restores_every_original():
+    originals = {target: resolve(*target) for target in TARGETS}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = {target: resolve(*target) for target in TARGETS}
+    finally:
+        tracer.uninstall()
+    assert all(wrapped[t] is not originals[t] for t in TARGETS)
+    assert all(resolve(*t) is originals[t] for t in TARGETS)

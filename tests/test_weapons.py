@@ -57,13 +57,12 @@ class TestResolveAim:
     def test_head_targets_cylinder_top(self):
         action = actions_for(WeaponCategory.INSTANT_HIT)[0]
         aim = resolve_aim(action, ORIGIN, OPP, spec_for(WeaponCategory.INSTANT_HIT))
-        assert aim.point == (100.0, 200.0, 39.0)
-        assert not aim.locked_on
+        assert aim == (100.0, 200.0, 39.0)
 
     def test_player_is_locked_on(self):
         action = actions_for(WeaponCategory.PROJECTILE)[0]
         aim = resolve_aim(action, ORIGIN, OPP, spec_for(WeaponCategory.PROJECTILE))
-        assert aim.locked_on and aim.point is None
+        assert aim is None
 
     def test_left_skews_by_default_amount(self):
         action = actions_for(WeaponCategory.INSTANT_HIT)[3]
@@ -76,15 +75,15 @@ class TestResolveAim:
             200.0 - 25.0 * (100.0 / norm),
             19.5,
         )
-        assert aim.point == pytest.approx(expected)
+        assert aim == pytest.approx(expected)
 
     def test_left_right_are_mirror_images(self):
         weapon = spec_for(WeaponCategory.SLOW_MOVING, aim_skew=60.0)
         acts = {a.label: a for a in actions_for(WeaponCategory.SLOW_MOVING)}
         mid = (OPP[0], OPP[1], OPP[2] + 19.5)
         for left_label, right_label in (("Left", "Right"), ("Left-2", "Right-2")):
-            lp = resolve_aim(acts[left_label], ORIGIN, OPP, weapon).point
-            rp = resolve_aim(acts[right_label], ORIGIN, OPP, weapon).point
+            lp = resolve_aim(acts[left_label], ORIGIN, OPP, weapon)
+            rp = resolve_aim(acts[right_label], ORIGIN, OPP, weapon)
             assert lp[0] + rp[0] == pytest.approx(2 * mid[0])
             assert lp[1] + rp[1] == pytest.approx(2 * mid[1])
             assert lp[2] == rp[2] == mid[2]
@@ -93,7 +92,7 @@ class TestResolveAim:
         weapon = spec_for(WeaponCategory.PROJECTILE, above_step=120.0)
         acts = actions_for(WeaponCategory.PROJECTILE)
         zs = [
-            resolve_aim(a, ORIGIN, OPP, weapon).point[2]
+            resolve_aim(a, ORIGIN, OPP, weapon)[2]
             for a in acts
             if a.label.startswith("Above")
         ]
@@ -102,7 +101,7 @@ class TestResolveAim:
     def test_location_targets_mid_height(self):
         action = actions_for(WeaponCategory.PROJECTILE)[1]
         aim = resolve_aim(action, ORIGIN, OPP, spec_for(WeaponCategory.PROJECTILE))
-        assert aim.point == (100.0, 200.0, 19.5)
+        assert aim == (100.0, 200.0, 19.5)
 
 
 class TestSelectWeapon:
