@@ -794,8 +794,6 @@ class World:
             if not victim.alive:
                 continue
             amount = min(amount, victim.health)
-            if amount <= 0.0:
-                continue
             victim.health -= amount
             victim.last_attacker = attacker
             victim.last_attack_self = self_inflicted
@@ -804,7 +802,7 @@ class World:
             )
             if attacker == RL_AGENT_ID and not self_inflicted:
                 self.controller.on_damage_dealt(amount)
-            if not self_inflicted and 0 <= attacker < len(self.agents):
+            if not self_inflicted:
                 shooter = self.agents[attacker]
                 if shooter.alive:
                     victim.alert_pos = (shooter.x, shooter.y)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .arena import (
@@ -27,17 +27,6 @@ from .learner import QTableSet
 from .metrics import FieldSummary, hit_percentage, kd_ratio, summarize_field
 from .snapshots import write_snapshot
 from .weapons import new_table_set
-
-LIVES_FIELDS = (
-    "run_id", "game", "life", "level", "hits", "misses",
-    "reward", "duration_s", "death_cause",
-)
-GAMES_BASE_FIELDS = (
-    "run_id", "game", "level", "kills", "deaths_by_others", "suicides",
-    "max_kill_streak", "weapons_collected", "ammo_collected",
-    "time_moving_s", "distance_uu", "shoot_s_total",
-)
-
 
 @dataclass(frozen=True)
 class LifeRecord:
@@ -66,10 +55,6 @@ class GameRecord:
     time_moving_s: float
     distance_uu: float
     shoot_s: dict[str, float]
-
-    @property
-    def shoot_s_total(self) -> float:
-        return sum(self.shoot_s.values())
 
     @property
     def deaths(self) -> int:
@@ -102,10 +87,6 @@ class CampaignResult:
     tset: QTableSet | None = None
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def run_campaign(
     sim: SimConfig,
     settings: CampaignSettings,
@@ -119,7 +100,6 @@ def run_campaign(
     controller = RlShooterController(tset, sim.armory, sim.priority, rng)
     result = CampaignResult(settings=settings, tset=tset)
     weapon_names = list(sim.armory)
-    games_fields = list(GAMES_BASE_FIELDS) + [f"shoot_s_{n}" for n in weapon_names]
     ticks_per_game = round(settings.minutes * 60 * sim.physics.tick_hz)
 
     lives_path = out / "lives.csv"
@@ -132,9 +112,9 @@ def run_campaign(
         lives_f = files.enter_context(lives_path.open("w", newline="", encoding="ascii"))
         games_f = files.enter_context(games_path.open("w", newline="", encoding="ascii"))
         lives_w = csv.writer(lives_f)
-        lives_w.writerow(LIVES_FIELDS)
+        lives_w.writerow(_header(LifeRecord))
         games_w = csv.writer(games_f)
-        games_w.writerow(games_fields)
+        games_w.writerow(_header(GameRecord, weapon_names))
 
         def record_life(game: int, stats: LifeStats) -> None:
             record = LifeRecord(
@@ -144,7 +124,7 @@ def run_campaign(
                 death_cause=stats.cause,
             )
             result.lives.append(record)
-            lives_w.writerow(_life_row(record))
+            lives_w.writerow(_row(record))
 
         for game in range(1, settings.games + 1):
             world = World(
@@ -201,7 +181,7 @@ def run_campaign(
                 shoot_s=dict(world.stat_shoot_time),
             )
             result.games.append(game_record)
-            games_w.writerow(_game_row(game_record, weapon_names))
+            games_w.writerow(_row(game_record, weapon_names))
 
     write_snapshot(tset, out / f"snap_{settings.level}_final.rlsq")
     return result
@@ -241,59 +221,66 @@ def evaluate_policy(
     return rewards
 
 
-def _life_row(r: LifeRecord) -> list[str]:
-    return [
-        r.run_id, str(r.game), str(r.life), str(r.level), str(r.hits),
-        str(r.misses), _fmt(r.reward), _fmt(r.duration_s), r.death_cause,
-    ]
+# ---------------------------------------------------------------------------
+# CSV files: one column per record field, in field order, except that
+# GameRecord.shoot_s is written as shoot_s_total plus one shoot_s_<weapon>
+# column per weapon of the armory.
 
 
-def _game_row(r: GameRecord, weapon_names: list[str]) -> list[str]:
-    row = [
-        r.run_id, str(r.game), str(r.level), str(r.kills),
-        str(r.deaths_by_others), str(r.suicides), str(r.max_kill_streak),
-        str(r.weapons_collected), str(r.ammo_collected),
-        _fmt(r.time_moving_s), _fmt(r.distance_uu), _fmt(r.shoot_s_total),
-    ]
-    row += [_fmt(r.shoot_s.get(name, 0.0)) for name in weapon_names]
+def _header(cls, weapon_names=()) -> list[str]:
+    header = []
+    for f in fields(cls):
+        if f.name == "shoot_s":
+            header += ["shoot_s_total", *(f"shoot_s_{n}" for n in weapon_names)]
+        else:
+            header.append(f.name)
+    return header
+
+
+def _fmt(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _row(record, weapon_names=()) -> list[str]:
+    row = []
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name == "shoot_s":
+            row.append(_fmt(sum(value.values())))
+            row += [_fmt(value.get(n, 0.0)) for n in weapon_names]
+        else:
+            row.append(_fmt(value))
     return row
 
 
-def load_lives_csv(path: Path | str) -> list[LifeRecord]:
+# How a cell is read back, by the annotation of its field.
+_PARSERS = {"str": str, "int": int, "float": float}
+
+
+def _load(path: Path | str, cls) -> list:
     records = []
-    with Path(path).open(newline="", encoding="ascii") as f:
-        for row in csv.DictReader(f):
-            records.append(LifeRecord(
-                run_id=row["run_id"], game=int(row["game"]), life=int(row["life"]),
-                level=int(row["level"]), hits=int(row["hits"]),
-                misses=int(row["misses"]), reward=float(row["reward"]),
-                duration_s=float(row["duration_s"]), death_cause=row["death_cause"],
-            ))
+    with Path(path).open(newline="", encoding="ascii") as fh:
+        for row in csv.DictReader(fh):
+            values = {}
+            for f in fields(cls):
+                if f.name == "shoot_s":
+                    values[f.name] = {
+                        key[len("shoot_s_"):]: float(cell)
+                        for key, cell in row.items()
+                        if key.startswith("shoot_s_") and key != "shoot_s_total"
+                    }
+                else:
+                    values[f.name] = _PARSERS[f.type](row[f.name])
+            records.append(cls(**values))
     return records
+
+
+def load_lives_csv(path: Path | str) -> list[LifeRecord]:
+    return _load(path, LifeRecord)
 
 
 def load_games_csv(path: Path | str) -> list[GameRecord]:
-    records = []
-    with Path(path).open(newline="", encoding="ascii") as f:
-        for row in csv.DictReader(f):
-            shoot = {
-                key[len("shoot_s_"):]: float(value)
-                for key, value in row.items()
-                if key.startswith("shoot_s_") and key != "shoot_s_total"
-            }
-            records.append(GameRecord(
-                run_id=row["run_id"], game=int(row["game"]), level=int(row["level"]),
-                kills=int(row["kills"]),
-                deaths_by_others=int(row["deaths_by_others"]),
-                suicides=int(row["suicides"]),
-                max_kill_streak=int(row["max_kill_streak"]),
-                weapons_collected=int(row["weapons_collected"]),
-                ammo_collected=int(row["ammo_collected"]),
-                time_moving_s=float(row["time_moving_s"]),
-                distance_uu=float(row["distance_uu"]),
-                shoot_s=shoot,
-            ))
-    return records
+    return _load(path, GameRecord)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +297,6 @@ class LevelSummary:
     kd: float | None
     hit_pct: float | None
     per_game_kills: FieldSummary
-    per_game_deaths: FieldSummary
-    per_life_hits: FieldSummary
 
 
 def summarize_level(
@@ -319,6 +304,8 @@ def summarize_level(
 ) -> LevelSummary:
     if not games:
         raise ValueError("no game records to summarize")
+    if not lives:
+        raise ValueError("cannot summarize an empty series of lives")
     level = games[0].level
     kills = sum(g.kills for g in games)
     deaths_by_others = sum(g.deaths_by_others for g in games)
@@ -334,8 +321,6 @@ def summarize_level(
         kd=kd_ratio(kills, deaths_by_others, suicides),
         hit_pct=hit_percentage(hits, misses),
         per_game_kills=summarize_field([g.kills for g in games]),
-        per_game_deaths=summarize_field([g.deaths for g in games]),
-        per_life_hits=summarize_field([r.hits for r in lives]),
     )
 
 

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-# numpy is imported only by the two functions that compute with it: importing
-# the package, reading config and snapshots, and running campaigns and
-# evaluations load no third-party module.
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 
 def kd_ratio(kills: int, deaths_by_others: int, suicides: int) -> float | None:
@@ -28,23 +23,24 @@ def hit_percentage(hits: float, misses: float) -> float | None:
     return 100.0 * hits / shots
 
 
-def centred_moving_average(series: Sequence[float], window: int = 11) -> np.ndarray:
+def centred_moving_average(series: Sequence[float], window: int = 11) -> list[float]:
     """Mean over an odd window centred on each index with a full window.
 
     The result covers indices (window-1)//2 .. len(series)-1-(window-1)//2 of
-    the input; shorter inputs yield an empty array.
+    the input; shorter inputs yield an empty list.  Each mean adds
+    x * (1 / window) left to right, as a convolution with a flat kernel does;
+    `sum` is not used because it compensates rounding from Python 3.12 on.
     """
-    import numpy as np
-
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and >= 1")
-    values = np.asarray(series, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if values.size < window:
-        return np.empty(0)
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(values, kernel, mode="valid")
+    weight = 1.0 / window
+    averages = []
+    for start in range(len(series) - window + 1):
+        total = 0.0
+        for x in series[start : start + window]:
+            total += x * weight
+        averages.append(total)
+    return averages
 
 
 @dataclass(frozen=True)
@@ -57,18 +53,20 @@ class FieldSummary:
 
 
 def summarize_field(values: Sequence[float]) -> FieldSummary:
-    """Population statistics; median is the lower middle for even counts."""
-    import numpy as np
+    """Population statistics; median is the lower middle for even counts.
 
+    `math` rather than `statistics`, whose import (with `fractions` and
+    `decimal`) would lengthen every cold start.
+    """
     if len(values) == 0:
         raise ValueError("cannot summarize an empty series")
-    arr = np.asarray(values, dtype=float)
-    ordered = np.sort(arr)
-    median = float(ordered[(len(ordered) - 1) // 2])
+    ordered = sorted(map(float, values))
+    n = len(ordered)
+    mean = math.fsum(ordered) / n
     return FieldSummary(
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        median=median,
+        mean=mean,
+        std=math.sqrt(math.fsum((x - mean) ** 2 for x in ordered) / n),
+        minimum=ordered[0],
+        maximum=ordered[-1],
+        median=ordered[(n - 1) // 2],
     )

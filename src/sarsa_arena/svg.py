@@ -97,10 +97,10 @@ def series_with_average(
     y_range = (y_lo, y_hi)
     body = [_polyline(xs, values, x_range, y_range, "#9ecae1")]
     avg = centred_moving_average(values, window=window)
-    if avg.size:
+    if avg:
         half = window // 2
         body.append(_polyline(
-            list(range(1 + half, 1 + half + len(avg))), list(avg),
+            list(range(1 + half, 1 + half + len(avg))), avg,
             x_range, y_range, "#08519c", width=2.0,
         ))
     path.write_text(

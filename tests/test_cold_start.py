@@ -1,8 +1,9 @@
-"""Campaigns, evaluations, snapshots and `inspect` load no numpy.
+"""The package runs on the standard library alone.
 
-numpy is imported only where report statistics and svg plots are computed,
-so a process that never summarises starts without it.  The check runs in a
-fresh interpreter, because this test session itself has numpy loaded.
+Training with plots, reporting, inspecting, ticking a World and evaluating
+a policy load no module outside the standard library and `sarsa_arena`.  The
+check runs in a fresh interpreter, because this test session itself has
+numpy and pytest loaded.
 """
 
 import os
@@ -13,11 +14,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 COLD_PATHS = """
-import random
 import sys
 
-import sarsa_arena
-import sarsa_arena.cli
+at_start = set(sys.modules)
+
+import random
+
 from sarsa_arena import arena, cli, config, harness, snapshots, weapons
 
 out = sys.argv[1]
@@ -32,17 +34,23 @@ world = arena.World(
 )
 for _ in range(30):
     world.tick()
+# 11 games, so that the plots draw their moving averages.
+assert cli.main([
+    "train", "--level", "all", "--games", "11", "--minutes", "0.05",
+    "--seed", "1", "--out", out + "/train",
+]) == 0
+assert cli.main(["report", out + "/train"]) == 0
 assert cli.main(["inspect", snap]) == 0
-harness.run_campaign(sim, harness.CampaignSettings(
-    level=1, games=1, minutes=0.1, seed=1, out_dir=out + "/campaign",
-    snapshot_every=0,
-))
 harness.evaluate_policy(sim, tset, arena.GreedyController, [1])
-assert "numpy" not in sys.modules, "numpy was loaded"
+outside = sorted(
+    name for name in set(sys.modules) - at_start
+    if name.partition(".")[0] not in sys.stdlib_module_names | {"sarsa_arena"}
+)
+assert not outside, f"loaded outside the standard library: {outside}"
 """
 
 
-def test_cold_paths_do_not_load_numpy(tmp_path):
+def test_cold_paths_load_only_the_standard_library(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "SARSA_ARENA_CONFIG"}
     env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(

@@ -48,8 +48,7 @@ class TestHitPercentage:
 class TestCma:
     def test_constant_series(self):
         out = centred_moving_average([7.0] * 20)
-        assert len(out) == 10
-        assert np.allclose(out, 7.0)
+        assert out == pytest.approx([7.0] * 10)
 
     def test_ramp_centre_value(self):
         out = centred_moving_average(list(range(1, 22)))
@@ -57,7 +56,7 @@ class TestCma:
         assert out[5] == pytest.approx(11.0)
 
     def test_short_series_is_empty(self):
-        assert centred_moving_average([1.0] * 10).size == 0
+        assert len(centred_moving_average([1.0] * 10)) == 0
 
     def test_matches_brute_force_on_random_series(self):
         rng = random.Random(7)
@@ -73,6 +72,20 @@ class TestCma:
     def test_rejects_even_window(self):
         with pytest.raises(ValueError):
             centred_moving_average([1.0] * 20, window=10)
+
+    @pytest.mark.parametrize("window", [1, 3, 11])
+    def test_equals_numpy_convolution_value_for_value(self, window):
+        rng = random.Random(window)
+        for n in range(1, 121):
+            for series in (
+                [rng.randrange(0, 30) for _ in range(n)],
+                [rng.uniform(-100, 100) for _ in range(n)],
+            ):
+                ref = np.convolve(
+                    np.asarray(series, dtype=float),
+                    np.full(window, 1.0 / window), mode="valid",
+                ) if n >= window else np.empty(0)
+                assert centred_moving_average(series, window) == ref.tolist()
 
 
 class TestSummarize:
@@ -93,3 +106,23 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize_field([])
+
+    def test_report_text_equals_numpy_reference(self):
+        # format_report prints mean and std with .2f and the rest with .0f.
+        # The standard library's std can differ from numpy's in the last
+        # ulp; the printed text must not.
+        rng = random.Random(11)
+        series = [
+            [rng.randrange(0, top) for _ in range(rng.randrange(1, 121))]
+            for top in (rng.choice((3, 10, 60)) for _ in range(2000))
+        ]
+        # std exactly 1.125, which .2f rounds to 1.12; one ulp more reads 1.13.
+        series.append([0] * 6 + [1] * 19 + [3] * 39)
+        for values in series:
+            arr = np.asarray(values, dtype=float)
+            s = summarize_field(values)
+            ref = (arr.mean(), arr.std(), arr.min(), arr.max(), np.sort(arr)[(arr.size - 1) // 2])
+            assert (
+                f"{s.mean:.2f} {s.std:.2f} {s.minimum:.0f} {s.maximum:.0f} {s.median:.0f}"
+                == "{:.2f} {:.2f} {:.0f} {:.0f} {:.0f}".format(*map(float, ref))
+            )
