@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import geometry as geo
@@ -338,6 +338,10 @@ class AgentState:
 
     def __init__(self, agent_id: int) -> None:
         self.id = agent_id
+        self.reset()
+
+    def reset(self) -> None:
+        """Every field but `id` back to its fresh value."""
         self.x = 0.0
         self.y = 0.0
         self.z = 0.0
@@ -403,6 +407,23 @@ class LifeStats:
     reward: float = 0.0
     duration_s: float = 0.0
     cause: str = "game-end"
+
+
+@dataclass(slots=True)
+class GameStats:
+    """The learning bot's counts for one game, named as the fields of
+    harness.GameRecord; `kill_streak` is its run of kills since it last died."""
+
+    shoot_s: dict[str, float]
+    kills: int = 0
+    deaths_by_others: int = 0
+    suicides: int = 0
+    kill_streak: int = 0
+    max_kill_streak: int = 0
+    weapons_collected: int = 0
+    ammo_collected: int = 0
+    time_moving_s: float = 0.0
+    distance_uu: float = 0.0
 
 
 class RlShooterController:
@@ -593,51 +614,29 @@ class World:
             steering.append((pit.x, pit.y, margin, margin * 2.5))
         self.pit_steering = tuple(steering)
 
-        # Per-life counters for the learning bot.
-        self.life_hits = 0
-        self.life_misses = 0
+        # The learning bot's bookkeeping: its current life, which began at
+        # life_start_tick, its last finished life until the harness takes it,
+        # and its game.
+        self.life = LifeStats()
         self.life_start_tick = 0
         self.completed_life: LifeStats | None = None
-
-        # Per-game statistics for the learning bot.
-        self.stat_weapons_collected = 0
-        self.stat_ammo_collected = 0
-        self.stat_time_moving = 0.0
-        self.stat_distance = 0.0
-        self.stat_shoot_time: dict[str, float] = {name: 0.0 for name in armory}
+        self.game = GameStats(shoot_s={name: 0.0 for name in armory})
 
         for i, agent in enumerate(self.agents):
             self._spawn(agent, self.arena.spawn_points[i % len(self.arena.spawn_points)])
 
     # -- spawning ----------------------------------------------------------
 
-    def _spawn_loadout(self) -> dict[str, int]:
-        return {ASSAULT_RIFLE: self.physics.spawn_assault_ammo, SHIELD_GUN: 1}
-
     def _spawn(self, agent: AgentState, pos: tuple[float, float]) -> None:
+        agent.reset()
         agent.x, agent.y = pos
-        agent.z = 0.0
-        agent.vx = agent.vy = 0.0
         agent.yaw = self.rng.uniform(-180.0, 180.0)
-        agent.health = 100.0
-        agent.jump_t = -1.0
-        agent.inventory = self._spawn_loadout()
+        agent.inventory = {ASSAULT_RIFLE: self.physics.spawn_assault_ammo, SHIELD_GUN: 1}
         agent.alive = True
-        agent.respawn_timer = 0.0
-        agent.current_weapon = ASSAULT_RIFLE
-        agent.cooldown = 0.0
-        agent.fire_command = None
         agent.waypoint = self.rng.choice(self.waypoints)
         agent.strafe_dir = self.rng.choice((-1.0, 1.0))
-        agent.strafe_timer = 0.0
-        agent.last_attacker = -1
-        agent.last_attack_self = False
-        agent.pit_dead = False
-        agent.alert_pos = None
-        agent.alert_timer = 0.0
         if agent.id == RL_AGENT_ID:
-            self.life_hits = 0
-            self.life_misses = 0
+            self.life = LifeStats()
             self.life_start_tick = self.tick_count
 
     def _respawn_point(self, agent: AgentState) -> tuple[float, float]:
@@ -780,7 +779,7 @@ class World:
             if cmd is None:
                 continue
             if agent.id == RL_AGENT_ID:
-                self.stat_shoot_time[cmd.weapon] += dt
+                self.game.shoot_s[cmd.weapon] += dt
             if agent.cooldown > 0.0:
                 continue
             self._discharge(agent, cmd, damage_records)
@@ -810,7 +809,8 @@ class World:
             if victim.health <= 0.0:
                 victim.alive = False
 
-        # Deaths.
+        # Deaths, in agent order, the bot first: its own death ends its kill
+        # streak before its kills of this tick count.
         for agent in self.agents:
             if agent.alive:
                 continue
@@ -821,6 +821,11 @@ class World:
                     death_events.append(SuicideEvent(t, agent.id, "self-splash"))
                 else:
                     death_events.append(KillEvent(t, agent.last_attacker, agent.id))
+                    if agent.last_attacker == RL_AGENT_ID:
+                        game = self.game
+                        game.kills += 1
+                        game.kill_streak += 1
+                        game.max_kill_streak = max(game.max_kill_streak, game.kill_streak)
             else:
                 continue  # already dead, waiting to respawn
             agent.pit_dead = False
@@ -834,22 +839,23 @@ class World:
         return [*damage_events, *death_events, *spawn_events, *pickup_events]
 
     def _life_stats(self, reward: float, cause: str) -> LifeStats:
-        return LifeStats(
-            hits=self.life_hits,
-            misses=self.life_misses,
-            reward=reward,
-            duration_s=(self.tick_count - self.life_start_tick) * self.dt,
-            cause=cause,
+        return replace(
+            self.life, reward=reward,
+            duration_s=(self.tick_count - self.life_start_tick) * self.dt, cause=cause,
         )
 
     def _finalize_life(self, death_event: Event) -> None:
-        cause = "killed"
+        game = self.game
         if isinstance(death_event, SuicideEvent):
             cause = f"suicide-{death_event.cause}"
+            game.suicides += 1
+        else:
+            cause = "killed"
+            game.deaths_by_others += 1
+        game.kill_streak = 0
         self.completed_life = self._life_stats(self.controller.on_death(), cause)
         # finalize_truncated_life reads these while the bot waits to respawn.
-        self.life_hits = 0
-        self.life_misses = 0
+        self.life = LifeStats()
         self.life_start_tick = self.tick_count
 
     def finalize_truncated_life(self) -> LifeStats:
@@ -914,7 +920,7 @@ class World:
             )
             item = spot.weapon
             if agent.id == RL_AGENT_ID:
-                self.stat_weapons_collected += 1
+                self.game.weapons_collected += 1
         else:
             weapon = agent.current_weapon
             if weapon == SHIELD_GUN:
@@ -924,7 +930,7 @@ class World:
             )
             item = "ammo"
             if agent.id == RL_AGENT_ID:
-                self.stat_ammo_collected += 1
+                self.game.ammo_collected += 1
         pickup.timer = self.physics.pickup_respawn_s
         events.append(PickupEvent(self.tick_count, agent.id, item))
 
@@ -1146,9 +1152,10 @@ class World:
         else:
             moved = 0.0
         if agent.id == RL_AGENT_ID:
-            self.stat_distance += moved
+            game = self.game
+            game.distance_uu += moved
             if moved > 1e-9:
-                self.stat_time_moving += dt
+                game.time_moving_s += dt
 
     # -- firing ------------------------------------------------------------
 
@@ -1211,9 +1218,9 @@ class World:
             return
         if is_rl:
             if hit:
-                self.life_hits += 1
+                self.life.hits += 1
             else:
-                self.life_misses += 1
+                self.life.misses += 1
 
     def _melee(self, agent, weapon: WeaponSpec, aim_point, damage_records) -> bool:
         ax, ay = agent.x, agent.y
@@ -1286,7 +1293,7 @@ class World:
         origin, (ux, uy, uz), norm = ray
         speed = weapon.projectile_speed
         if agent.id == RL_AGENT_ID:
-            self.life_misses += 1
+            self.life.misses += 1
         self.projectiles.append(Projectile(
             agent.id, weapon.name, origin, (ux * speed, uy * speed, uz * speed), norm
         ))
@@ -1389,5 +1396,5 @@ class World:
         # Each projectile detonates once, so this turns its launch miss into
         # a hit at most once.
         if damaged_opponent and proj.shooter == RL_AGENT_ID:
-            self.life_misses -= 1
-            self.life_hits += 1
+            self.life.misses -= 1
+            self.life.hits += 1

@@ -122,8 +122,8 @@ def cmd_report(args) -> int:
             if games:
                 summaries.append(summarize_level(lives, games))
         except (OSError, KeyError, ValueError) as exc:
-            # A missing file or column, a cell that does not parse, or
-            # games without lives.
+            # A missing file or column, a ragged row, a cell that does not
+            # parse, or games without lives.
             print(f"error: cannot report on {d}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
     if not summaries:
@@ -136,8 +136,8 @@ def cmd_report(args) -> int:
 def cmd_inspect(args) -> int:
     try:
         tset = read_snapshot(args.snapshot)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.snapshot}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, no permission
+        print(f"error: cannot read {args.snapshot}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except SnapshotError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,6 @@ from .arena import (
 from .learner import ExplorationSchedule, LearnerConfig
 from .weapons import PriorityTables, WeaponCategory, WeaponSpec
 
-ENV_VAR = "SARSA_ARENA_CONFIG"
-
 
 class ConfigError(ValueError):
     pass
@@ -196,15 +194,14 @@ def _bundled_parser() -> configparser.ConfigParser:
 
 
 def load_config(path: str | os.PathLike | None = None) -> SimConfig:
-    """Bundled defaults, optionally overridden by `path` or $SARSA_ARENA_CONFIG."""
+    """Bundled defaults, optionally overridden by the INI file at `path`."""
     parser = _bundled_parser()
-    if path is None:
-        path = os.environ.get(ENV_VAR) or None
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         try:
-            parser.read(path)
+            with open(path) as fh:
+                parser.read_file(fh)
+        except OSError as exc:  # a missing file, a directory, no permission
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"config file {path}: {exc}") from exc
     try:
@@ -216,5 +213,5 @@ def load_config(path: str | os.PathLike | None = None) -> SimConfig:
 
 
 def default_config() -> SimConfig:
-    """The bundled defaults, ignoring any environment override."""
+    """The bundled defaults."""
     return _build(_bundled_parser())

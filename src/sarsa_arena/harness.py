@@ -10,18 +10,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .arena import (
-    KillEvent,
-    LifeStats,
-    RL_AGENT_ID,
-    RlShooterController,
-    SuicideEvent,
-    World,
-    format_event,
-)
+from .arena import LifeStats, RL_AGENT_ID, RlShooterController, World, format_event
 from .config import SimConfig, check_campaign_ranges
 from .learner import QTableSet
 from .metrics import FieldSummary, hit_percentage, kd_ratio, summarize_field
@@ -38,7 +30,7 @@ class LifeRecord:
     misses: int
     reward: float
     duration_s: float
-    death_cause: str  # killed | suicide-pit | suicide-splash | game-end
+    death_cause: str  # killed | suicide-pit | suicide-self-splash | game-end
 
 
 @dataclass(frozen=True)
@@ -132,26 +124,10 @@ def run_campaign(
                 sim.profiles[settings.level], controller, rng,
                 n_opponents=sim.harness.opponents,
             )
-            kills = deaths_by_others = suicides = 0
-            streak = max_streak = 0
-
             for _ in range(ticks_per_game):
-                for event in world.tick():
-                    if events_file is not None:
-                        events_file.write(format_event(event) + "\n")
-                    if isinstance(event, KillEvent):
-                        if event.killer == RL_AGENT_ID and event.victim != RL_AGENT_ID:
-                            kills += 1
-                            streak += 1
-                            max_streak = max(max_streak, streak)
-                        if event.victim == RL_AGENT_ID:
-                            deaths_by_others += 1
-                            streak = 0
-                    elif isinstance(event, SuicideEvent):
-                        if event.victim == RL_AGENT_ID:
-                            suicides += 1
-                            streak = 0
-
+                events = world.tick()
+                if events_file is not None:
+                    events_file.writelines(format_event(e) + "\n" for e in events)
                 if world.completed_life is not None:
                     record_life(game, world.completed_life)
                     world.completed_life = None
@@ -170,15 +146,10 @@ def run_campaign(
                 # Dead at the whistle: the death was already recorded.
                 controller.on_game_end()
 
+            stats = asdict(world.game)
+            del stats["kill_streak"]  # a running count, not a game total
             game_record = GameRecord(
-                run_id=settings.run_id, game=game, level=settings.level,
-                kills=kills, deaths_by_others=deaths_by_others, suicides=suicides,
-                max_kill_streak=max_streak,
-                weapons_collected=world.stat_weapons_collected,
-                ammo_collected=world.stat_ammo_collected,
-                time_moving_s=world.stat_time_moving,
-                distance_uu=world.stat_distance,
-                shoot_s=dict(world.stat_shoot_time),
+                run_id=settings.run_id, game=game, level=settings.level, **stats
             )
             result.games.append(game_record)
             games_w.writerow(_row(game_record, weapon_names))
@@ -260,7 +231,17 @@ _PARSERS = {"str": str, "int": int, "float": float}
 def _load(path: Path | str, cls) -> list:
     records = []
     with Path(path).open(newline="", encoding="ascii") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for cells in reader:
+            if not cells:
+                continue  # blank lines hold no record
+            if len(cells) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(cells)} cells, "
+                    f"the header {len(header)}"
+                )
+            row = dict(zip(header, cells))
             values = {}
             for f in fields(cls):
                 if f.name == "shoot_s":

@@ -118,7 +118,11 @@ def write_snapshot(tset: QTableSet, path: str | Path) -> None:
 
 
 def read_snapshot(path: str | Path) -> QTableSet:
-    return restore(Path(path).read_text(encoding="ascii"))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"byte {exc.start}: not ASCII, so not a snapshot") from exc
+    return restore(text)
 
 
 def _parse_lives(lines: list[str], idx: int) -> int:

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 from sarsa_arena.cli import main
+from sarsa_arena.config import default_config
+from sarsa_arena.harness import GameRecord, _header
 from sarsa_arena.snapshots import read_snapshot
+
+# games.csv columns: the GameRecord fields, shoot_s spread over the armory.
+GAMES_COLUMNS = len(_header(GameRecord, default_config().armory))
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +59,20 @@ class TestTrain:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_config_directory_is_error(self, tmp_path, capsys):
+        code = main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {tmp_path}:")
+        assert "Traceback" not in err
+
+    def test_environment_names_no_config_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SARSA_ARENA_CONFIG", str(tmp_path / "nonexistent.cfg"))
+        assert main([
+            "train", "--level", "1", "--games", "1", "--minutes", "0.1",
+            "--out", str(tmp_path / "out"), "--no-plots",
+        ]) == 0
 
     @pytest.mark.parametrize("key", ["tick_hz", "decision_every"])
     def test_zero_physics_rate_is_config_error(self, key, tmp_path, capsys):
@@ -173,6 +192,13 @@ class TestReport:
          "invalid literal for int()"),
         ("games.csv", lambda rows: [[v for c, v in zip(rows[0], row) if c != "kills"]
                                     for row in rows], "KeyError: 'kills'"),
+        # Ragged rows: one cell short, one cell long.
+        ("games.csv", lambda rows: [rows[0], rows[1][:-1]],
+         f"games.csv: line 2 has {GAMES_COLUMNS - 1} cells, the header {GAMES_COLUMNS}"),
+        ("games.csv", lambda rows: [rows[0], rows[1] + ["0"]],
+         f"games.csv: line 2 has {GAMES_COLUMNS + 1} cells, the header {GAMES_COLUMNS}"),
+        ("lives.csv", lambda rows: [rows[0], rows[1] + ["0"]],
+         "lives.csv: line 2 has 10 cells, the header 9"),
     ])
     def test_report_on_unreadable_campaign_data_is_error(
         self, name, edit, message, trained, tmp_path, capsys
@@ -219,6 +245,17 @@ class TestInspect:
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "none.rlsq")]) == 1
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda path: path.mkdir(), "cannot read {path}: Is a directory"),
+        (lambda path: path.write_bytes(b"RLSQ 1\nlives 0\xe9\n"), "byte 14: not ASCII"),
+    ])
+    def test_inspect_unreadable_file(self, make, message, tmp_path, capsys):
+        path = tmp_path / "snap.rlsq"
+        make(path)
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(path=path)}") and "Traceback" not in err
 
     def test_inspect_corrupt_snapshot(self, tmp_path, capsys):
         bad = tmp_path / "bad.rlsq"

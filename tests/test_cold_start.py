@@ -51,10 +51,9 @@ assert not outside, f"loaded outside the standard library: {outside}"
 
 
 def test_cold_paths_load_only_the_standard_library(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "SARSA_ARENA_CONFIG"}
-    env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(
         [sys.executable, "-c", COLD_PATHS, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

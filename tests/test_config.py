@@ -25,8 +25,7 @@ def test_default_config_repr_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CONFIG_REPR_SHA256
 
 
-def test_load_config_without_overrides_equals_default_config(monkeypatch):
-    monkeypatch.delenv("SARSA_ARENA_CONFIG", raising=False)
+def test_load_config_without_overrides_equals_default_config():
     assert load_config() == default_config()
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import statistics
 import subprocess
@@ -59,7 +58,6 @@ def _level5_game(sim, seed: int) -> list[str]:
 
 def worker(checkout: Path) -> int:
     sys.path.insert(0, str(checkout / "src"))
-    os.environ.pop("SARSA_ARENA_CONFIG", None)  # the bundled config on both sides
     from sarsa_arena import arena, config, harness, snapshots
 
     # Loaded once, untimed, as perfbench loads them once per repetition.
