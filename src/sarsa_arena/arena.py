@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 from . import geometry as geo
@@ -227,6 +227,10 @@ class PhysicsParams:
     aim_lag_s: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.tick_hz < 1:
             raise ValueError(f"tick_hz must be >= 1, got {self.tick_hz}")
         if self.decision_every < 1:
@@ -332,8 +336,7 @@ class AgentState:
         "id", "x", "y", "z", "vx", "vy", "yaw", "health",
         "jump_t", "inventory", "alive", "respawn_timer", "current_weapon",
         "cooldown", "fire_command", "waypoint", "strafe_dir", "strafe_timer",
-        "last_attacker", "last_attack_self", "pit_dead",
-        "alert_pos", "alert_timer",
+        "death", "alert_pos", "alert_timer",
     )
 
     def __init__(self, agent_id: int) -> None:
@@ -359,9 +362,8 @@ class AgentState:
         self.waypoint: tuple[float, float] | None = None
         self.strafe_dir = 1.0
         self.strafe_timer = 0.0
-        self.last_attacker = -1
-        self.last_attack_self = False
-        self.pit_dead = False
+        # How the agent died this tick, until the death loop emits it.
+        self.death: KillEvent | SuicideEvent | None = None
         self.alert_pos: tuple[float, float] | None = None
         self.alert_timer = 0.0
 
@@ -794,8 +796,6 @@ class World:
                 continue
             amount = min(amount, victim.health)
             victim.health -= amount
-            victim.last_attacker = attacker
-            victim.last_attack_self = self_inflicted
             damage_events.append(
                 DamageEvent(t, attacker, victim_id, amount, weapon, self_inflicted)
             )
@@ -808,31 +808,28 @@ class World:
                     victim.alert_timer = 4.0
             if victim.health <= 0.0:
                 victim.alive = False
+                victim.death = (
+                    SuicideEvent(t, victim_id, "self-splash") if self_inflicted
+                    else KillEvent(t, attacker, victim_id)
+                )
 
-        # Deaths, in agent order, the bot first: its own death ends its kill
-        # streak before its kills of this tick count.
+        # Deaths recorded this tick, in agent order, the bot first: its own
+        # death ends its kill streak before its kills of this tick count.
         for agent in self.agents:
-            if agent.alive:
+            death = agent.death
+            if death is None:
                 continue
-            if agent.pit_dead:
-                death_events.append(SuicideEvent(t, agent.id, "pit"))
-            elif agent.health <= 0.0 and agent.respawn_timer == 0.0:
-                if agent.last_attack_self:
-                    death_events.append(SuicideEvent(t, agent.id, "self-splash"))
-                else:
-                    death_events.append(KillEvent(t, agent.last_attacker, agent.id))
-                    if agent.last_attacker == RL_AGENT_ID:
-                        game = self.game
-                        game.kills += 1
-                        game.kill_streak += 1
-                        game.max_kill_streak = max(game.max_kill_streak, game.kill_streak)
-            else:
-                continue  # already dead, waiting to respawn
-            agent.pit_dead = False
+            agent.death = None
+            death_events.append(death)
+            if isinstance(death, KillEvent) and death.killer == RL_AGENT_ID:
+                game = self.game
+                game.kills += 1
+                game.kill_streak += 1
+                game.max_kill_streak = max(game.max_kill_streak, game.kill_streak)
             agent.respawn_timer = self.physics.respawn_delay_s
             agent.fire_command = None
             if agent.id == RL_AGENT_ID:
-                self._finalize_life(death_events[-1])
+                self._finalize_life(death)
 
         self._pickups(near, dt, pickup_events)
 
@@ -844,10 +841,10 @@ class World:
             duration_s=(self.tick_count - self.life_start_tick) * self.dt, cause=cause,
         )
 
-    def _finalize_life(self, death_event: Event) -> None:
+    def _finalize_life(self, death: KillEvent | SuicideEvent) -> None:
         game = self.game
-        if isinstance(death_event, SuicideEvent):
-            cause = f"suicide-{death_event.cause}"
+        if isinstance(death, SuicideEvent):
+            cause = f"suicide-{death.cause}"
             game.suicides += 1
         else:
             cause = "killed"
@@ -878,7 +875,7 @@ class World:
             if agent.jump_t < 0.0:
                 for px, py, r_sq in entry[0]:
                     if (agent.x - px) ** 2 + (agent.y - py) ** 2 <= r_sq:
-                        agent.pit_dead = True
+                        agent.death = SuicideEvent(self.tick_count, agent.id, "pit")
                         agent.alive = False
                         break
         return near
@@ -956,16 +953,14 @@ class World:
                     self.armory[weapon_name],
                 )
                 agent.fire_command = FireCommand(weapon_name, aim, target.id)
-                if self.rng.random() < self.behavior.jump_prob_per_s * dt * self.physics.decision_every:
-                    self._start_jump(agent)
+                jump = self.behavior.jump_prob_per_s * dt * self.physics.decision_every
+                if self.rng.random() < jump and agent.jump_t < 0.0:
+                    agent.jump_t = 0.0
 
         # Movement: close to fighting range, strafe there, patrol otherwise.
         if target is not None:
             ux, uy = unit_towards(agent, target, dist)
-            if dist > self.behavior.engage_range:
-                self._approach(agent, ux, uy, dist, dt, 1.0, self.behavior.engage_range * 0.35)
-            else:
-                self._combat_strafe(agent, ux, uy, dt, 1.0)
+            self._approach(agent, ux, uy, dist, dt, 1.0, self.behavior.engage_range)
             agent.yaw = geo.turn_towards(
                 agent.yaw, bearing, self.physics.rl_turn_rate_deg_s * dt
             )
@@ -978,7 +973,7 @@ class World:
         seen = self.nearest_visible(agent, profile.fov_deg)
         if seen is None:
             agent.fire_command = None
-            if agent.alert_timer > 0.0 and agent.alert_pos is not None:
+            if agent.alert_timer > 0.0:
                 # Taking fire from outside the view cone: turn and close in.
                 agent.alert_timer -= dt
                 bearing = geo.bearing_deg((agent.x, agent.y), agent.alert_pos)
@@ -1016,7 +1011,7 @@ class World:
             self._dodge_projectiles(agent)
         if profile.combat_jump_prob_s > 0.0 and agent.jump_t < 0.0:
             if self.rng.random() < profile.combat_jump_prob_s * dt:
-                self._start_jump(agent)
+                agent.jump_t = 0.0
 
         # abs(normalize_angle(bearing - yaw)), with its fast path inlined.
         a = bearing - agent.yaw + 180.0
@@ -1028,9 +1023,7 @@ class World:
 
     def _patrol(self, agent: AgentState, speed_fraction: float) -> None:
         wp = agent.waypoint
-        if wp is None or math.hypot(wp[0] - agent.x, wp[1] - agent.y) < (
-            self.behavior.waypoint_radius
-        ):
+        if math.hypot(wp[0] - agent.x, wp[1] - agent.y) < self.behavior.waypoint_radius:
             agent.waypoint = wp = self.rng.choice(self.waypoints)
         dx, dy = wp[0] - agent.x, wp[1] - agent.y
         ux, uy = self._veer_around_pits(agent, *geo.normalize2((dx, dy)))
@@ -1110,12 +1103,8 @@ class World:
             agent.vx = -py * side * speed
             agent.vy = px * side * speed
             if agent.jump_t < 0.0:
-                self._start_jump(agent)
+                agent.jump_t = 0.0
             break
-
-    def _start_jump(self, agent: AgentState) -> None:
-        if agent.jump_t < 0.0:
-            agent.jump_t = 0.0
 
     # -- physics -----------------------------------------------------------
 
@@ -1302,9 +1291,6 @@ class World:
         survivors: list[Projectile] = []
         for proj in self.projectiles:
             weapon = self.armory[proj.weapon]
-            step = weapon.projectile_speed * dt
-            end = (proj.x + proj.vx * dt, proj.y + proj.vy * dt, proj.z + proj.vz * dt)
-
             # Direct hit on an agent (shooter excluded: self harm is splash only).
             direction = (proj.vx * dt, proj.vy * dt, proj.vz * dt)
             best_t = math.inf
@@ -1325,28 +1311,26 @@ class World:
                 if t is not None and t <= 1.0 and t < wall_t:
                     wall_t = t
 
-            if victim is not None and best_t <= wall_t:
-                point = (
-                    proj.x + direction[0] * best_t,
-                    proj.y + direction[1] * best_t,
-                    proj.z + direction[2] * best_t,
-                )
-                self._detonate(proj, weapon, point, victim, damage_records)
-                continue
-            if wall_t < math.inf:
-                point = (
-                    proj.x + direction[0] * wall_t,
-                    proj.y + direction[1] * wall_t,
-                    proj.z + direction[2] * wall_t,
-                )
-                self._detonate(proj, weapon, point, None, damage_records)
-                continue
-            proj.remaining -= step
-            if proj.remaining <= 0.0 or end[2] < 0.0:
-                self._detonate(proj, weapon, end, None, damage_records)
-                continue
-            proj.x, proj.y, proj.z = end
-            survivors.append(proj)
+            # The rocket stops at the first agent or wall on this step's path,
+            # the agent winning a tie; with neither, at the step's end once its
+            # travel runs out or it reaches the floor.
+            t = min(best_t, wall_t)
+            if t == math.inf:
+                t = 1.0
+                proj.remaining -= weapon.projectile_speed * dt
+                if not (proj.remaining <= 0.0 or proj.z + direction[2] < 0.0):
+                    proj.x += direction[0]
+                    proj.y += direction[1]
+                    proj.z += direction[2]
+                    survivors.append(proj)
+                    continue
+            point = (
+                proj.x + direction[0] * t,
+                proj.y + direction[1] * t,
+                proj.z + direction[2] * t,
+            )
+            direct = victim if best_t <= wall_t else None
+            self._detonate(proj, weapon, point, direct, damage_records)
         self.projectiles = survivors
 
     def _detonate(

@@ -90,9 +90,17 @@ def cmd_train(args) -> int:
             out_dir=out_dir, snapshot_every=harness.snapshot_every,
             record_events=args.events,
         )
-        result = run_campaign(sim, settings)
-        if not args.no_plots:
-            render_campaign_plots(result.games, out_dir)
+        try:
+            result = run_campaign(sim, settings)
+            if not args.no_plots:
+                render_campaign_plots(result.games, out_dir)
+        except OSError as exc:  # --out is a file, or not writable
+            print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
+        except ValueError as exc:  # a game with too many ticks to count
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         summary = summarize_level(result.lives, result.games)
         summaries.append(summary)
         print(f"level {level}: {harness.games} games -> {out_dir}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -85,6 +86,13 @@ def run_campaign(
     tset: QTableSet | None = None,
 ) -> CampaignResult:
     """Play `settings.games` games at one opponent level, learning throughout."""
+    ticks = settings.minutes * 60 * sim.physics.tick_hz
+    if ticks == math.inf:
+        raise ValueError(
+            f"a game of {settings.minutes:g} minutes at {sim.physics.tick_hz} Hz "
+            "has too many ticks to count"
+        )
+    ticks_per_game = round(ticks)
     out = Path(settings.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(settings.seed)
@@ -92,7 +100,6 @@ def run_campaign(
     controller = RlShooterController(tset, sim.armory, sim.priority, rng)
     result = CampaignResult(settings=settings, tset=tset)
     weapon_names = list(sim.armory)
-    ticks_per_game = round(settings.minutes * 60 * sim.physics.tick_hz)
 
     lives_path = out / "lives.csv"
     games_path = out / "games.csv"
@@ -228,12 +235,22 @@ def _row(record, weapon_names=()) -> list[str]:
 _PARSERS = {"str": str, "int": int, "float": float}
 
 
+def _rows(reader, path: Path | str):
+    """The rows of `reader`, with a csv.Error (a field longer than
+    csv.field_size_limit(), say) raised as a ValueError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def _load(path: Path | str, cls) -> list:
     records = []
     with Path(path).open(newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        for cells in reader:
+        rows = _rows(reader, path)
+        header = next(rows, [])
+        for cells in rows:
             if not cells:
                 continue  # blank lines hold no record
             if len(cells) != len(header):

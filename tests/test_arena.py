@@ -2,7 +2,7 @@ import hashlib
 import math
 import random
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from sarsa_arena.arena import (
     KillEvent,
     MAX_ARENA_SIZE,
     PICKUP_RADIUS,
+    PhysicsParams,
     PickupEvent,
     PickupSpot,
     Pit,
@@ -81,6 +82,32 @@ class TestDeterminism:
         assert logs[0] != logs[1]
 
 
+def tick_checking_deaths(world):
+    """Tick `world` once and check each death against the tick's damage
+    events: nobody dies twice, a kill goes to the attacker of the victim's
+    last damage and that damage was not self-inflicted, a self-splash
+    suicide's last damage was, and a pit suicide took no damage.  No death
+    record outlives the tick.  Returns the causes of the tick's deaths."""
+    events = world.tick()
+    last_damage = {e.victim: e for e in events if isinstance(e, DamageEvent)}
+    deaths = [e for e in events if isinstance(e, (KillEvent, SuicideEvent))]
+    assert len({e.victim for e in deaths}) == len(deaths)
+    causes = set()
+    for death in deaths:
+        damage = last_damage.get(death.victim)
+        if isinstance(death, KillEvent):
+            assert (damage.attacker, damage.self_inflicted) == (death.killer, False)
+            causes.add("killed")
+            continue
+        if death.cause == "self-splash":
+            assert damage.self_inflicted
+        else:
+            assert death.cause == "pit" and damage is None
+        causes.add(death.cause)
+    assert all(agent.death is None for agent in world.agents)
+    return causes
+
+
 class TestAccounting:
     def test_rl_deaths_match_lives_counter_and_events(self):
         world, ctrl, tset = make_world(seed=5, level=5)
@@ -125,6 +152,16 @@ class TestAccounting:
             game.kill_streak, game.max_kill_streak,
         ) == (kills, deaths_by_others, suicides, streak, max_streak)
         assert kills > 0 and deaths_by_others > 0
+
+    # Every one of these games has kills and pit suicides.  The bot's rockets
+    # kill it in none of them; TestShooting plays out that case.
+    @pytest.mark.parametrize("level,seed", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)])
+    def test_each_death_is_recorded_once_with_its_cause(self, level, seed):
+        world, _, _ = make_world(seed=seed, level=level)
+        causes = set()
+        for _ in range(GAME_TICKS * 3):
+            causes |= tick_checking_deaths(world)
+        assert causes == {"killed", "pit"}
 
     def test_spawn_resets_every_slot_it_does_not_set(self):
         world, _, _ = make_world(seed=1)
@@ -341,10 +378,12 @@ class TestShooting:
         bot = world.agents[RL_AGENT_ID]
         bot.health = 5.0
         world._launch_projectile(bot, world.armory["rocket_launcher"], (1010.0, 1000.0, 0.0))
+        causes = set()
         for _ in range(5):
-            world.tick()
+            causes |= tick_checking_deaths(world)
             if world.completed_life is not None:
                 break
+        assert causes == {"self-splash"}
         # The death_cause that lives.csv records for this life.
         assert world.completed_life.cause == "suicide-self-splash"
         assert (world.game.suicides, world.game.deaths_by_others) == (1, 0)
@@ -549,6 +588,14 @@ class TestArenaValidation:
     def test_physics_rates_below_one_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             replace(default_config().physics, **{field: 0})
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in fields(PhysicsParams) if f.type == "float"
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_physics_floats_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(default_config().physics, **{field: value})
 
     @pytest.mark.parametrize("field", [
         "dodge_radius", "waypoint_radius", "pit_avoid_margin",
@@ -766,7 +813,7 @@ def full_scan_pits(world):
         if agent.alive and agent.jump_t < 0.0:
             for px, py, r_sq in pit_discs:
                 if (agent.x - px) ** 2 + (agent.y - py) ** 2 <= r_sq:
-                    agent.pit_dead = True
+                    agent.death = SuicideEvent(world.tick_count, agent.id, "pit")
                     agent.alive = False
                     break
 
@@ -831,7 +878,7 @@ def standing_points(draw, arena):
 
 
 def outcome_of(world, events):
-    agents = [(a.alive, a.pit_dead, sorted(a.inventory.items())) for a in world.agents]
+    agents = [(a.alive, a.death, sorted(a.inventory.items())) for a in world.agents]
     timers = [struct.pack("<d", pickup.timer) for pickup, *_ in world.pickups]
     stats = (world.game.weapons_collected, world.game.ammo_collected)
     return agents, timers, stats, [format_event(e) for e in events]

@@ -90,6 +90,12 @@ class TestTrain:
         ("harness", "minutes", "nan"),
         ("harness", "minutes", "-1"),
         ("harness", "snapshot_every", "-1"),
+        # Once a traceback from the encoder, or a run gone quietly wrong.
+        ("physics", "base_speed", "nan"),
+        ("physics", "base_speed", "inf"),
+        ("physics", "jump_height_uu", "nan"),
+        ("physics", "rl_turn_rate_deg_s", "nan"),
+        ("physics", "eye_height", "inf"),
     ])
     def test_out_of_range_value_is_config_error(self, section, key, value, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[{section}]\n{key} = {value}\n") == 1
@@ -132,6 +138,8 @@ class TestTrain:
         (["--minutes", "-1"], "minutes must be finite and > 0"),
         (["--minutes", "inf"], "minutes must be finite and > 0"),
         (["--snapshot-every", "-1"], "snapshot_every must be >= 0"),
+        # Once an OverflowError traceback: 1e308 minutes of ticks is inf.
+        (["--minutes", "1e308"], "a game of 1e+308 minutes at 30 Hz has too many ticks"),
     ])
     def test_campaign_flag_out_of_range_is_error(self, flags, message, tmp_path, capsys):
         out = tmp_path / "out"
@@ -139,6 +147,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
         assert not out.exists()
+
+    def test_out_naming_a_file_is_error(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("not a directory\n")
+        assert main([
+            "train", "--level", "1", "--games", "1", "--minutes", "0.05",
+            "--out", str(out), "--no-plots",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'level1'}: Not a directory")
+        assert "Traceback" not in err
 
 
 def tree_digest(root: Path) -> str:
@@ -199,6 +218,9 @@ class TestReport:
          f"games.csv: line 2 has {GAMES_COLUMNS + 1} cells, the header {GAMES_COLUMNS}"),
         ("lives.csv", lambda rows: [rows[0], rows[1] + ["0"]],
          "lives.csv: line 2 has 10 cells, the header 9"),
+        # A cell longer than csv.field_size_limit(); once a csv.Error traceback.
+        ("lives.csv", lambda rows: [rows[0], ["x" * 131073] + rows[1][1:]],
+         "lives.csv: line 2: field larger than field limit (131072)"),
     ])
     def test_report_on_unreadable_campaign_data_is_error(
         self, name, edit, message, trained, tmp_path, capsys

@@ -174,6 +174,12 @@ class TestSettingsRanges:
             run_campaign(CFG, settings(out, **{key: value}))
         assert not out.exists()
 
+    def test_game_too_long_to_count_raises_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="too many ticks to count"):
+            run_campaign(CFG, settings(out, minutes=1e308))
+        assert not out.exists()
+
 
 class TestReport:
     def test_summary_totals(self, campaign):
@@ -190,6 +196,15 @@ class TestReport:
         result, _ = campaign
         text = format_report([summarize_level(result.lives, result.games)])
         assert "level" in text and "\n" in text
+
+    def test_oversize_cell_names_the_file_and_line(self, campaign, tmp_path):
+        _, out = campaign
+        rows = (out / "lives.csv").read_text(encoding="ascii").splitlines()
+        rows[2] = "x" * 131073 + rows[2][rows[2].index(","):]
+        path = tmp_path / "lives.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="ascii")
+        with pytest.raises(ValueError, match=f"{path}: line 3: field larger than field limit"):
+            load_lives_csv(path)
 
     def test_summary_rejects_empty(self):
         with pytest.raises(ValueError):
