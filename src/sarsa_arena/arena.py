@@ -118,6 +118,10 @@ class Arena:
         # grown by one cell.  A negative radius would also kill like a
         # positive one but steer agents with a negative margin.
         cell = self.size / INDEX_CELLS
+        # World.line_of_sight's test for vertical walls relies on this too.
+        for wall in self.walls:
+            if not all(map(math.isfinite, (wall.x1, wall.y1, wall.x2, wall.y2))):
+                raise ValueError(f"walls: {wall} needs finite coordinates")
         for pit in self.pits:
             if not _placeable(pit.x, pit.y, pit.radius, cell):
                 raise ValueError(
@@ -266,6 +270,10 @@ class BehaviorParams:
                 f"strafe_flip_min_s ({self.strafe_flip_min_s}) must not exceed "
                 f"strafe_flip_max_s ({self.strafe_flip_max_s})"
             )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +380,7 @@ class AgentState:
         return (self.x, self.y)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FireCommand:
     weapon: str
     aim: tuple[float, float, float] | None  # None: locked on the target
@@ -592,15 +600,24 @@ class World:
         self.segments = arena.blocking_segments
         # Agents are clamped to [CYLINDER_RADIUS, walk_max] on both axes.
         self.walk_max = arena.size - CYLINDER_RADIUS
-        # Interior walls as (x1, y1, x2, y2, x2 - x1, y2 - y1), for line_of_sight.
-        self.walls = tuple(
-            (w.x1, w.y1, w.x2, w.y2, w.x2 - w.x1, w.y2 - w.y1) for w in arena.walls
-        )
+        # Interior walls as (x1, y1, x2, y2, x2 - x1, y2 - y1, vertical), for
+        # line_of_sight, which proves its test for the vertical ones.
+        walls = []
+        for w in arena.walls:
+            ex, ey = w.x2 - w.x1, w.y2 - w.y1
+            walls.append((w.x1, w.y1, w.x2, w.y2, ex, ey,
+                          ex == 0.0 and 1.0 <= abs(ey) < math.inf))
+        self.walls = tuple(walls)
+        # The most the opponents and the bot turn in one tick.
+        self.scripted_turn = profile.turn_rate_deg_s * self.dt
+        self.rl_turn = physics.rl_turn_rate_deg_s * self.dt
         self.waypoints = tuple(
             [(p.x, p.y) for p in arena.pickups] + list(arena.spawn_points)
         )
 
         self.agents = [AgentState(i) for i in range(n_opponents + 1)]
+        # Each agent's lock-on command, shared by every opponent firing at it.
+        self.lock_on = tuple(FireCommand(ASSAULT_RIFLE, None, a.id) for a in self.agents)
         self.projectiles: list[Projectile] = []
         # Values the per-tick loops read, computed once: pickups as
         # (state, x, y, is_weapon), the arena's proximity index and pit
@@ -664,9 +681,20 @@ class World:
         boundary can never block them, so only the interior walls are tested.
         The sign tests are segments_intersect's, with the same floating-point
         expressions; only its collinear and touching cases are handed to it.
+
+        For a vertical wall (ex == 0.0, 1.0 <= |ey| < inf) the first sign test
+        reads x1 != wx1 and x2 != wx1 and (x1 < wx1) == (x2 < wx1).  Proof:
+        walls are finite (Arena) and |y1| is at most MAX_ARENA_SIZE, so
+        y1 - wy1 is finite and ex * (y1 - wy1) is ±0.0.  If x1 == wx1,
+        ey * (x1 - wx1) is ±0.0 too, so d1 == 0.  Otherwise |x1 - wx1| >=
+        2**-1074 and |ey| >= 1, so ey * (x1 - wx1) is non-zero (perhaps
+        infinite), d1 is exactly its negation, and d1 > 0 exactly when x1 is
+        on the side of wx1 given by the sign of ey.  Likewise d2.
         """
         dx, dy = x2 - x1, y2 - y1
-        for wx1, wy1, wx2, wy2, ex, ey in self.walls:
+        for wx1, wy1, wx2, wy2, ex, ey, vertical in self.walls:
+            if vertical and x1 != wx1 and x2 != wx1 and (x1 < wx1) == (x2 < wx1):
+                continue  # both ends strictly on one side of the wall's line
             d1 = ex * (y1 - wy1) - ey * (x1 - wx1)
             d2 = ex * (y2 - wy1) - ey * (x2 - wx1)
             if (d1 > 0) == (d2 > 0) and d1 != 0 and d2 != 0:
@@ -694,15 +722,18 @@ class World:
         best_bearing = bearing = None
         ax, ay, yaw = agent.x, agent.y, agent.yaw
         for other in self.agents:
-            if other.id == agent.id or not other.alive:
+            if other is agent or not other.alive:
                 continue
             ox, oy = other.x, other.y
             d = math.hypot(ox - ax, oy - ay)
             if d >= best_d:
                 continue
             if fov_deg < 180.0:
-                # abs(normalize_angle(bearing - yaw)), with its fast path inlined.
-                bearing = geo.bearing_deg((ax, ay), (ox, oy))
+                # geo.bearing_deg((ax, ay), (ox, oy)), then
+                # abs(normalize_angle(bearing - yaw)), fast paths inlined.
+                bearing = math.degrees(math.atan2(oy - ay, ox - ax))
+                a = bearing + 180.0
+                bearing = a - 180.0 if 0.0 <= a < 360.0 else geo.normalize_angle(bearing)
                 a = bearing - yaw + 180.0
                 off = a - 180.0 if 0.0 <= a < 360.0 else geo.normalize_angle(bearing - yaw)
                 if abs(off) > fov_deg:
@@ -743,10 +774,9 @@ class World:
         self.tick_count += 1
         t = self.tick_count
 
-        damage_events: list[DamageEvent] = []
-        death_events: list[Event] = []
+        # This tick's events, in the order damage, deaths, spawns, pickups.
+        events: list[Event] = []
         spawn_events: list[SpawnEvent] = []
-        pickup_events: list[PickupEvent] = []
 
         # Respawns.
         for agent in self.agents:
@@ -787,7 +817,8 @@ class World:
             self._discharge(agent, cmd, damage_records)
 
         # Projectiles.
-        self._advance_projectiles(dt, damage_records)
+        if self.projectiles:
+            self._advance_projectiles(dt, damage_records)
 
         # Apply damage.
         for attacker, victim_id, amount, weapon, self_inflicted in damage_records:
@@ -796,7 +827,7 @@ class World:
                 continue
             amount = min(amount, victim.health)
             victim.health -= amount
-            damage_events.append(
+            events.append(
                 DamageEvent(t, attacker, victim_id, amount, weapon, self_inflicted)
             )
             if attacker == RL_AGENT_ID and not self_inflicted:
@@ -820,7 +851,7 @@ class World:
             if death is None:
                 continue
             agent.death = None
-            death_events.append(death)
+            events.append(death)
             if isinstance(death, KillEvent) and death.killer == RL_AGENT_ID:
                 game = self.game
                 game.kills += 1
@@ -831,9 +862,9 @@ class World:
             if agent.id == RL_AGENT_ID:
                 self._finalize_life(death)
 
-        self._pickups(near, dt, pickup_events)
-
-        return [*damage_events, *death_events, *spawn_events, *pickup_events]
+        events += spawn_events
+        self._pickups(near, dt, events)
+        return events
 
     def _life_stats(self, reward: float, cause: str) -> LifeStats:
         return replace(
@@ -880,7 +911,7 @@ class World:
                         break
         return near
 
-    def _pickups(self, near: list, dt: float, events: list[PickupEvent]) -> None:
+    def _pickups(self, near: list, dt: float, events: list[Event]) -> None:
         """Count down the spots' timers and hand out the available ones: for
         each, in arena order, the first living agent in agent order within
         PICKUP_RADIUS collects it.  Weapon spots serve only the learning bot.
@@ -908,7 +939,7 @@ class World:
                     break
 
     def _collect(
-        self, agent: AgentState, pickup: PickupState, events: list[PickupEvent]
+        self, agent: AgentState, pickup: PickupState, events: list[Event]
     ) -> None:
         spot = pickup.spot
         if spot.kind == "weapon":
@@ -959,11 +990,13 @@ class World:
 
         # Movement: close to fighting range, strafe there, patrol otherwise.
         if target is not None:
-            ux, uy = unit_towards(agent, target, dist)
+            # unit_towards(agent, target, dist), inlined.
+            if dist == 0.0:
+                ux, uy = 1.0, 0.0
+            else:
+                ux, uy = (target.x - agent.x) / dist, (target.y - agent.y) / dist
             self._approach(agent, ux, uy, dist, dt, 1.0, self.behavior.engage_range)
-            agent.yaw = geo.turn_towards(
-                agent.yaw, bearing, self.physics.rl_turn_rate_deg_s * dt
-            )
+            agent.yaw = geo.turn_towards(agent.yaw, bearing, self.rl_turn)
         else:
             agent.fire_command = None
             self._patrol(agent, 1.0)
@@ -977,9 +1010,7 @@ class World:
                 # Taking fire from outside the view cone: turn and close in.
                 agent.alert_timer -= dt
                 bearing = geo.bearing_deg((agent.x, agent.y), agent.alert_pos)
-                agent.yaw = geo.turn_towards(
-                    agent.yaw, bearing, profile.turn_rate_deg_s * dt
-                )
+                agent.yaw = geo.turn_towards(agent.yaw, bearing, self.scripted_turn)
                 ux, uy = geo.normalize2(
                     (agent.alert_pos[0] - agent.x, agent.alert_pos[1] - agent.y)
                 )
@@ -992,9 +1023,7 @@ class World:
         agent.alert_timer = 0.0
 
         target, dist, bearing = seen
-        agent.yaw = geo.turn_towards(
-            agent.yaw, bearing, profile.turn_rate_deg_s * dt
-        )
+        agent.yaw = geo.turn_towards(agent.yaw, bearing, self.scripted_turn)
 
         # Movement while engaged.
         if profile.closes_distance:
@@ -1007,7 +1036,7 @@ class World:
         else:
             agent.vx = agent.vy = 0.0  # static during combat
 
-        if profile.dodges:
+        if profile.dodges and self.projectiles:
             self._dodge_projectiles(agent)
         if profile.combat_jump_prob_s > 0.0 and agent.jump_t < 0.0:
             if self.rng.random() < profile.combat_jump_prob_s * dt:
@@ -1017,7 +1046,7 @@ class World:
         a = bearing - agent.yaw + 180.0
         off = a - 180.0 if 0.0 <= a < 360.0 else geo.normalize_angle(bearing - agent.yaw)
         if abs(off) <= self.behavior.fire_align_tolerance_deg:
-            agent.fire_command = FireCommand(ASSAULT_RIFLE, None, target.id)
+            agent.fire_command = self.lock_on[target.id]
         else:
             agent.fire_command = None
 
@@ -1081,7 +1110,10 @@ class World:
             # Advance with a diagonal strafe component.
             side = self._strafe_dir(agent, dt)
             sx, sy = -uy * side, ux * side
-            mx, my = geo.normalize2((ux + 0.6 * sx, uy + 0.6 * sy))
+            # geo.normalize2((ux + 0.6 * sx, uy + 0.6 * sy)), inlined.
+            mx, my = ux + 0.6 * sx, uy + 0.6 * sy
+            n = math.hypot(mx, my)
+            mx, my = (1.0, 0.0) if n == 0.0 else (mx / n, my / n)
             mx, my = self._veer_around_pits(agent, mx, my)
             agent.vx = mx * speed
             agent.vy = my * speed
@@ -1150,7 +1182,8 @@ class World:
 
     def _ray(self, agent: AgentState, aim_point):
         """(muzzle, unit direction, length) of the line from the agent's eye
-        to `aim_point`, or None when the two coincide."""
+        to `aim_point`, or None when the two coincide.  _hitscan inlines it:
+        keep the two alike."""
         ox, oy, oz = agent.x, agent.y, agent.z + self.physics.eye_height
         dx = aim_point[0] - ox
         dy = aim_point[1] - oy
@@ -1160,11 +1193,11 @@ class World:
             return None
         return (ox, oy, oz), (dx / norm, dy / norm, dz / norm), norm
 
-    def _aim_point(
+    def _lock_on_point(
         self, agent: AgentState, cmd: FireCommand
     ) -> tuple[float, float, float] | None:
-        if cmd.aim is not None:
-            return cmd.aim
+        """Where a lock-on command (cmd.aim is None) aims, or None when its
+        target is dead."""
         target = self.agents[cmd.target_id]
         if not target.alive:
             return None
@@ -1182,9 +1215,11 @@ class World:
         damage_records: list,
     ) -> None:
         weapon = self.armory[cmd.weapon]
-        aim_point = self._aim_point(agent, cmd)
+        aim_point = cmd.aim
         if aim_point is None:
-            return
+            aim_point = self._lock_on_point(agent, cmd)
+            if aim_point is None:
+                return
         if cmd.weapon != SHIELD_GUN:
             if agent.inventory.get(cmd.weapon, 0) <= 0:
                 return
@@ -1197,7 +1232,7 @@ class World:
 
         if weapon.melee_range > 0.0:
             hit = self._melee(agent, weapon, aim_point, damage_records)
-        elif weapon.is_hitscan:
+        elif weapon.projectile_speed == math.inf:  # weapon.is_hitscan
             hit = False
             for _ in range(weapon.pellets):
                 hit |= self._hitscan(agent, weapon, aim_point, damage_records)
@@ -1237,21 +1272,28 @@ class World:
         return True
 
     def _hitscan(self, agent, weapon: WeaponSpec, aim_point, damage_records) -> bool:
-        ray = self._ray(agent, aim_point)
-        if ray is None:
+        # self._ray(agent, aim_point), inlined.
+        ox, oy, oz = agent.x, agent.y, agent.z + self.physics.eye_height
+        dx = aim_point[0] - ox
+        dy = aim_point[1] - oy
+        dz = aim_point[2] - oz
+        norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if norm == 0.0:
             return False
-        origin, (dx, dy, dz), _ = ray
+        dx, dy, dz = dx / norm, dy / norm, dz / norm
 
         # Opponents miss by up to their profile's aim error, drawn even at 0;
         # the bot's shots scatter by the weapon's spread.
         is_rl = agent.id == RL_AGENT_ID
         spread = weapon.spread_deg if is_rl else self.profile.max_aim_error_deg
         if spread > 0.0 or not is_rl:
-            spread_yaw = math.radians(self.rng.uniform(-spread, spread))
+            # self.rng.uniform(-spread, spread), inlined as Random.uniform
+            # computes it: a + (b - a) * random().
+            spread_yaw = math.radians(-spread + (spread - -spread) * self.rng.random())
             c, s = math.cos(spread_yaw), math.sin(spread_yaw)
             dx, dy = dx * c - dy * s, dx * s + dy * c
 
-        direction = (dx, dy, dz)
+        origin, direction = (ox, oy, oz), (dx, dy, dz)
         best_t = math.inf
         victim = None
         for other in self.agents:
@@ -1267,7 +1309,7 @@ class World:
         if victim is None:
             return False
         for a, b in self.segments:
-            t_wall = geo.ray_segment_t((origin[0], origin[1]), (dx, dy), a, b)
+            t_wall = geo.ray_segment_t((ox, oy), (dx, dy), a, b)
             if t_wall is not None and t_wall < best_t:
                 return False
         damage_records.append(

@@ -127,6 +127,7 @@ def point_in_circle(p: Vec2, center: Vec2, radius: float) -> bool:
 
 def bearing_deg(from_pos: Vec2, to_pos: Vec2) -> float:
     """World-frame heading (degrees in [-180, 180)) from one point to another."""
+    # World.nearest_visible inlines this function: keep the two alike.
     angle = math.degrees(math.atan2(to_pos[1] - from_pos[1], to_pos[0] - from_pos[0]))
     a = angle + 180.0
     if 0.0 <= a < 360.0:
@@ -148,8 +149,16 @@ def normalize_angle(angle: float) -> float:
 
 
 def turn_towards(yaw: float, target_yaw: float, max_step: float) -> float:
-    """Rotate yaw toward target by at most max_step degrees."""
-    diff = normalize_angle(target_yaw - yaw)
+    """Rotate yaw toward target by at most max_step degrees.
+
+    Each of the three wraps is normalize_angle with its fast path inlined.
+    """
+    diff = target_yaw - yaw
+    a = diff + 180.0
+    diff = a - 180.0 if 0.0 <= a < 360.0 else normalize_angle(diff)
     if abs(diff) <= max_step:
-        return normalize_angle(target_yaw)
-    return normalize_angle(yaw + math.copysign(max_step, diff))
+        a = target_yaw + 180.0
+        return a - 180.0 if 0.0 <= a < 360.0 else normalize_angle(target_yaw)
+    turned = yaw + math.copysign(max_step, diff)
+    a = turned + 180.0
+    return a - 180.0 if 0.0 <= a < 360.0 else normalize_angle(turned)

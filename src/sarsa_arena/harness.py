@@ -133,8 +133,8 @@ def run_campaign(
             )
             for _ in range(ticks_per_game):
                 events = world.tick()
-                if events_file is not None:
-                    events_file.writelines(format_event(e) + "\n" for e in events)
+                if events and events_file is not None:
+                    events_file.write("".join([format_event(e) + "\n" for e in events]))
                 if world.completed_life is not None:
                     record_life(game, world.completed_life)
                     world.completed_life = None

@@ -13,6 +13,11 @@ Only nonzero q entries are written, states ascending and actions ascending
 within a state.  Each category appears once, and every q value is finite.
 Eligibility traces and visit counts are not persisted; restoring a snapshot
 starts a fresh life.
+
+A snapshot holds the policy only.  The periodic ones a campaign writes
+mid-game (`snap_<level>_<lives>.rlsq`) are taken between lives but lack the
+campaign's random stream and the game in progress, so training cannot
+resume from one exactly.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .encoder import DistanceBand
 from .learner import LearnerConfig, QTable, QTableSet
@@ -75,6 +75,14 @@ class WeaponSpec:
     melee_range: float = 0.0
 
     def __post_init__(self) -> None:
+        # A speed of inf means hitscan; 0 would leave a rocket in flight
+        # forever, and a negative one would fly it backwards.
+        if not self.projectile_speed > 0.0:
+            raise ValueError(f"projectile_speed must be > 0, got {self.projectile_speed}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and f.name != "projectile_speed" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.damage_per_hit <= 0:
             raise ValueError("damage_per_hit must be > 0")
         if self.fire_interval <= 0:
@@ -84,7 +92,7 @@ class WeaponSpec:
 
     @property
     def is_hitscan(self) -> bool:
-        return math.isinf(self.projectile_speed)
+        return self.projectile_speed == math.inf
 
 
 ASSAULT_RIFLE = "assault_rifle"

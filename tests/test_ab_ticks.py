@@ -20,6 +20,25 @@ def test_a_checkout_against_itself(capsys):
     ]
 
 
+def test_level5_unit_writes_events_as_train_l5_does(monkeypatch):
+    from sarsa_arena import harness
+    from sarsa_arena.config import default_config
+
+    logged = []
+    real_run_campaign = harness.run_campaign
+
+    def recording(sim, settings):
+        result = real_run_campaign(sim, settings)
+        log = Path(settings.out_dir) / "events.log"
+        logged.append((settings.record_events, log.stat().st_size))
+        return result
+
+    monkeypatch.setattr(harness, "run_campaign", recording)
+    assert ab_ticks._level5_game(default_config(), 1)
+    [(record_events, size)] = logged
+    assert record_events and size > 0
+
+
 class FakeSide:
     def __init__(self, name, lines, seconds, log):
         self.name, self.lines, self.seconds, self.log = name, lines, seconds, log

@@ -2,7 +2,7 @@ import hashlib
 import math
 import random
 import struct
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,9 @@ from sarsa_arena import geometry as geo
 from sarsa_arena.arena import (
     Arena,
     AgentState,
+    BehaviorParams,
     DamageEvent,
+    FireCommand,
     GreedyController,
     INDEX_CELLS,
     KillEvent,
@@ -227,6 +229,22 @@ class TestAccounting:
         assert shots > 50
 
 
+def test_scripted_fire_shares_one_frozen_lock_on_per_target():
+    world, _, _ = make_world(seed=3, level=5)
+    assert world.lock_on == tuple(FireCommand(ASSAULT_RIFLE, None, a.id) for a in world.agents)
+    fired = set()
+    for _ in range(GAME_TICKS):
+        world.tick()
+        for agent in world.agents[1:]:
+            cmd = agent.fire_command
+            if cmd is not None:
+                assert cmd is world.lock_on[cmd.target_id]
+                fired.add(cmd.target_id)
+    assert RL_AGENT_ID in fired
+    with pytest.raises(FrozenInstanceError):
+        world.lock_on[RL_AGENT_ID].target_id = 1
+
+
 def test_world_has_fewer_than_30_instance_attributes():
     # CPython 3.11 loads attributes more slowly from an instance with 30 or
     # more of them, past the size of a class's shared key table: timeit on
@@ -343,6 +361,47 @@ class TestShooting:
         world._hitscan(world.agents[0], replace(shock, spread_deg=1.0), aim, [])
         probe.random()
         assert world.rng.getstate() == probe.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spread=st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e308, math.inf, math.nan]), st.floats(0.0, 360.0),
+        ),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_inlined_uniform_draws_the_stream_of_random_uniform(self, spread, seed):
+        # _hitscan draws its spread as -s + (s - -s) * rng.random(), which is
+        # what rng.uniform(-s, s) computes.
+        inlined, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert same(-spread + (spread - -spread) * inlined.random(),
+                        reference.uniform(-spread, spread))
+        assert inlined.getstate() == reference.getstate()
+
+    class FixedDraw(random.Random):
+        """A stream whose every random() is `u`."""
+
+        def __init__(self, u):
+            super().__init__(0)
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    # A draw u turns the shot by -spread + 2 * spread * u: with a 90 degree
+    # spread, u = 0 hits the agent on the right, 0.5 the one aimed at and
+    # nearly 1 the one on the left.
+    @pytest.mark.parametrize("u,victim", [(0.0, 2), (0.5, 1), (1.0 - 2.0 ** -53, 3)])
+    def test_spread_turns_the_shot_as_random_uniform_would(self, u, victim):
+        world, _, _ = make_world(seed=1)
+        spots = [(1000.0, 1000.0), (1500.0, 1000.0), (1000.0, 500.0), (1000.0, 1500.0)]
+        for agent, (x, y) in zip(world.agents, spots):
+            agent.x, agent.y = x, y
+        world.rng = self.FixedDraw(u)
+        shock = replace(world.armory["shock_rifle"], spread_deg=90.0)
+        records = []
+        assert world._hitscan(world.agents[0], shock, (1500.0, 1000.0, 19.5), records)
+        assert [r[1] for r in records] == [victim]
 
     FAR = [(3600.0, 400.0), (400.0, 3600.0), (3600.0, 3600.0)]
 
@@ -606,6 +665,24 @@ class TestArenaValidation:
         with pytest.raises(ValueError, match=field):
             replace(default_config().behavior, **{field: value})
 
+    # Once a run gone quietly wrong: an infinite strafe period never ran
+    # out, and a nan jump probability never let the bot jump.
+    @pytest.mark.parametrize("field", [f.name for f in fields(BehaviorParams)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_behavior_floats_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(default_config().behavior, **{field: value})
+
+    # Once a wall that blocked nothing; World.line_of_sight relies on it.
+    @pytest.mark.parametrize("wall", [
+        Wall(1200.0, 1400.0, 1200.0, math.nan),
+        Wall(math.inf, 1400.0, 1200.0, 2600.0),
+        Wall(1200.0, -math.inf, 1200.0, 2600.0),
+    ])
+    def test_wall_must_be_finite(self, wall):
+        with pytest.raises(ValueError, match="walls: Wall"):
+            replace(default_config().arena, walls=(wall,))
+
     @pytest.mark.parametrize("lo,hi", [(1.6, 1.5), (math.nan, 1.5), (0.5, math.nan)])
     def test_strafe_flip_min_above_max_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="strafe_flip_min_s"):
@@ -649,7 +726,36 @@ def world_in(arena):
     return World(arena, cfg.armory, cfg.physics, cfg.behavior, cfg.profiles[1], ctrl, rng)
 
 
-WORLDS = {"default": world_in(default_config().arena), "diagonal": world_in(DIAGONAL_ARENA)}
+# Vertical walls running up and down, which line_of_sight tests by x alone,
+# and two it must test as general walls: one shorter than 1 and a point.
+VERTICAL_ARENA = Arena(
+    size=4000.0,
+    walls=(
+        Wall(1200, 1400, 1200, 2600),
+        Wall(2800, 2600, 2800, 1400),
+        Wall(2000, 3000, 2000, 3000.5),
+        Wall(3000, 500, 3000, 500),
+    ),
+    pits=(),
+    spawn_points=((100, 100), (3900, 100), (100, 3900), (3900, 3900)),
+    pickups=(),
+)
+WORLDS = {
+    "default": world_in(default_config().arena),
+    "diagonal": world_in(DIAGONAL_ARENA),
+    "vertical": world_in(VERTICAL_ARENA),
+}
+
+
+def critical_points(wall):
+    """Points on, next to and either side of a vertical wall's line, at and
+    around both of its ends and its middle."""
+    wx = wall.x1
+    xs = [wx - 150.0, math.nextafter(wx, 0.0), wx, math.nextafter(wx, math.inf), wx + 150.0]
+    lo, hi = sorted((wall.y1, wall.y2))
+    ys = [lo - 50.0, math.nextafter(lo, 0.0), lo, (lo + hi) / 2, hi,
+          math.nextafter(hi, math.inf), hi + 50.0]
+    return [(x, y) for x in xs for y in ys]
 
 
 @st.composite
@@ -695,6 +801,18 @@ class TestLineOfSight:
         p = data.draw(inside_points(world.arena), label="p")
         q = data.draw(inside_points(world.arena), label="q")
         assert_matches_reference(world, p, q)
+
+    def test_vertical_walls_are_told_apart(self):
+        assert [w[6] for w in WORLDS["vertical"].walls] == [True, True, False, False]
+        assert [w[6] for w in WORLDS["default"].walls] == [True, True]
+        assert [w[6] for w in WORLDS["diagonal"].walls] == [False, False, False]
+
+    @pytest.mark.parametrize("wall", VERTICAL_ARENA.walls[:2], ids=["up", "down"])
+    def test_vertical_wall_on_its_line_and_at_its_ends(self, wall):
+        points = critical_points(wall)
+        for i, p in enumerate(points):
+            for q in points[i:]:
+                assert_matches_reference(WORLDS["vertical"], p, q)
 
     def test_crossing_reported_outside_the_bounding_box(self):
         # segments_intersect reports this crossing, one ulp past the wall's

@@ -96,6 +96,16 @@ class TestTrain:
         ("physics", "jump_height_uu", "nan"),
         ("physics", "rl_turn_rate_deg_s", "nan"),
         ("physics", "eye_height", "inf"),
+        # Once a run gone quietly wrong: a strafe side that never flips, a bot
+        # that never jumps, a rocket that never lands or that flies backwards.
+        ("behavior", "strafe_flip_min_s", "-inf"),
+        ("behavior", "strafe_flip_max_s", "inf"),
+        ("behavior", "jump_prob_per_s", "nan"),
+        ("weapon:rocket_launcher", "speed", "0"),
+        ("weapon:rocket_launcher", "speed", "-900"),
+        ("weapon:rocket_launcher", "speed", "nan"),
+        ("weapon:shock_rifle", "aim_skew", "inf"),
+        ("weapon:link_gun", "damage", "inf"),
     ])
     def test_out_of_range_value_is_config_error(self, section, key, value, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[{section}]\n{key} = {value}\n") == 1
@@ -108,6 +118,12 @@ class TestTrain:
         ("pits = 2000 2000 nan", "pits: Pit(x=2000.0, y=2000.0, radius=nan)"),
         ("pits = inf 2000 200", "pits: Pit(x=inf, y=2000.0, radius=200.0)"),
         ("ammo_pickups = 800 nan", "pickups: PickupSpot(kind='ammo', weapon=None, x=800.0, y=nan)"),
+        # Once a wall that blocked nothing: no sight, movement, ray or splash.
+        (
+            "walls = 1200 1400 1200 nan; 2800 1400 2800 2600",
+            "walls: Wall(x1=1200.0, y1=1400.0, x2=1200.0, y2=nan) needs finite coordinates",
+        ),
+        ("walls = 1200 1400 inf 2600", "walls: Wall(x1=1200.0, y1=1400.0, x2=inf, y2=2600.0)"),
         # Once an OverflowError traceback from the spawn-in-pit test.
         (
             "size = 1e200\nspawns = 1e199 1e199; 9e199 1e199; 1e199 9e199; 9e199 9e199\n"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -147,6 +148,15 @@ def normalize_angle_fmod(angle):
     return angle - 180.0
 
 
+def turn_towards_three_wraps(yaw, target_yaw, max_step):
+    """turn_towards as three calls of normalize_angle: the reference its
+    inlined wraps must equal."""
+    diff = geo.normalize_angle(target_yaw - yaw)
+    if abs(diff) <= max_step:
+        return geo.normalize_angle(target_yaw)
+    return geo.normalize_angle(yaw + math.copysign(max_step, diff))
+
+
 def outcome(fn, *args):
     """The float `fn` returns, bit for bit (NaN as one value), or the
     exception type it raises (math.fmod raises ValueError for infinities)."""
@@ -191,6 +201,25 @@ class TestAngleFastPaths:
     def test_bearing_is_bitwise_the_fmod_form(self, p, q):
         angle = math.degrees(math.atan2(q[1] - p[1], q[0] - p[0]))
         assert outcome(geo.bearing_deg, p, q) == outcome(normalize_angle_fmod, angle)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(yaw=angles, target=angles, step=st.one_of(
+        st.sampled_from([0.0, 3.5, 180.0, 360.0, math.inf, math.nan]), st.floats(0.0, 400.0),
+    ))
+    def test_turn_towards_is_bitwise_the_three_wrap_form(self, yaw, target, step):
+        assert outcome(geo.turn_towards, yaw, target, step) == outcome(
+            turn_towards_three_wraps, yaw, target, step
+        )
+
+    def test_turn_towards_at_the_edges(self):
+        # Every edge angle as yaw and as target, with a step that turns and
+        # one that reaches: +-180, infinities and nan included.
+        for yaw, target, step in itertools.product(
+            EDGE_ANGLES, EDGE_ANGLES, [3.5, 360.0, math.inf, math.nan]
+        ):
+            assert outcome(geo.turn_towards, yaw, target, step) == outcome(
+                turn_towards_three_wraps, yaw, target, step
+            ), (yaw, target, step)
 
     @pytest.mark.parametrize("q", [(-5.0, 0.0), (-5.0, -0.0), (0.0, -5.0), (5.0, 0.0)])
     def test_bearing_on_the_wrap_line(self, q):

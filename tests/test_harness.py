@@ -1,4 +1,5 @@
 import filecmp
+import io
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,28 @@ class TestEventsLog:
         assert lines
         kinds = {line.split()[1] for line in lines}
         assert "damage" in kinds and "spawn" in kinds
+
+    def test_log_has_the_bytes_of_a_writelines_per_tick(self, tmp_path, monkeypatch):
+        # The reference is the log as written before one write per tick with
+        # events: writelines of each tick's formatted events, every tick.
+        expected = io.BytesIO()
+        real_tick = harness.World.tick
+        ticks = empty = 0
+
+        def recording_tick(world):
+            nonlocal ticks, empty
+            events = real_tick(world)
+            ticks += 1
+            empty += not events
+            expected.writelines(
+                (harness.format_event(e) + "\n").encode("ascii") for e in events
+            )
+            return events
+
+        monkeypatch.setattr(harness.World, "tick", recording_tick)
+        run_campaign(CFG, settings(tmp_path, level=5, games=2, record_events=True))
+        assert (tmp_path / "events.log").read_bytes() == expected.getvalue()
+        assert 0 < empty < ticks  # both kinds of tick were written
 
     def test_log_closed_when_a_game_raises(self, tmp_path, monkeypatch):
         opened = []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -169,3 +170,22 @@ class TestArmory:
             WeaponSpec("bad", WeaponCategory.OTHER, 5, 0)
         with pytest.raises(ValueError):
             WeaponSpec("bad", WeaponCategory.OTHER, 5, 0.5, splash_radius=-1)
+
+    # A speed of 0 left rockets in flight forever, a negative one flew them
+    # backwards; inf is hitscan.
+    @pytest.mark.parametrize("speed", [0.0, -0.0, -900.0, -math.inf, math.nan])
+    def test_projectile_speed_must_be_above_zero(self, speed):
+        with pytest.raises(ValueError, match="projectile_speed must be > 0"):
+            spec_for(WeaponCategory.PROJECTILE, projectile_speed=speed)
+
+    def test_infinite_speed_is_hitscan(self):
+        assert spec_for(WeaponCategory.INSTANT_HIT).is_hitscan
+        assert not spec_for(WeaponCategory.PROJECTILE, projectile_speed=1e308).is_hitscan
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in fields(WeaponSpec) if f.type == "float" and f.name != "projectile_speed"
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_other_floats_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(spec_for(WeaponCategory.OTHER), **{field: value})

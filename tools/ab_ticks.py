@@ -7,7 +7,8 @@ Starts one warm worker process per checkout, each importing ``sarsa_arena``
 from its checkout's ``src/``, and hands both the same small units of work:
 single ``frozen-eval`` lives (one seed of ``harness.evaluate_policy``: a
 stored level-1 policy played greedily or at random in a fresh World, capped
-at 900 ticks) and single one-minute level-5 games (a one-game campaign).
+at 900 ticks) and single one-minute level-5 games (a one-game campaign
+that writes its events.log, as the benchmark's train-l5 workload does).
 Each unit runs on both sides back to back, the side that goes first
 alternating from unit to unit (ABBA), so that the host's drift, which moves
 in phases of seconds to minutes, meets both sides alike.  Both sides must report identical lives
@@ -51,7 +52,7 @@ def _level5_game(sim, seed: int) -> list[str]:
     with tempfile.TemporaryDirectory() as out:
         result = harness.run_campaign(sim, harness.CampaignSettings(
             level=5, games=1, minutes=1.0, seed=seed, out_dir=Path(out),
-            snapshot_every=0,
+            snapshot_every=0, record_events=True,
         ))
     return [repr(life) for life in result.lives]
 
