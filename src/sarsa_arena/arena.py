@@ -16,9 +16,11 @@ from functools import cached_property
 from . import geometry as geo
 from .encoder import CombatObservation, discretize_distance, encode
 from .learner import (
+    QTable,
     QTableSet,
     begin_life,
     epsilon_for_lives,
+    greedy_action,
     sarsa_update,
     select_action,
     terminal_update,
@@ -28,7 +30,6 @@ from .weapons import (
     MID_Z,
     PriorityTables,
     SHIELD_GUN,
-    ShootAction,
     WeaponSpec,
     actions_for,
     resolve_aim,
@@ -193,6 +194,14 @@ class Arena:
         return cell, {key: (tuple(p), tuple(q)) for key, (p, q) in index.items()}
 
 
+def _check_finite(params) -> None:
+    """Reject a float field of the dataclass `params` that is not finite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class OpponentProfile:
     level: int
@@ -211,6 +220,7 @@ class OpponentProfile:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -231,14 +241,15 @@ class PhysicsParams:
     aim_lag_s: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        _check_finite(self)
         if self.tick_hz < 1:
             raise ValueError(f"tick_hz must be >= 1, got {self.tick_hz}")
         if self.decision_every < 1:
             raise ValueError(f"decision_every must be >= 1, got {self.decision_every}")
+        for name in ("spawn_assault_ammo", "weapon_pickup_ammo", "ammo_pickup_amount"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def dt(self) -> float:
@@ -270,10 +281,7 @@ class BehaviorParams:
                 f"strafe_flip_min_s ({self.strafe_flip_min_s}) must not exceed "
                 f"strafe_flip_max_s ({self.strafe_flip_max_s})"
             )
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        _check_finite(self)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +450,8 @@ class RlShooterController:
 
     With `learns = False` it plays a frozen policy: the same reward
     bookkeeping, but no writes to the tables, their traces or visit counts.
+    `decide` is the one decision body; the frozen variants override only
+    `_choose`, which picks the action for a state.
     """
 
     learns = True
@@ -494,32 +504,28 @@ class RlShooterController:
                 # Credit does not flow across weapon categories.
                 begin_life(ptable)
 
-    def _observe(self, agent: AgentState, obs_distance: float, make_obs) -> tuple:
-        """(weapon name, category, state) for a decision at this distance.
+    def _choose(self, table: QTable, state: int) -> int:
+        """The action for `state`: epsilon-greedy under the schedule."""
+        eps = epsilon_for_lives(self.tset.cfg.schedule, self.tset.lives)
+        return select_action(table, state, eps, self.rng)[0]
 
-        `make_obs` builds the CombatObservation once the weapon (and its
-        instant-hit flag) is known.
-        """
-        band = discretize_distance(obs_distance)
-        weapon_name = select_weapon(agent.inventory, band, self.priority)
+    def decide(self, agent: AgentState, target: AgentState, dist: float) -> FireCommand:
+        """One shooting decision against `target`, visible at distance `dist`
+        (as nearest_visible measured it): pick the weapon, encode the state,
+        choose an action, close the previous interval and open one for the
+        chosen pair.  Returns the bot's command."""
+        weapon_name = select_weapon(agent.inventory, discretize_distance(dist), self.priority)
         weapon = self.armory[weapon_name]
-        obs: CombatObservation = make_obs(weapon.instant_hit)
-        return weapon_name, weapon.category, encode(obs)
-
-    def _commit(self, weapon_name: str, category, state: int, action_idx: int):
-        """Close the previous interval and open one for the chosen action."""
+        category = weapon.category
+        state = encode(observation(agent, target, dist, weapon.instant_hit))
+        action_idx = self._choose(self.tset.tables[category], state)
         self._close_interval((category, state, action_idx))
         self._open_interval((category, state, action_idx))
-        return weapon_name, actions_for(category)[action_idx]
-
-    def decide(
-        self, agent: AgentState, obs_distance: float, make_obs
-    ) -> tuple[str, ShootAction]:
-        """One epsilon-greedy shooting decision against a visible opponent."""
-        weapon_name, category, state = self._observe(agent, obs_distance, make_obs)
-        eps = epsilon_for_lives(self.tset.cfg.schedule, self.tset.lives)
-        action_idx, _ = select_action(self.tset.tables[category], state, eps, self.rng)
-        return self._commit(weapon_name, category, state, action_idx)
+        aim = resolve_aim(
+            actions_for(category)[action_idx], (agent.x, agent.y),
+            (target.x, target.y, target.z), weapon,
+        )
+        return FireCommand(weapon_name, aim, target.id)
 
     def on_shot(self) -> None:
         self.interval_shots += 1
@@ -547,21 +553,21 @@ class GreedyController(RlShooterController):
     """Frozen-policy variant: always greedy, never updates the tables."""
 
     learns = False
+    # Bound in each class body rather than inherited, so that a wrapper of a
+    # class's own `decide` counts that class's decisions, and only once.
+    decide = RlShooterController.decide
 
-    def decide(self, agent, obs_distance, make_obs):
-        weapon_name, category, state = self._observe(agent, obs_distance, make_obs)
-        values = self.tset.tables[category].row(state)
-        best = max(values)
-        action_idx = self.rng.choice([a for a, v in enumerate(values) if v == best])
-        return self._commit(weapon_name, category, state, action_idx)
+    def _choose(self, table: QTable, state: int) -> int:
+        return greedy_action(table, state, self.rng)
 
 
 class RandomController(GreedyController):
     """Uniform-random-action baseline; never updates the tables."""
 
-    def decide(self, agent, obs_distance, make_obs):
-        weapon_name, category, state = self._observe(agent, obs_distance, make_obs)
-        return self._commit(weapon_name, category, state, self.rng.randrange(5))
+    decide = RlShooterController.decide
+
+    def _choose(self, table: QTable, state: int) -> int:
+        return self.rng.randrange(5)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +580,27 @@ def unit_towards(agent: AgentState, target: AgentState, dist: float) -> tuple[fl
     if dist == 0.0:
         return (1.0, 0.0)
     return ((target.x - agent.x) / dist, (target.y - agent.y) / dist)
+
+
+def observation(
+    agent: AgentState, target: AgentState, dist: float, instant_hit: bool
+) -> CombatObservation:
+    """What the bot perceives of `target` at distance `dist` (math.hypot of
+    the offset from agent to target), with relative velocity in the
+    engagement frame."""
+    ux, uy = unit_towards(agent, target, dist)
+    rvx = target.vx - agent.vx
+    rvy = target.vy - agent.vy
+    facing = geo.normalize_angle(
+        target.yaw - geo.bearing_deg((target.x, target.y), (agent.x, agent.y))
+    )
+    return CombatObservation(
+        distance=dist,
+        rel_velocity=(rvx * ux + rvy * uy, ux * rvy - uy * rvx),
+        opponent_jumping=target.jump_t >= 0.0,
+        facing_angle=facing,
+        weapon_instant_hit=instant_hit,
+    )
 
 
 class World:
@@ -747,25 +774,6 @@ class World:
         if best_bearing is None:
             best_bearing = geo.bearing_deg((ax, ay), (best.x, best.y))
         return best, best_d, best_bearing
-
-    def observation_for(
-        self, agent: AgentState, target: AgentState, instant_hit: bool
-    ) -> CombatObservation:
-        ux, uy = geo.normalize2((target.x - agent.x, target.y - agent.y))
-        rvx = target.vx - agent.vx
-        rvy = target.vy - agent.vy
-        radial = rvx * ux + rvy * uy
-        tangential = ux * rvy - uy * rvx
-        facing = geo.normalize_angle(
-            target.yaw - geo.bearing_deg((target.x, target.y), (agent.x, agent.y))
-        )
-        return CombatObservation(
-            distance=math.hypot(target.x - agent.x, target.y - agent.y),
-            rel_velocity=(radial, tangential),
-            opponent_jumping=target.jump_t >= 0.0,
-            facing_angle=facing,
-            weapon_instant_hit=instant_hit,
-        )
 
     # -- tick --------------------------------------------------------------
 
@@ -969,24 +977,12 @@ class World:
         seen = self.nearest_visible(agent, self.physics.rl_fov_deg)
         target, dist, bearing = seen or (None, 0.0, 0.0)
 
-        if decision_tick:
-            if target is None:
-                agent.fire_command = None
-            else:
-                weapon_name, action = self.controller.decide(
-                    agent,
-                    dist,
-                    lambda instant: self.observation_for(agent, target, instant),
-                )
-                agent.current_weapon = weapon_name
-                aim = resolve_aim(
-                    action, (agent.x, agent.y), (target.x, target.y, target.z),
-                    self.armory[weapon_name],
-                )
-                agent.fire_command = FireCommand(weapon_name, aim, target.id)
-                jump = self.behavior.jump_prob_per_s * dt * self.physics.decision_every
-                if self.rng.random() < jump and agent.jump_t < 0.0:
-                    agent.jump_t = 0.0
+        if decision_tick and target is not None:
+            agent.fire_command = command = self.controller.decide(agent, target, dist)
+            agent.current_weapon = command.weapon
+            jump = self.behavior.jump_prob_per_s * dt * self.physics.decision_every
+            if self.rng.random() < jump and agent.jump_t < 0.0:
+                agent.jump_t = 0.0
 
         # Movement: close to fighting range, strafe there, patrol otherwise.
         if target is not None:

@@ -108,22 +108,13 @@ def discretize_speed(vx: float, vy: float) -> SpeedBand:
     return SpeedBand.FAST if math.hypot(vx, vy) > FAST_MIN_UU_PER_S else SpeedBand.REGULAR
 
 
-def classify_direction(
-    rel_velocity: tuple[float, float], radial_axis: tuple[float, float]
-) -> DirectionClass:
-    """Split relative velocity into radial and tangential motion classes.
-
-    `radial_axis` is the unit vector from the bot to the opponent; motion
-    along it is Away, against it Towards.  The tangential sign follows the
-    bot's view: positive cross(axis, v) is Right.
-    """
-    vx, vy = rel_velocity
-    ux, uy = radial_axis
-    if not all(math.isfinite(c) for c in (vx, vy, ux, uy)):
+def classify_direction(rel_velocity: tuple[float, float]) -> DirectionClass:
+    """Classify relative velocity in the engagement frame of
+    CombatObservation: +x (away from the bot) is Away, -x Towards, and +y
+    (the bot's-view right) is Right."""
+    radial, tangential = rel_velocity
+    if not (math.isfinite(radial) and math.isfinite(tangential)):
         raise ValueError("direction inputs must be finite")
-
-    radial = vx * ux + vy * uy
-    tangential = ux * vy - uy * vx
 
     if abs(radial) < DIRECTION_DEAD_ZONE:
         r = RadialMotion.NONE
@@ -176,7 +167,7 @@ def encode(obs: CombatObservation) -> int:
         discretize_distance(obs.distance),
         discretize_speed(vx, vy),
         obs.opponent_jumping,
-        classify_direction(obs.rel_velocity, (1.0, 0.0)),
+        classify_direction(obs.rel_velocity),
         discretize_rotation(obs.facing_angle),
         obs.weapon_instant_hit,
     )

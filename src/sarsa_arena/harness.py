@@ -61,7 +61,7 @@ class CampaignSettings:
     minutes: float
     seed: int
     out_dir: Path
-    snapshot_every: int = 50
+    snapshot_every: int
     record_events: bool = False
 
     def __post_init__(self) -> None:
@@ -146,12 +146,9 @@ def run_campaign(
                             out / f"snap_{settings.level}_{tset.lives}.rlsq",
                         )
 
-            rl_agent = world.agents[RL_AGENT_ID]
-            if rl_agent.alive:
+            # A bot dead at the whistle has had its death recorded already.
+            if world.agents[RL_AGENT_ID].alive:
                 record_life(game, world.finalize_truncated_life())
-            else:
-                # Dead at the whistle: the death was already recorded.
-                controller.on_game_end()
 
             stats = asdict(world.game)
             del stats["kill_streak"]  # a running count, not a game total

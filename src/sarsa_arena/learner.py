@@ -107,15 +107,23 @@ class QTable:
             raise ValueError(f"action {action} outside [0, {N_ACTIONS})")
 
 
+def greedy_action(table: QTable, state: int, rng: random.Random) -> int:
+    """An argmax action over the state's 5 Q-values, ties broken uniformly
+    at random."""
+    values = table.row(state)
+    best = max(values)
+    return rng.choice([a for a, v in enumerate(values) if v == best])
+
+
 def select_action(
     table: QTable, state: int, epsilon: float, rng: random.Random
 ) -> tuple[int, bool]:
     """Epsilon-greedy selection with a preference for never-tried actions.
 
-    Greedy picks an argmax action over the state's 5 Q-values, breaking ties
-    uniformly at random.  The exploratory branch picks uniformly among actions
-    never visited in this state, falling back to all 5 once every action has
-    been tried.  The chosen pair's visit count is incremented.
+    Greedy is :func:`greedy_action`.  The exploratory branch picks uniformly
+    among actions never visited in this state, falling back to all 5 once
+    every action has been tried.  The chosen pair's visit count is
+    incremented.
     """
     table._check_pair(state, 0)
     if not 0.0 <= epsilon <= 1.0:
@@ -127,9 +135,7 @@ def select_action(
         pool = unseen if unseen else list(range(N_ACTIONS))
         action = rng.choice(pool)
     else:
-        values = table.row(state)
-        best = max(values)
-        action = rng.choice([a for a, v in enumerate(values) if v == best])
+        action = greedy_action(table, state, rng)
 
     key = (state, action)
     table.visit_counts[key] = table.visit_counts.get(key, 0) + 1

@@ -89,6 +89,8 @@ class WeaponSpec:
             raise ValueError("fire_interval must be > 0")
         if self.splash_radius < 0:
             raise ValueError("splash_radius must be >= 0")
+        if self.pellets < 1:
+            raise ValueError(f"pellets must be >= 1, got {self.pellets}")
 
     @property
     def is_hitscan(self) -> bool:

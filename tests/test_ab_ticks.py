@@ -20,6 +20,16 @@ def test_a_checkout_against_itself(capsys):
     ]
 
 
+# Once a run that compared nothing, printed nothing and exited 0.
+@pytest.mark.parametrize("flag", ["--lives", "--games"])
+def test_negative_count_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab_ticks.main(["--base", str(ROOT), "--change", str(ROOT), flag, "-3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {flag} must be >= 0, got -3" in err
+
+
 def test_level5_unit_writes_events_as_train_l5_does(monkeypatch):
     from sarsa_arena import harness
     from sarsa_arena.config import default_config

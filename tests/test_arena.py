@@ -19,6 +19,7 @@ from sarsa_arena.arena import (
     INDEX_CELLS,
     KillEvent,
     MAX_ARENA_SIZE,
+    OpponentProfile,
     PICKUP_RADIUS,
     PhysicsParams,
     PickupEvent,
@@ -501,41 +502,51 @@ def make_controller():
     ctrl = RlShooterController(tset, cfg.armory, cfg.priority, random.Random(0))
     agent = AgentState(0)
     agent.inventory = {ASSAULT_RIFLE: 1000}
+    agent.x, agent.y = 1000.0, 1000.0
     return ctrl, tset, agent
+
+
+def still_target(agent, dist=800.0):
+    """A still opponent `dist` uu east of the agent at yaw -170, so that at
+    800 uu it encodes, with an instant-hit weapon, to OBS's STATE."""
+    target = AgentState(1)
+    target.x, target.y, target.yaw = agent.x + dist, agent.y, -170.0
+    return target, dist
 
 
 class TestLearningPlumbing:
     def test_damage_reward_updates_q(self):
         ctrl, tset, agent = make_controller()
-        ctrl.decide(agent, 800.0, lambda instant: OBS)
+        command = ctrl.decide(agent, *still_target(agent))
         cat, s, a = ctrl.pending
         assert cat is WeaponCategory.MACHINE_GUN and s == STATE
+        assert (command.weapon, command.target_id) == (ASSAULT_RIFLE, 1)
         ctrl.on_shot()
         ctrl.on_damage_dealt(14.0)
-        ctrl.decide(agent, 800.0, lambda instant: OBS)
+        ctrl.decide(agent, *still_target(agent))
         # Fresh table: delta = 14 + gamma*0 - 0, so Q(s,a) = alpha * 14.
         assert tset.tables[cat].value(s, a) == pytest.approx(0.7 * 14.0)
         assert ctrl.life_reward == pytest.approx(14.0)
 
     def test_zero_damage_shot_costs_one(self):
         ctrl, tset, agent = make_controller()
-        ctrl.decide(agent, 800.0, lambda instant: OBS)
+        ctrl.decide(agent, *still_target(agent))
         cat, s, a = ctrl.pending
         ctrl.on_shot()
-        ctrl.decide(agent, 800.0, lambda instant: OBS)
+        ctrl.decide(agent, *still_target(agent))
         assert tset.tables[cat].value(s, a) == pytest.approx(-0.7)
         assert ctrl.life_reward == pytest.approx(-1.0)
 
     def test_silent_interval_leaves_q_untouched(self):
         ctrl, tset, agent = make_controller()
-        ctrl.decide(agent, 800.0, lambda instant: OBS)
-        ctrl.decide(agent, 800.0, lambda instant: OBS)  # no shot fired between
+        ctrl.decide(agent, *still_target(agent))
+        ctrl.decide(agent, *still_target(agent))  # no shot fired between
         assert all(not t.q for t in tset.tables.values())
         assert ctrl.life_reward == 0.0
 
     def test_death_triggers_terminal_update_and_life_bookkeeping(self):
         ctrl, tset, agent = make_controller()
-        ctrl.decide(agent, 800.0, lambda instant: OBS)
+        ctrl.decide(agent, *still_target(agent))
         cat, s, a = ctrl.pending
         ctrl.on_shot()
         ctrl.on_damage_dealt(30.0)
@@ -549,11 +560,11 @@ class TestLearningPlumbing:
     def test_cross_category_switch_resets_traces(self):
         ctrl, tset, agent = make_controller()
         agent.inventory["flak_cannon"] = 50
-        ctrl.decide(agent, 800.0, lambda instant: OBS)  # medium: machine gun
+        ctrl.decide(agent, *still_target(agent))  # medium: machine gun
         mg_cat, s, a = ctrl.pending
         ctrl.on_shot()
         ctrl.on_damage_dealt(10.0)
-        ctrl.decide(agent, 300.0, lambda instant: OBS)  # close: flak cannon
+        ctrl.decide(agent, *still_target(agent, 300.0))  # close: flak cannon
         new_cat, _, _ = ctrl.pending
         assert mg_cat is WeaponCategory.MACHINE_GUN
         assert new_cat is WeaponCategory.CLOSE_RANGE
@@ -693,6 +704,27 @@ class TestArenaValidation:
     def test_profile_angles_and_speed_must_be_finite_and_non_negative(self, field, value):
         with pytest.raises(ValueError, match=field):
             replace(default_config().profiles[1], **{field: value})
+
+    # Once a run gone quietly wrong: with a nan aim error or an infinite aim
+    # lag the opponents never hit the bot.
+    @pytest.mark.parametrize("field", [
+        f.name for f in fields(OpponentProfile) if f.type == "float"
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_profile_floats_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(default_config().profiles[1], **{field: value})
+
+    # Once a run gone quietly wrong: the bot spawned with no ammo, or an
+    # ammo pickup took ammo away.
+    @pytest.mark.parametrize("field", [
+        "spawn_assault_ammo", "weapon_pickup_ammo", "ammo_pickup_amount",
+    ])
+    def test_physics_ammo_counts_must_not_be_negative(self, field):
+        physics = default_config().physics
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -5"):
+            replace(physics, **{field: -5})
+        assert getattr(replace(physics, **{field: 0}), field) == 0
 
     def test_default_arena_is_valid(self):
         arena = default_config().arena

@@ -106,6 +106,14 @@ class TestTrain:
         ("weapon:rocket_launcher", "speed", "nan"),
         ("weapon:shock_rifle", "aim_skew", "inf"),
         ("weapon:link_gun", "damage", "inf"),
+        # Once a run gone quietly wrong: opponents that never hit, a rifle
+        # that casts no ray, a bot that spawns without ammo.
+        ("opponent:1", "max_aim_error_deg", "nan"),
+        ("opponent:1", "aim_lag_s", "inf"),
+        ("weapon:assault_rifle", "pellets", "0"),
+        ("physics", "spawn_assault_ammo", "-5"),
+        ("physics", "weapon_pickup_ammo", "-1"),
+        ("physics", "ammo_pickup_amount", "-1"),
     ])
     def test_out_of_range_value_is_config_error(self, section, key, value, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[{section}]\n{key} = {value}\n") == 1

@@ -5,7 +5,6 @@ import pytest
 
 from sarsa_arena.arena import World
 from sarsa_arena.config import ConfigError, default_config, load_config
-from sarsa_arena.harness import CampaignSettings
 from sarsa_arena.learner import LearnerConfig
 from sarsa_arena.weapons import WeaponCategory, WeaponSpec
 
@@ -33,10 +32,6 @@ def test_load_config_without_overrides_equals_default_config():
 def test_world_opponents_default_matches_harness_opponents():
     n_opponents = inspect.signature(World).parameters["n_opponents"].default
     assert n_opponents == default_config().harness.opponents
-
-
-def test_campaign_snapshot_every_default_matches_harness():
-    assert CampaignSettings.snapshot_every == default_config().harness.snapshot_every
 
 
 def test_learner_config_defaults_match_learner_and_schedule_sections():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sarsa_arena.arena import AgentState, observation
 from sarsa_arena.encoder import (
     CombatObservation,
     DirectionClass,
@@ -80,16 +81,16 @@ class TestSpeed:
 
 class TestDirection:
     def test_stationary(self):
-        d = classify_direction((0.0, 0.0), (1.0, 0.0))
+        d = classify_direction((0.0, 0.0))
         assert d == DirectionClass(RadialMotion.NONE, TangentialMotion.NONE)
 
     def test_pure_approach(self):
-        d = classify_direction((-300.0, 0.0), (1.0, 0.0))
+        d = classify_direction((-300.0, 0.0))
         assert d == DirectionClass(RadialMotion.TOWARDS, TangentialMotion.NONE)
 
     def test_dead_zone_mixed(self):
         # Radial -40 is inside the 50 UU/s dead zone, tangential +200 is not.
-        d = classify_direction((-40.0, 200.0), (1.0, 0.0))
+        d = classify_direction((-40.0, 200.0))
         assert d == DirectionClass(RadialMotion.NONE, TangentialMotion.RIGHT)
 
     def test_negation_swaps_classes(self):
@@ -106,16 +107,19 @@ class TestDirection:
         }
         for _ in range(300):
             v = (rng.uniform(-900, 900), rng.uniform(-900, 900))
-            theta = rng.uniform(0, 2 * math.pi)
-            axis = (math.cos(theta), math.sin(theta))
-            d = classify_direction(v, axis)
-            neg = classify_direction((-v[0], -v[1]), axis)
+            d = classify_direction(v)
+            neg = classify_direction((-v[0], -v[1]))
             assert neg == DirectionClass(swap_r[d.radial], swap_t[d.tangential])
 
     def test_axis_relative(self):
-        # Moving along the axis away from the bot is Away regardless of frame.
-        d = classify_direction((0.0, 300.0), (0.0, 1.0))
-        assert d.radial == RadialMotion.AWAY
+        # Moving away from the bot is Away whichever world axis joins them:
+        # the observation projects onto the engagement frame.
+        bot, opponent = AgentState(0), AgentState(1)
+        bot.x, bot.y = 1000.0, 1000.0
+        opponent.x, opponent.y, opponent.vy = 1000.0, 1600.0, 300.0
+        obs = observation(bot, opponent, 600.0, instant_hit=True)
+        d = classify_direction(obs.rel_velocity)
+        assert d == DirectionClass(RadialMotion.AWAY, TangentialMotion.NONE)
 
 
 class TestRotation:

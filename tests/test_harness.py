@@ -184,6 +184,32 @@ class TestOpponents:
             load_config(cfg_file)
 
 
+class TestWhistle:
+    # Seeds whose first level-5 game of 0.5 min ends with the bot dead.
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_a_bot_dead_at_the_whistle_leaves_the_controller_idle(
+        self, seed, tmp_path, monkeypatch
+    ):
+        worlds = []
+        real_init = harness.World.__init__
+
+        def recording_init(world, *args, **kwargs):
+            real_init(world, *args, **kwargs)
+            worlds.append(world)
+
+        monkeypatch.setattr(harness.World, "__init__", recording_init)
+        result = run_campaign(
+            CFG, settings(tmp_path, level=5, games=1, minutes=0.5, seed=seed)
+        )
+        assert not worlds[0].agents[RL_AGENT_ID].alive
+        assert result.lives[-1].death_cause != "game-end"
+        # on_death left nothing for the end of the game to drop.
+        controller = worlds[0].controller
+        assert controller.pending is None and controller.interval_shots == 0
+        assert controller.life_reward == 0.0
+        assert all(not t.traces for t in result.tset.tables.values())
+
+
 class TestSettingsRanges:
     @pytest.mark.parametrize("key,value,message", [
         ("games", 0, "games must be >= 1"),

@@ -59,3 +59,26 @@ def test_install_then_uninstall_restores_every_original():
         tracer.uninstall()
     assert all(wrapped[t] is not originals[t] for t in TARGETS)
     assert all(resolve(*t) is originals[t] for t in TARGETS)
+
+
+def test_each_controller_counts_its_own_decisions():
+    # The frozen controllers share RlShooterController's decide body but
+    # bind it in their own class bodies, so the tracer counts each class's
+    # decisions once, under its own name.
+    from sarsa_arena.arena import GreedyController, RandomController
+    from sarsa_arena.config import default_config
+    from sarsa_arena.harness import evaluate_policy
+    from sarsa_arena.weapons import new_table_set
+
+    sim = default_config()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for controller_cls in (GreedyController, RandomController):
+            evaluate_policy(sim, new_table_set(sim.learner), controller_cls, [1, 2])
+    finally:
+        tracer.uninstall()
+    calls = {name: stats.calls for name, stats in tracer.stats.items()}
+    assert calls["arena.GreedyController.decide"] == calls["learner.QTable.row"] > 0
+    assert calls["arena.RandomController.decide"] > 0
+    assert calls["arena.RlShooterController.decide"] == 0

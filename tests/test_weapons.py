@@ -178,6 +178,13 @@ class TestArmory:
         with pytest.raises(ValueError, match="projectile_speed must be > 0"):
             spec_for(WeaponCategory.PROJECTILE, projectile_speed=speed)
 
+    # Once a run gone quietly wrong: an assault rifle of 0 pellets spent
+    # ammo and counted misses but cast no ray.
+    @pytest.mark.parametrize("pellets", [0, -1])
+    def test_pellets_must_be_at_least_one(self, pellets):
+        with pytest.raises(ValueError, match=f"pellets must be >= 1, got {pellets}"):
+            replace(spec_for(WeaponCategory.INSTANT_HIT), pellets=pellets)
+
     def test_infinite_speed_is_hitscan(self):
         assert spec_for(WeaponCategory.INSTANT_HIT).is_hitscan
         assert not spec_for(WeaponCategory.PROJECTILE, projectile_speed=1e308).is_hitscan

@@ -163,6 +163,9 @@ def parse_args(argv):
     args = parser.parse_args(argv)
     if args.worker is None and (args.base is None or args.change is None):
         parser.error("--base and --change are required")
+    for flag, count in (("--lives", args.lives), ("--games", args.games)):
+        if count < 0:
+            parser.error(f"{flag} must be >= 0, got {count}")
     return args
 
 
