@@ -26,12 +26,12 @@ from .learner import (
     terminal_update,
 )
 from .weapons import (
+    ACTION_LABELS,
     ASSAULT_RIFLE,
     MID_Z,
     PriorityTables,
     SHIELD_GUN,
     WeaponSpec,
-    actions_for,
     resolve_aim,
     reward_for,
     select_weapon,
@@ -246,7 +246,10 @@ class PhysicsParams:
             raise ValueError(f"tick_hz must be >= 1, got {self.tick_hz}")
         if self.decision_every < 1:
             raise ValueError(f"decision_every must be >= 1, got {self.decision_every}")
-        for name in ("spawn_assault_ammo", "weapon_pickup_ammo", "ammo_pickup_amount"):
+        for name in (
+            "spawn_assault_ammo", "weapon_pickup_ammo", "ammo_pickup_amount",
+            "base_speed", "rl_fov_deg", "rl_turn_rate_deg_s",
+        ):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
@@ -522,7 +525,7 @@ class RlShooterController:
         self._close_interval((category, state, action_idx))
         self._open_interval((category, state, action_idx))
         aim = resolve_aim(
-            actions_for(category)[action_idx], (agent.x, agent.y),
+            ACTION_LABELS[category][action_idx], (agent.x, agent.y),
             (target.x, target.y, target.z), weapon,
         )
         return FireCommand(weapon_name, aim, target.id)

@@ -80,9 +80,7 @@ class LearnerConfig:
 class QTable:
     """Sparse state-action value, trace and visit store for one weapon category."""
 
-    def __init__(self, category: Any, n_states: int = N_STATES) -> None:
-        self.category = category
-        self.n_states = n_states
+    def __init__(self) -> None:
         self.q: dict[tuple[int, int], float] = {}
         self.traces: dict[tuple[int, int], float] = {}
         self.visit_counts: dict[tuple[int, int], int] = {}
@@ -101,8 +99,8 @@ class QTable:
         return [self.value(state, a) for a in range(N_ACTIONS)]
 
     def _check_pair(self, state: int, action: int) -> None:
-        if not 0 <= state < self.n_states:
-            raise ValueError(f"state {state} outside [0, {self.n_states})")
+        if not 0 <= state < N_STATES:
+            raise ValueError(f"state {state} outside [0, {N_STATES})")
         if not 0 <= action < N_ACTIONS:
             raise ValueError(f"action {action} outside [0, {N_ACTIONS})")
 

@@ -67,7 +67,7 @@ def restore(text: str) -> QTableSet:
     cfg = _parse_params(lines, 2)
 
     by_name = {cat.value: cat for cat in WeaponCategory}
-    tables = {cat: QTable(cat) for cat in CATEGORY_ORDER}
+    tables = {cat: QTable() for cat in CATEGORY_ORDER}
     current: QTable | None = None
     seen: set[str] = set()
     for lineno, line in enumerate(lines[3:], start=4):

@@ -39,22 +39,23 @@ MID_Z = 19.5
 LEGS_Z = 4.0
 
 
-@dataclass(frozen=True)
-class ShootAction:
-    category: WeaponCategory
-    index: int
-    label: str
-
-
-_ACTIONS: dict[WeaponCategory, tuple[ShootAction, ...]] = {
-    category: tuple(ShootAction(category, i, label) for i, label in enumerate(labels))
-    for category, labels in ACTION_LABELS.items()
+# Where each aim label points, or None for a lock on the opponent: (height
+# above the opponent's feet, number of above_steps higher, signed multiple of
+# aim_skew toward the shooter's right).
+AIM_POINTS: dict[str, tuple[float, int, float] | None] = {
+    "Player": None,
+    "Head": (HEAD_Z, 0, 0.0),
+    "Mid": (MID_Z, 0, 0.0),
+    "Location": (MID_Z, 0, 0.0),
+    "Legs": (LEGS_Z, 0, 0.0),
+    "Above": (MID_Z, 1, 0.0),
+    "Above-2": (MID_Z, 2, 0.0),
+    "Above-3": (MID_Z, 3, 0.0),
+    "Left": (MID_Z, 0, -1.0),
+    "Left-2": (MID_Z, 0, -2.0),
+    "Right": (MID_Z, 0, 1.0),
+    "Right-2": (MID_Z, 0, 2.0),
 }
-
-
-def actions_for(category: WeaponCategory) -> tuple[ShootAction, ...]:
-    """The category's five aim actions in Q-table order."""
-    return _ACTIONS[category]
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,12 @@ class WeaponSpec:
             raise ValueError("damage_per_hit must be > 0")
         if self.fire_interval <= 0:
             raise ValueError("fire_interval must be > 0")
-        if self.splash_radius < 0:
-            raise ValueError("splash_radius must be >= 0")
+        # Below 0, the spread would drop the scatter, the melee range would
+        # fire as hitscan, and the skew would swap Left and Right.
+        for name in ("splash_radius", "spread_deg", "melee_range", "aim_skew"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.pellets < 1:
             raise ValueError(f"pellets must be >= 1, got {self.pellets}")
 
@@ -148,48 +153,31 @@ def reward_for(damage: float) -> float:
 
 
 def resolve_aim(
-    action: ShootAction,
+    label: str,
     shooter_pos: tuple[float, float],
     opponent_pos: tuple[float, float, float],
     weapon: WeaponSpec,
 ) -> tuple[float, float, float] | None:
-    """Turn an abstract aim action into a world-space target point, or None
-    for a lock on the opponent."""
-    if action.label == "Player":
+    """Turn an aim label into a world-space target point, or None for a lock
+    on the opponent."""
+    point = AIM_POINTS[label]
+    if point is None:
         return None
-
+    dz, steps, skew = point
     ox, oy, oz = opponent_pos
+    z = oz + dz + steps * weapon.above_step
+    if not skew:
+        return (ox, oy, z)
     dx = ox - shooter_pos[0]
     dy = oy - shooter_pos[1]
     norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        ux, uy = 1.0, 0.0
-    else:
-        ux, uy = dx / norm, dy / norm
-    # Shooter's-view right is the positive cross direction of the line of fire.
-    right = (-uy, ux)
-
-    label = action.label
-    if label == "Head":
-        return (ox, oy, oz + HEAD_Z)
-    if label in ("Mid", "Location"):
-        return (ox, oy, oz + MID_Z)
-    if label == "Legs":
-        return (ox, oy, oz + LEGS_Z)
-    if label.startswith("Above"):
-        steps = {"Above": 1, "Above-2": 2, "Above-3": 3}[label]
-        return (ox, oy, oz + MID_Z + steps * weapon.above_step)
-    if label.startswith(("Left", "Right")):
-        factor = 2.0 if label.endswith("-2") else 1.0
-        skew = factor * weapon.aim_skew
-        if label.startswith("Left"):
-            skew = -skew
-        return (ox + skew * right[0], oy + skew * right[1], oz + MID_Z)
-    raise ValueError(f"unknown aim action {label!r}")
+    ux, uy = (dx / norm, dy / norm) if norm else (1.0, 0.0)
+    # The shooter's right, (-uy, ux), is the positive cross direction.
+    skew *= weapon.aim_skew
+    return (ox + skew * -uy, oy + skew * ux, z)
 
 
-def new_table_set(cfg: LearnerConfig | None = None) -> QTableSet:
+def new_table_set(cfg: LearnerConfig) -> QTableSet:
     """Fresh all-zero Q-tables, one per weapon category."""
-    cfg = cfg or LearnerConfig()
-    tables = {cat: QTable(cat) for cat in CATEGORY_ORDER}
+    tables = {cat: QTable() for cat in CATEGORY_ORDER}
     return QTableSet(tables=tables, cfg=cfg, lives=0)

@@ -30,6 +30,15 @@ def test_negative_count_is_a_usage_error(flag, capsys):
     assert out == "" and f"error: {flag} must be >= 0, got -3" in err
 
 
+# Once a run that started both workers, compared nothing and exited 0.
+def test_no_units_at_all_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab_ticks.main(["--base", str(ROOT), "--change", str(ROOT), "--lives", "0", "--games", "0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: --lives and --games are both 0: nothing to compare" in err
+
+
 def test_level5_unit_writes_events_as_train_l5_does(monkeypatch):
     from sarsa_arena import harness
     from sarsa_arena.config import default_config

@@ -81,7 +81,7 @@ def test_criterion_1_sarsa_updates_match_reference_to_1e_12():
     rng = random.Random(2718)
     for alpha, gamma, lam in ((0.7, 0.5, 0.9), (0.31, 0.93, 0.41)):
         cfg = LearnerConfig(alpha=alpha, gamma=gamma, lam=lam)
-        table = QTable("x")
+        table = QTable()
         ref = ReferenceSarsa(alpha, gamma, lam)
         for step in range(100):
             s, a = rng.randrange(N_STATES), rng.randrange(5)
@@ -147,7 +147,7 @@ def test_criterion_4_schedule_boundaries_and_empirical_rate():
     for lives, eps in expected.items():
         assert epsilon_for_lives(sched, lives) == eps, lives
 
-    table = QTable("x")
+    table = QTable()
     rng = random.Random(99)
     exploratory = 0
     n = 100_000

@@ -726,6 +726,15 @@ class TestArenaValidation:
             replace(physics, **{field: -5})
         assert getattr(replace(physics, **{field: 0}), field) == 0
 
+    # Once a run gone quietly wrong: with a negative field of view the bot
+    # saw no opponent and never fired, and a negative speed ran it backwards.
+    @pytest.mark.parametrize("field", ["base_speed", "rl_fov_deg", "rl_turn_rate_deg_s"])
+    def test_bot_speed_fov_and_turn_rate_must_not_be_negative(self, field):
+        physics = default_config().physics
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -5.0"):
+            replace(physics, **{field: -5.0})
+        assert getattr(replace(physics, **{field: 0.0}), field) == 0.0
+
     def test_default_arena_is_valid(self):
         arena = default_config().arena
         assert len(arena.blocking_segments) == len(arena.walls) + 4

@@ -114,6 +114,15 @@ class TestTrain:
         ("physics", "spawn_assault_ammo", "-5"),
         ("physics", "weapon_pickup_ammo", "-1"),
         ("physics", "ammo_pickup_amount", "-1"),
+        # Once a run gone quietly wrong: a bot that never fired or ran
+        # backwards, a rifle without scatter, a shield gun fired as hitscan
+        # and Left and Right swapped.
+        ("physics", "rl_fov_deg", "-5"),
+        ("physics", "rl_turn_rate_deg_s", "-720"),
+        ("physics", "base_speed", "-300"),
+        ("weapon:assault_rifle", "spread_deg", "-2.5"),
+        ("weapon:shield_gun", "melee_range", "-120"),
+        ("weapon:shock_rifle", "aim_skew", "-60"),
     ])
     def test_out_of_range_value_is_config_error(self, section, key, value, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[{section}]\n{key} = {value}\n") == 1

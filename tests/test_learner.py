@@ -71,7 +71,7 @@ class TestExplorationSchedule:
 
 class TestSelectAction:
     def test_greedy_unique_argmax(self):
-        table = QTable("cat")
+        table = QTable()
         for a, v in enumerate((0.0, 3.0, 1.0, 0.0, 0.0)):
             if v:
                 table.q[(0, a)] = v
@@ -80,7 +80,7 @@ class TestSelectAction:
         assert not exploratory
 
     def test_greedy_breaks_ties_uniformly(self):
-        table = QTable("cat")
+        table = QTable()
         table.q[(0, 1)] = 5.0
         table.q[(0, 3)] = 5.0
         rng = random.Random(7)
@@ -93,7 +93,7 @@ class TestSelectAction:
         assert abs(counts[1] / 20_000 - 0.5) < 0.02
 
     def test_exploration_uniform_over_fresh_actions(self):
-        table = QTable("cat")
+        table = QTable()
         rng = random.Random(42)
         counts = [0] * 5
         n = 100_000
@@ -113,7 +113,7 @@ class TestSelectAction:
         rng = random.Random(3)
         counts = {2: 0, 3: 0}
         for _ in range(10_000):
-            table = QTable("cat")
+            table = QTable()
             for a in (0, 1, 4):
                 table.visit_counts[(5, a)] = 1
             action, _ = select_action(table, 5, 1.0, rng)
@@ -122,7 +122,7 @@ class TestSelectAction:
         assert abs(counts[2] / 10_000 - 0.5) < 0.03
 
     def test_exploration_falls_back_to_all_actions(self):
-        table = QTable("cat")
+        table = QTable()
         for a in range(5):
             table.visit_counts[(5, a)] = 1
         rng = random.Random(11)
@@ -130,13 +130,13 @@ class TestSelectAction:
         assert seen == {0, 1, 2, 3, 4}
 
     def test_visit_count_incremented(self):
-        table = QTable("cat")
+        table = QTable()
         action, _ = select_action(table, 9, 0.0, random.Random(0))
         assert table.visits(9, action) == 1
 
     def test_greedy_always_attains_max(self):
         rng = random.Random(99)
-        table = QTable("cat")
+        table = QTable()
         for _ in range(200):
             state = rng.randrange(1296)
             for a in range(5):
@@ -147,7 +147,7 @@ class TestSelectAction:
 
 class TestSarsaUpdate:
     def test_single_step_hand_trace(self):
-        table = QTable("cat")
+        table = QTable()
         cfg = LearnerConfig()
         delta = sarsa_update(table, 0, 0, 10.0, 1, 1, cfg)
         assert delta == pytest.approx(10.0)
@@ -155,13 +155,13 @@ class TestSarsaUpdate:
         assert table.trace(0, 0) == pytest.approx(0.45)
 
     def test_miss_penalty_step(self):
-        table = QTable("cat")
+        table = QTable()
         delta = sarsa_update(table, 0, 0, -1.0, 1, 1, LearnerConfig())
         assert delta == pytest.approx(-1.0)
         assert table.value(0, 0) == pytest.approx(-0.7)
 
     def test_trace_mediated_credit_over_two_steps(self):
-        table = QTable("cat")
+        table = QTable()
         cfg = LearnerConfig()
         sarsa_update(table, 0, 0, 10.0, 1, 1, cfg)
         delta = sarsa_update(table, 1, 1, 4.0, 2, 2, cfg)
@@ -170,7 +170,7 @@ class TestSarsaUpdate:
         assert table.value(0, 0) == pytest.approx(7.0 + 0.7 * 4.0 * 0.45)
 
     def test_delta_uses_pre_update_values(self):
-        table = QTable("cat")
+        table = QTable()
         table.q[(2, 3)] = 4.0
         table.q[(5, 1)] = 6.0
         cfg = LearnerConfig()
@@ -178,25 +178,25 @@ class TestSarsaUpdate:
         assert delta == pytest.approx(1.0 + 0.5 * 6.0 - 4.0)
 
     def test_zero_step_leaves_table_unchanged(self):
-        table = QTable("cat")
+        table = QTable()
         sarsa_update(table, 0, 0, 0.0, 1, 1, LearnerConfig())
         assert all(v == 0.0 for v in table.q.values())
 
     def test_rejects_non_finite_reward(self):
-        table = QTable("cat")
+        table = QTable()
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 sarsa_update(table, 0, 0, bad, 1, 1, LearnerConfig())
 
     def test_rejects_out_of_range_pairs(self):
-        table = QTable("cat")
+        table = QTable()
         with pytest.raises(ValueError):
             sarsa_update(table, 1296, 0, 1.0, 0, 0, LearnerConfig())
         with pytest.raises(ValueError):
             sarsa_update(table, 0, 5, 1.0, 0, 0, LearnerConfig())
 
     def test_traces_stay_in_unit_interval_and_decay_geometrically(self):
-        table = QTable("cat")
+        table = QTable()
         cfg = LearnerConfig()
         rng = random.Random(5)
         for _ in range(500):
@@ -204,7 +204,7 @@ class TestSarsaUpdate:
             sarsa_update(table, s, a, rng.uniform(-1, 50), rng.randrange(20), rng.randrange(5), cfg)
             assert all(0.0 <= e <= 1.0 for e in table.traces.values())
         # After k decay steps from 1, a trace equals (gamma*lambda)^k.
-        table = QTable("cat")
+        table = QTable()
         sarsa_update(table, 0, 0, 0.0, 1, 1, cfg)
         for k in range(1, 10):
             assert table.trace(0, 0) == pytest.approx(0.45 ** k, rel=1e-12)
@@ -213,7 +213,7 @@ class TestSarsaUpdate:
 
 class TestBeginLife:
     def test_resets_traces_only(self):
-        table = QTable("cat")
+        table = QTable()
         cfg = LearnerConfig()
         sarsa_update(table, 3, 2, 8.0, 4, 1, cfg)
         select_action(table, 3, 0.0, random.Random(0))
@@ -225,17 +225,17 @@ class TestBeginLife:
         assert table.visit_counts == visits_before
 
     def test_idempotent_on_fresh_table(self):
-        table = QTable("cat")
+        table = QTable()
         begin_life(table)
         assert table.q == {} and table.traces == {}
 
     def test_update_after_reset_matches_fresh_table(self):
         cfg = LearnerConfig()
-        dirty = QTable("cat")
+        dirty = QTable()
         sarsa_update(dirty, 9, 4, 3.0, 10, 2, cfg)
         begin_life(dirty)
 
-        fresh = QTable("cat")
+        fresh = QTable()
         d1 = sarsa_update(fresh, 0, 0, 10.0, 1, 1, cfg)
         d2 = sarsa_update(dirty, 0, 0, 10.0, 1, 1, cfg)
         assert d1 == d2 == pytest.approx(10.0)
@@ -276,7 +276,7 @@ def value_iteration_chain(gamma: float) -> dict[tuple[int, int], float]:
 def run_chain_sarsa(episodes: int = 5000, seed: int = 0) -> QTable:
     """Exploring-starts Sarsa(lambda) on the chain, epsilon annealed to 0."""
     cfg = LearnerConfig()
-    table = QTable("chain", n_states=5)
+    table = QTable()
     rng = random.Random(seed)
 
     def chain_step(s: int, a: int) -> tuple[int, float]:

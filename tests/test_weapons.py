@@ -1,19 +1,21 @@
 import math
+import random
+import struct
 from dataclasses import fields, replace
 
 import pytest
 
 from sarsa_arena.config import default_config
 from sarsa_arena.encoder import DistanceBand, N_STATES
+from sarsa_arena.learner import LearnerConfig
 from sarsa_arena.weapons import (
     ACTION_LABELS,
+    AIM_POINTS,
     ASSAULT_RIFLE,
     CATEGORY_ORDER,
     SHIELD_GUN,
-    ShootAction,
     WeaponCategory,
     WeaponSpec,
-    actions_for,
     new_table_set,
     resolve_aim,
     reward_for,
@@ -27,23 +29,24 @@ CFG = default_config()
 
 class TestActions:
     def test_instant_hit_column(self):
-        labels = [a.label for a in actions_for(WeaponCategory.INSTANT_HIT)]
-        assert labels == ["Head", "Mid", "Legs", "Left", "Right"]
+        assert ACTION_LABELS[WeaponCategory.INSTANT_HIT] == ("Head", "Mid", "Legs", "Left", "Right")
 
     def test_projectile_column(self):
-        labels = [a.label for a in actions_for(WeaponCategory.PROJECTILE)]
-        assert labels == ["Player", "Location", "Above", "Above-2", "Above-3"]
+        assert ACTION_LABELS[WeaponCategory.PROJECTILE] == (
+            "Player", "Location", "Above", "Above-2", "Above-3",
+        )
 
     def test_slow_moving_column(self):
-        labels = [a.label for a in actions_for(WeaponCategory.SLOW_MOVING)]
-        assert labels == ["Player", "Left", "Left-2", "Right", "Right-2"]
+        assert ACTION_LABELS[WeaponCategory.SLOW_MOVING] == (
+            "Player", "Left", "Left-2", "Right", "Right-2",
+        )
 
     def test_every_category_has_five_actions(self):
         pairs = set()
         for cat in CATEGORY_ORDER:
-            acts = actions_for(cat)
-            assert len(acts) == 5
-            pairs.update((a.category, a.index) for a in acts)
+            labels = ACTION_LABELS[cat]
+            assert len(labels) == 5
+            pairs.update((cat, i) for i in range(len(labels)))
         assert len(pairs) == 30
 
     def test_total_state_action_pairs(self):
@@ -54,21 +57,91 @@ def spec_for(category: WeaponCategory, **kwargs) -> WeaponSpec:
     return WeaponSpec("test_gun", category, 10, 0.5, **kwargs)
 
 
+def parsed_aim(label, shooter_pos, opponent_pos, weapon):
+    """The aim resolution that parsed the label string on every call, kept as
+    the reference for the AIM_POINTS table."""
+    if label == "Player":
+        return None
+
+    ox, oy, oz = opponent_pos
+    dx = ox - shooter_pos[0]
+    dy = oy - shooter_pos[1]
+    norm = math.hypot(dx, dy)
+    if norm == 0.0:
+        ux, uy = 1.0, 0.0
+    else:
+        ux, uy = dx / norm, dy / norm
+    right = (-uy, ux)
+
+    if label == "Head":
+        return (ox, oy, oz + 39.0)
+    if label in ("Mid", "Location"):
+        return (ox, oy, oz + 19.5)
+    if label == "Legs":
+        return (ox, oy, oz + 4.0)
+    if label.startswith("Above"):
+        steps = {"Above": 1, "Above-2": 2, "Above-3": 3}[label]
+        return (ox, oy, oz + 19.5 + steps * weapon.above_step)
+    if label.startswith(("Left", "Right")):
+        factor = 2.0 if label.endswith("-2") else 1.0
+        skew = factor * weapon.aim_skew
+        if label.startswith("Left"):
+            skew = -skew
+        return (ox + skew * right[0], oy + skew * right[1], oz + 19.5)
+    raise ValueError(f"unknown aim action {label!r}")
+
+
+def bits(point):
+    """The exact bits of an aim point, so that 0.0 and -0.0 differ."""
+    return None if point is None else struct.pack("<3d", *point)
+
+
 class TestResolveAim:
+    def test_table_keys_are_the_action_labels(self):
+        assert set(AIM_POINTS) == {label for labels in ACTION_LABELS.values() for label in labels}
+
+    @pytest.mark.parametrize("weapon", [
+        spec_for(WeaponCategory.OTHER),
+        spec_for(WeaponCategory.OTHER, aim_skew=60.0, above_step=0.0),
+        spec_for(WeaponCategory.OTHER, aim_skew=0.0, above_step=-37.25),
+        spec_for(WeaponCategory.OTHER, aim_skew=1e-300, above_step=1e300),
+        spec_for(WeaponCategory.OTHER, aim_skew=33.3, above_step=0.1),
+    ])
+    def test_every_label_matches_the_parsing_reference_bit_for_bit(self, weapon):
+        rng = random.Random(11)
+        positions = [
+            ((0.0, 0.0), (0.0, 0.0, 0.0)),  # the same point: norm == 0
+            ((-0.0, -0.0), (0.0, 0.0, -0.0)),
+            ((0.0, -0.0), (-0.0, 0.0, 7.0)),  # dx == -0.0
+            ((1234.5, -87.25), (1234.5, -87.25, 48.0)),
+            ((0.0, 0.0), (100.0, 200.0, 0.0)),
+            ((0.0, 0.0), (-0.0, -300.0, -39.0)),
+            ((4000.0, 0.1), (3.0, 3999.9, 12.5)),
+            ((1e-300, 0.0), (0.0, 1e-300, 1e-300)),
+        ] + [
+            (
+                (rng.uniform(-10, 4010), rng.uniform(-10, 4010)),
+                (rng.uniform(-10, 4010), rng.uniform(-10, 4010), rng.uniform(-50, 200)),
+            )
+            for _ in range(40)
+        ]
+        for labels in ACTION_LABELS.values():
+            for label in labels:
+                for shooter, opponent in positions:
+                    got = resolve_aim(label, shooter, opponent, weapon)
+                    want = parsed_aim(label, shooter, opponent, weapon)
+                    assert bits(got) == bits(want), (label, shooter, opponent)
+
     def test_head_targets_cylinder_top(self):
-        action = actions_for(WeaponCategory.INSTANT_HIT)[0]
-        aim = resolve_aim(action, ORIGIN, OPP, spec_for(WeaponCategory.INSTANT_HIT))
+        aim = resolve_aim("Head", ORIGIN, OPP, spec_for(WeaponCategory.INSTANT_HIT))
         assert aim == (100.0, 200.0, 39.0)
 
     def test_player_is_locked_on(self):
-        action = actions_for(WeaponCategory.PROJECTILE)[0]
-        aim = resolve_aim(action, ORIGIN, OPP, spec_for(WeaponCategory.PROJECTILE))
-        assert aim is None
+        assert resolve_aim("Player", ORIGIN, OPP, spec_for(WeaponCategory.PROJECTILE)) is None
 
     def test_left_skews_by_default_amount(self):
-        action = actions_for(WeaponCategory.INSTANT_HIT)[3]
         weapon = spec_for(WeaponCategory.INSTANT_HIT, aim_skew=25.0)
-        aim = resolve_aim(action, ORIGIN, OPP, weapon)
+        aim = resolve_aim("Left", ORIGIN, OPP, weapon)
         # Shooter at origin looking at (100, 200): left is (uy, -ux) scaled.
         norm = math.hypot(100, 200)
         expected = (
@@ -80,28 +153,25 @@ class TestResolveAim:
 
     def test_left_right_are_mirror_images(self):
         weapon = spec_for(WeaponCategory.SLOW_MOVING, aim_skew=60.0)
-        acts = {a.label: a for a in actions_for(WeaponCategory.SLOW_MOVING)}
         mid = (OPP[0], OPP[1], OPP[2] + 19.5)
         for left_label, right_label in (("Left", "Right"), ("Left-2", "Right-2")):
-            lp = resolve_aim(acts[left_label], ORIGIN, OPP, weapon)
-            rp = resolve_aim(acts[right_label], ORIGIN, OPP, weapon)
+            lp = resolve_aim(left_label, ORIGIN, OPP, weapon)
+            rp = resolve_aim(right_label, ORIGIN, OPP, weapon)
             assert lp[0] + rp[0] == pytest.approx(2 * mid[0])
             assert lp[1] + rp[1] == pytest.approx(2 * mid[1])
             assert lp[2] == rp[2] == mid[2]
 
     def test_above_heights_increase(self):
         weapon = spec_for(WeaponCategory.PROJECTILE, above_step=120.0)
-        acts = actions_for(WeaponCategory.PROJECTILE)
         zs = [
-            resolve_aim(a, ORIGIN, OPP, weapon)[2]
-            for a in acts
-            if a.label.startswith("Above")
+            resolve_aim(label, ORIGIN, OPP, weapon)[2]
+            for label in ACTION_LABELS[WeaponCategory.PROJECTILE]
+            if label.startswith("Above")
         ]
         assert zs == [19.5 + 120, 19.5 + 240, 19.5 + 360]
 
     def test_location_targets_mid_height(self):
-        action = actions_for(WeaponCategory.PROJECTILE)[1]
-        aim = resolve_aim(action, ORIGIN, OPP, spec_for(WeaponCategory.PROJECTILE))
+        aim = resolve_aim("Location", ORIGIN, OPP, spec_for(WeaponCategory.PROJECTILE))
         assert aim == (100.0, 200.0, 19.5)
 
 
@@ -158,7 +228,7 @@ class TestArmory:
         assert ASSAULT_RIFLE in armory and SHIELD_GUN in armory
 
     def test_table_set_has_six_fresh_tables(self):
-        tset = new_table_set()
+        tset = new_table_set(LearnerConfig())
         assert list(tset.tables) == list(CATEGORY_ORDER)
         assert tset.lives == 0
         assert all(not t.q for t in tset.tables.values())
@@ -184,6 +254,15 @@ class TestArmory:
     def test_pellets_must_be_at_least_one(self, pellets):
         with pytest.raises(ValueError, match=f"pellets must be >= 1, got {pellets}"):
             replace(spec_for(WeaponCategory.INSTANT_HIT), pellets=pellets)
+
+    # Once a run gone quietly wrong: a negative spread removed the scatter, a
+    # negative melee range fired the shield gun as a hitscan weapon, and a
+    # negative skew swapped the points Left and Right aim at.
+    @pytest.mark.parametrize("field", ["splash_radius", "spread_deg", "melee_range", "aim_skew"])
+    def test_radii_spread_and_skew_must_not_be_negative(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -2.5"):
+            replace(spec_for(WeaponCategory.OTHER), **{field: -2.5})
+        assert getattr(replace(spec_for(WeaponCategory.OTHER), **{field: 0.0}), field) == 0.0
 
     def test_infinite_speed_is_hitscan(self):
         assert spec_for(WeaponCategory.INSTANT_HIT).is_hitscan

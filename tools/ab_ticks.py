@@ -166,6 +166,8 @@ def parse_args(argv):
     for flag, count in (("--lives", args.lives), ("--games", args.games)):
         if count < 0:
             parser.error(f"{flag} must be >= 0, got {count}")
+    if args.lives == 0 and args.games == 0:
+        parser.error("--lives and --games are both 0: nothing to compare")
     return args
 
 
