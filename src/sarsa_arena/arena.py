@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import geometry as geo
 from .encoder import CombatObservation, discretize_distance, encode
 from .learner import (
+    N_ACTIONS,
     QTable,
     QTableSet,
     begin_life,
@@ -32,6 +33,7 @@ from .weapons import (
     PriorityTables,
     SHIELD_GUN,
     WeaponSpec,
+    check_params,
     resolve_aim,
     reward_for,
     select_weapon,
@@ -194,14 +196,6 @@ class Arena:
         return cell, {key: (tuple(p), tuple(q)) for key, (p, q) in index.items()}
 
 
-def _check_finite(params) -> None:
-    """Reject a float field of the dataclass `params` that is not finite."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if f.type == "float" and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class OpponentProfile:
     level: int
@@ -216,11 +210,7 @@ class OpponentProfile:
     combat_jump_prob_s: float
 
     def __post_init__(self) -> None:
-        for name in ("fov_deg", "turn_rate_deg_s", "speed_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        _check_finite(self)
+        check_params(self, at_least={"fov_deg": 0, "turn_rate_deg_s": 0, "speed_fraction": 0})
 
 
 @dataclass(frozen=True)
@@ -241,18 +231,11 @@ class PhysicsParams:
     aim_lag_s: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
-        if self.tick_hz < 1:
-            raise ValueError(f"tick_hz must be >= 1, got {self.tick_hz}")
-        if self.decision_every < 1:
-            raise ValueError(f"decision_every must be >= 1, got {self.decision_every}")
-        for name in (
-            "spawn_assault_ammo", "weapon_pickup_ammo", "ammo_pickup_amount",
-            "base_speed", "rl_fov_deg", "rl_turn_rate_deg_s",
-        ):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        check_params(self, at_least={
+            "tick_hz": 1, "decision_every": 1, "spawn_assault_ammo": 0,
+            "weapon_pickup_ammo": 0, "ammo_pickup_amount": 0, "base_speed": 0,
+            "rl_fov_deg": 0, "rl_turn_rate_deg_s": 0,
+        })
 
     @property
     def dt(self) -> float:
@@ -272,19 +255,15 @@ class BehaviorParams:
     scripted_stop_range: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "dodge_radius", "waypoint_radius", "pit_avoid_margin",
-            "fire_align_tolerance_deg", "engage_range", "scripted_stop_range",
-        ):
-            value = getattr(self, name)
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
         if not self.strafe_flip_min_s <= self.strafe_flip_max_s:
             raise ValueError(
                 f"strafe_flip_min_s ({self.strafe_flip_min_s}) must not exceed "
                 f"strafe_flip_max_s ({self.strafe_flip_max_s})"
             )
-        _check_finite(self)
+        check_params(self, at_least={
+            "dodge_radius": 0, "waypoint_radius": 0, "pit_avoid_margin": 0,
+            "fire_align_tolerance_deg": 0, "engage_range": 0, "scripted_stop_range": 0,
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +549,7 @@ class RandomController(GreedyController):
     decide = RlShooterController.decide
 
     def _choose(self, table: QTable, state: int) -> int:
-        return self.rng.randrange(5)
+        return self.rng.randrange(N_ACTIONS)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
@@ -18,21 +17,11 @@ from .arena import (
     Wall,
 )
 from .learner import ExplorationSchedule, LearnerConfig
-from .weapons import PriorityTables, WeaponCategory, WeaponSpec
+from .weapons import PriorityTables, WeaponCategory, WeaponSpec, check_params
 
 
 class ConfigError(ValueError):
     pass
-
-
-def check_campaign_ranges(games: int, minutes: float, snapshot_every: int) -> None:
-    """The ranges a campaign needs, shared by `[harness]` and `CampaignSettings`."""
-    if games < 1:
-        raise ValueError(f"games must be >= 1, got {games}")
-    if not 0.0 < minutes < math.inf:
-        raise ValueError(f"minutes must be finite and > 0, got {minutes}")
-    if snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
 
 
 @dataclass(frozen=True)
@@ -45,9 +34,10 @@ class HarnessParams:
     def __post_init__(self) -> None:
         # The `train` flags --games, --minutes and --snapshot-every are
         # checked here too: the CLI applies them with dataclasses.replace.
-        check_campaign_ranges(self.games, self.minutes, self.snapshot_every)
-        if self.opponents < 1:
-            raise ValueError(f"opponents must be >= 1, got {self.opponents}")
+        check_params(
+            self, at_least={"games": 1, "snapshot_every": 0, "opponents": 1},
+            above={"minutes": 0},
+        )
 
 
 @dataclass(frozen=True)

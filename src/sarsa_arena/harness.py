@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .arena import LifeStats, RL_AGENT_ID, RlShooterController, World, format_event
-from .config import SimConfig, check_campaign_ranges
+from .config import SimConfig
 from .learner import QTableSet
 from .metrics import FieldSummary, hit_percentage, kd_ratio, summarize_field
 from .snapshots import write_snapshot
-from .weapons import new_table_set
+from .weapons import check_params, new_table_set
 
 @dataclass(frozen=True)
 class LifeRecord:
@@ -65,7 +65,7 @@ class CampaignSettings:
     record_events: bool = False
 
     def __post_init__(self) -> None:
-        check_campaign_ranges(self.games, self.minutes, self.snapshot_every)
+        check_params(self, at_least={"games": 1, "snapshot_every": 0}, above={"minutes": 0})
 
     @property
     def run_id(self) -> str:
@@ -80,11 +80,7 @@ class CampaignResult:
     tset: QTableSet | None = None
 
 
-def run_campaign(
-    sim: SimConfig,
-    settings: CampaignSettings,
-    tset: QTableSet | None = None,
-) -> CampaignResult:
+def run_campaign(sim: SimConfig, settings: CampaignSettings) -> CampaignResult:
     """Play `settings.games` games at one opponent level, learning throughout."""
     ticks = settings.minutes * 60 * sim.physics.tick_hz
     if ticks == math.inf:
@@ -96,7 +92,7 @@ def run_campaign(
     out = Path(settings.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(settings.seed)
-    tset = tset if tset is not None else new_table_set(sim.learner)
+    tset = new_table_set(sim.learner)
     controller = RlShooterController(tset, sim.armory, sim.priority, rng)
     result = CampaignResult(settings=settings, tset=tset)
     weapon_names = list(sim.armory)

@@ -10,7 +10,8 @@ Format (text, bit-exact round trip on q values):
     ...
 
 Only nonzero q entries are written, states ascending and actions ascending
-within a state.  Each category appears once, and every q value is finite.
+within a state.  Each category appears once, each (state, action) pair at
+most once within it, and every q value is finite.
 Eligibility traces and visit counts are not persisted; restoring a snapshot
 starts a fresh life.
 
@@ -63,8 +64,14 @@ def restore(text: str) -> QTableSet:
     if header[1] != str(VERSION):
         raise SnapshotError(f"line 1: unsupported snapshot version {header[1]!r}")
 
-    lives = _parse_lives(lines, 1)
-    cfg = _parse_params(lines, 2)
+    [lives] = _header_values(lines, 1, "lives", int)
+    if lives < 0:
+        raise SnapshotError(f"line 2: negative lives count {lives}")
+    alpha, gamma, lam = _header_values(lines, 2, "params", float, float, float)
+    try:
+        cfg = LearnerConfig(alpha=alpha, gamma=gamma, lam=lam)
+    except ValueError as exc:
+        raise SnapshotError(f"line 3: {exc}") from exc
 
     by_name = {cat.value: cat for cat in WeaponCategory}
     tables = {cat: QTable() for cat in CATEGORY_ORDER}
@@ -80,7 +87,7 @@ def restore(text: str) -> QTableSet:
             if fields[1] in seen:
                 raise SnapshotError(f"line {lineno}: category {fields[1]} appears twice")
             seen.add(fields[1])
-            current = tables[by_name[fields[1]]]
+            category, current = fields[1], tables[by_name[fields[1]]]
         elif fields[0] == "q":
             if current is None:
                 raise SnapshotError(f"line {lineno}: q entry before any category")
@@ -101,6 +108,10 @@ def restore(text: str) -> QTableSet:
             if not 0 <= action < N_ACTIONS:
                 raise SnapshotError(
                     f"line {lineno}: action index {action} out of range [0, {N_ACTIONS})"
+                )
+            if (state, action) in current.q:
+                raise SnapshotError(
+                    f"line {lineno}: q {state} {action} appears twice in {category}"
                 )
             current.q[(state, action)] = value
         else:
@@ -130,36 +141,14 @@ def read_snapshot(path: str | Path) -> QTableSet:
     return restore(text)
 
 
-def _parse_lives(lines: list[str], idx: int) -> int:
+def _header_values(lines: list[str], idx: int, key: str, *types) -> list:
+    """The values of header line `idx`, `key` then one value of each type."""
     if idx >= len(lines):
-        raise SnapshotError(f"line {idx + 1}: missing lives line")
+        raise SnapshotError(f"line {idx + 1}: missing {key} line")
     fields = lines[idx].split()
-    if len(fields) != 2 or fields[0] != "lives":
-        raise SnapshotError(f"line {idx + 1}: malformed lives line {lines[idx]!r}")
-    try:
-        lives = int(fields[1])
-    except ValueError as exc:
-        raise SnapshotError(
-            f"line {idx + 1}: malformed lives line {lines[idx]!r}"
-        ) from exc
-    if lives < 0:
-        raise SnapshotError(f"line {idx + 1}: negative lives count {lives}")
-    return lives
-
-
-def _parse_params(lines: list[str], idx: int) -> LearnerConfig:
-    if idx >= len(lines):
-        raise SnapshotError(f"line {idx + 1}: missing params line")
-    fields = lines[idx].split()
-    if len(fields) != 4 or fields[0] != "params":
-        raise SnapshotError(f"line {idx + 1}: malformed params line {lines[idx]!r}")
-    try:
-        alpha, gamma, lam = (float(f) for f in fields[1:])
-    except ValueError as exc:
-        raise SnapshotError(
-            f"line {idx + 1}: malformed params line {lines[idx]!r}"
-        ) from exc
-    try:
-        return LearnerConfig(alpha=alpha, gamma=gamma, lam=lam)
-    except ValueError as exc:
-        raise SnapshotError(f"line {idx + 1}: {exc}") from exc
+    if len(fields) == len(types) + 1 and fields[0] == key:
+        try:
+            return [read(field) for read, field in zip(types, fields[1:])]
+        except ValueError:
+            pass
+    raise SnapshotError(f"line {idx + 1}: malformed {key} line {lines[idx]!r}")

@@ -26,8 +26,9 @@ def _axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _chart(title: str, x_label: str, y_label: str, body: list[str],
-           x_range, y_range) -> str:
+def _write_chart(path: Path | str, title: str, y_label: str, body: list[str],
+                 x_range, y_range) -> Path:
+    """Write a per-game chart of the SVG elements `body` to `path`."""
     x0, x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     y0, y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
     parts = [
@@ -39,7 +40,7 @@ def _chart(title: str, x_label: str, y_label: str, body: list[str],
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
         f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{x_label}</text>',
+        f'font-family="sans-serif" font-size="11">game</text>',
         f'<text x="14" y="{(y0 + y1) // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11" '
         f'transform="rotate(-90 14 {(y0 + y1) // 2})">{y_label}</text>',
@@ -62,13 +63,20 @@ def _chart(title: str, x_label: str, y_label: str, body: list[str],
         )
     parts.extend(body)
     parts.append("</svg>")
-    return "\n".join(parts)
+    path = Path(path)
+    path.write_text("\n".join(parts), encoding="ascii")
+    return path
+
+
+def _points(xs, ys, x_range, y_range):
+    """The data points (xs[i], ys[i]) in SVG coordinates."""
+    px = _scale(xs, x_range[0], x_range[1], MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+    py = _scale(ys, y_range[0], y_range[1], HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+    return zip(px, py)
 
 
 def _polyline(xs, ys, x_range, y_range, color, width=1.0) -> str:
-    px = _scale(xs, x_range[0], x_range[1], MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-    py = _scale(ys, y_range[0], y_range[1], HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
-    points = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(px, py))
+    points = " ".join(f"{x:.1f},{y:.1f}" for x, y in _points(xs, ys, x_range, y_range))
     return (
         f'<polyline points="{points}" fill="none" stroke="{color}" '
         f'stroke-width="{width}"/>'
@@ -76,11 +84,9 @@ def _polyline(xs, ys, x_range, y_range, color, width=1.0) -> str:
 
 
 def _dots(xs, ys, x_range, y_range, color) -> str:
-    px = _scale(xs, x_range[0], x_range[1], MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-    py = _scale(ys, y_range[0], y_range[1], HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
     return "\n".join(
         f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" fill="{color}"/>'
-        for x, y in zip(px, py)
+        for x, y in _points(xs, ys, x_range, y_range)
     )
 
 
@@ -89,7 +95,6 @@ def series_with_average(
     window: int = 11,
 ) -> Path:
     """Per-game series (thin) with its centred moving average (bold)."""
-    path = Path(path)
     xs = list(range(1, len(values) + 1))
     y_lo = min(0.0, min(values, default=0.0))
     y_hi = max(values, default=1.0) or 1.0
@@ -103,27 +108,18 @@ def series_with_average(
             list(range(1 + half, 1 + half + len(avg))), avg,
             x_range, y_range, "#08519c", width=2.0,
         ))
-    path.write_text(
-        _chart(title, "game", y_label, body, x_range, y_range),
-        encoding="ascii",
-    )
-    return path
+    return _write_chart(path, title, y_label, body, x_range, y_range)
 
 
 def scatter(
     title: str, y_label: str, values: list[float], path: Path | str
 ) -> Path:
-    path = Path(path)
     xs = list(range(1, len(values) + 1))
     y_hi = max(values, default=1.0) or 1.0
     x_range = (1, max(2, len(values)))
     y_range = (0.0, y_hi)
     body = [_dots(xs, values, x_range, y_range, "#a63603")]
-    path.write_text(
-        _chart(title, "game", y_label, body, x_range, y_range),
-        encoding="ascii",
-    )
-    return path
+    return _write_chart(path, title, y_label, body, x_range, y_range)
 
 
 def render_campaign_plots(games, out_dir: Path | str) -> list[Path]:
@@ -135,8 +131,7 @@ def render_campaign_plots(games, out_dir: Path | str) -> list[Path]:
             out / "kills.svg",
         ),
         series_with_average(
-            "Deaths per game", "deaths",
-            [g.deaths_by_others + g.suicides for g in games],
+            "Deaths per game", "deaths", [g.deaths for g in games],
             out / "deaths.svg",
         ),
         scatter(

@@ -58,6 +58,27 @@ AIM_POINTS: dict[str, tuple[float, int, float] | None] = {
 }
 
 
+def check_params(params, at_least=None, above=None, may_be_inf=()) -> None:
+    """Reject a field of the dataclass `params` that is out of range.
+
+    Every float field must be finite, bar those `may_be_inf` names, which
+    only their bounds test.  Each field `at_least` names must be >= its
+    bound and each that `above` names must be > it; nan fails both tests.
+    """
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "float" and f.name not in may_be_inf and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+    for name, lo in (at_least or {}).items():
+        value = getattr(params, name)
+        if not value >= lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value}")
+    for name, lo in (above or {}).items():
+        value = getattr(params, name)
+        if not value > lo:
+            raise ValueError(f"{name} must be > {lo}, got {value}")
+
+
 @dataclass(frozen=True)
 class WeaponSpec:
     # The fields with defaults are the keys a [weapon:NAME] section may omit.
@@ -77,25 +98,16 @@ class WeaponSpec:
 
     def __post_init__(self) -> None:
         # A speed of inf means hitscan; 0 would leave a rocket in flight
-        # forever, and a negative one would fly it backwards.
-        if not self.projectile_speed > 0.0:
-            raise ValueError(f"projectile_speed must be > 0, got {self.projectile_speed}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and f.name != "projectile_speed" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.damage_per_hit <= 0:
-            raise ValueError("damage_per_hit must be > 0")
-        if self.fire_interval <= 0:
-            raise ValueError("fire_interval must be > 0")
-        # Below 0, the spread would drop the scatter, the melee range would
-        # fire as hitscan, and the skew would swap Left and Right.
-        for name in ("splash_radius", "spread_deg", "melee_range", "aim_skew"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.pellets < 1:
-            raise ValueError(f"pellets must be >= 1, got {self.pellets}")
+        # forever, and a negative one would fly it backwards.  Below 0, the
+        # spread would drop the scatter, the melee range would fire as
+        # hitscan, and the skew would swap Left and Right.
+        check_params(
+            self,
+            at_least={"splash_radius": 0, "spread_deg": 0, "melee_range": 0,
+                      "aim_skew": 0, "pellets": 1},
+            above={"damage_per_hit": 0, "fire_interval": 0, "projectile_speed": 0},
+            may_be_inf=("projectile_speed",),
+        )
 
     @property
     def is_hitscan(self) -> bool:

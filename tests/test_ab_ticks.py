@@ -39,6 +39,27 @@ def test_no_units_at_all_is_a_usage_error(capsys):
     assert out == "" and "error: --lives and --games are both 0: nothing to compare" in err
 
 
+# Once a FileNotFoundError traceback from Popen, or a worker's ImportError
+# followed by "RuntimeError: worker ... exited".
+@pytest.mark.parametrize("flag", ["--base", "--change"])
+@pytest.mark.parametrize("missing", [None, *ab_ticks.CHECKOUT_FILES])
+def test_path_that_is_not_a_checkout_is_a_usage_error(flag, missing, tmp_path, capsys, monkeypatch):
+    checkout = tmp_path / "checkout"
+    for needed in ab_ticks.CHECKOUT_FILES:
+        if missing is not None and needed != missing:
+            (checkout / needed).parent.mkdir(parents=True, exist_ok=True)
+            (checkout / needed).write_text("")
+    started = []
+    monkeypatch.setattr(ab_ticks, "Side", started.append)
+    paths = {"--base": str(ROOT), "--change": str(ROOT), flag: str(checkout)}
+    with pytest.raises(SystemExit) as exc:
+        ab_ticks.main([arg for item in paths.items() for arg in item])
+    assert exc.value.code == 2 and not started
+    out, err = capsys.readouterr()
+    lacks = missing or ab_ticks.CHECKOUT_FILES[0]
+    assert out == "" and f"error: {flag} {checkout} is not a checkout: it lacks {lacks}" in err
+
+
 def test_level5_unit_writes_events_as_train_l5_does(monkeypatch):
     from sarsa_arena import harness
     from sarsa_arena.config import default_config

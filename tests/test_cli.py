@@ -167,9 +167,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags,message", [
         (["--games", "0"], "games must be >= 1"),
-        (["--minutes", "nan"], "minutes must be finite and > 0"),
-        (["--minutes", "-1"], "minutes must be finite and > 0"),
-        (["--minutes", "inf"], "minutes must be finite and > 0"),
+        (["--minutes", "nan"], "minutes must be finite, got nan"),
+        (["--minutes", "-1"], "minutes must be > 0, got -1.0"),
+        (["--minutes", "inf"], "minutes must be finite, got inf"),
         (["--snapshot-every", "-1"], "snapshot_every must be >= 0"),
         # Once an OverflowError traceback: 1e308 minutes of ticks is inf.
         (["--minutes", "1e308"], "a game of 1e+308 minutes at 30 Hz has too many ticks"),
@@ -318,16 +318,18 @@ class TestInspect:
         assert main(["inspect", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body", [
-        "category InstantHit\nq 0 0 nan\n",
-        "category InstantHit\ncategory InstantHit\n",
+    @pytest.mark.parametrize("body,line", [
+        ("category InstantHit\nq 0 0 nan\n", 5),
+        ("category InstantHit\ncategory InstantHit\n", 5),
+        # Once reported as "0 learned state-action values": the last line won.
+        ("category InstantHit\nq 5 1 2.5\nq 5 1 -7.0\nq 5 1 0.0\n", 6),
     ])
-    def test_inspect_rejected_snapshot(self, body, tmp_path, capsys):
+    def test_inspect_rejected_snapshot(self, body, line, tmp_path, capsys):
         bad = tmp_path / "bad.rlsq"
         bad.write_text("RLSQ 1\nlives 0\nparams 0.7 0.5 0.9\n" + body)
         assert main(["inspect", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: line 5:") and "Traceback" not in err
+        assert err.startswith(f"error: line {line}:") and "Traceback" not in err
 
     def test_snapshot_actually_restores(self, trained):
         tset = read_snapshot(trained / "level1" / "snap_1_final.rlsq")

@@ -97,10 +97,10 @@ def test_unreadable_value_names_its_section_and_key(tmp_path, text, where):
 
 @pytest.mark.parametrize("key,value,message", [
     ("games", "0", "games must be >= 1"),
-    ("minutes", "0", "minutes must be finite and > 0"),
-    ("minutes", "-1", "minutes must be finite and > 0"),
-    ("minutes", "nan", "minutes must be finite and > 0"),
-    ("minutes", "inf", "minutes must be finite and > 0"),
+    ("minutes", "0", "minutes must be > 0, got 0.0"),
+    ("minutes", "-1", "minutes must be > 0, got -1.0"),
+    ("minutes", "nan", "minutes must be finite, got nan"),
+    ("minutes", "inf", "minutes must be finite, got inf"),
     ("snapshot_every", "-1", "snapshot_every must be >= 0"),
 ])
 def test_campaign_ranges_are_checked(tmp_path, key, value, message):

@@ -213,8 +213,8 @@ class TestWhistle:
 class TestSettingsRanges:
     @pytest.mark.parametrize("key,value,message", [
         ("games", 0, "games must be >= 1"),
-        ("minutes", float("nan"), "minutes must be finite and > 0"),
-        ("minutes", 0.0, "minutes must be finite and > 0"),
+        ("minutes", float("nan"), "minutes must be finite, got nan"),
+        ("minutes", 0.0, "minutes must be > 0, got 0.0"),
         ("snapshot_every", -1, "snapshot_every must be >= 0"),
     ])
     def test_out_of_range_campaign_raises_before_writing(self, tmp_path, key, value, message):

@@ -137,6 +137,36 @@ class TestRejections:
             restore(doc)
 
 
+    def test_repeated_q_pair(self):
+        doc = VALID_HEAD + (
+            "category MachineGun\nq 5 1 1.0\n"
+            "category InstantHit\nq 5 1 2.5\nq 5 2 1.0\nq 5 1 -7.0\nq 5 1 0.0\n"
+        )
+        with pytest.raises(SnapshotError, match="^line 9: q 5 1 appears twice in InstantHit$"):
+            restore(doc)
+
+    @pytest.mark.parametrize("doc,message", [
+        ("RLSQ 1\n", "line 2: missing lives line"),
+        ("RLSQ 1\nlives 0\n", "line 3: missing params line"),
+        ("RLSQ 1\nlives\n", "line 2: malformed lives line 'lives'"),
+        ("RLSQ 1\nlife 0\n", "line 2: malformed lives line 'life 0'"),
+        ("RLSQ 1\nlives 0.5\n", "line 2: malformed lives line 'lives 0.5'"),
+        ("RLSQ 1\nlives 1 2\n", "line 2: malformed lives line 'lives 1 2'"),
+        ("RLSQ 1\nlives -1\n", "line 2: negative lives count -1"),
+        ("RLSQ 1\nlives 0\nparams 0.7 0.5\n", "line 3: malformed params line 'params 0.7 0.5'"),
+        ("RLSQ 1\nlives 0\nparam 0.7 0.5 0.9\n",
+         "line 3: malformed params line 'param 0.7 0.5 0.9'"),
+        ("RLSQ 1\nlives 0\nparams 0.7 x 0.9\n", "line 3: malformed params line 'params 0.7 x 0.9'"),
+        ("RLSQ 1\nlives 0\nparams 0.7 0.5 0.9 1\n",
+         "line 3: malformed params line 'params 0.7 0.5 0.9 1'"),
+        ("RLSQ 1\nlives 0\nparams 0.7 2.0 0.9\n", "line 3: gamma"),
+    ])
+    def test_header_lines(self, doc, message):
+        with pytest.raises(SnapshotError) as exc:
+            restore(doc)
+        assert str(exc.value).startswith(message)
+
+
 class TestAtomicWrite:
     def tset(self, value):
         tset = new_table_set(LearnerConfig())

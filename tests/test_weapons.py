@@ -1,12 +1,15 @@
 import math
 import random
 import struct
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import pytest
 
-from sarsa_arena.config import default_config
+from sarsa_arena.arena import BehaviorParams, OpponentProfile, PhysicsParams
+from sarsa_arena.config import HarnessParams, default_config
 from sarsa_arena.encoder import DistanceBand, N_STATES
+from sarsa_arena.harness import CampaignSettings
 from sarsa_arena.learner import LearnerConfig
 from sarsa_arena.weapons import (
     ACTION_LABELS,
@@ -16,6 +19,7 @@ from sarsa_arena.weapons import (
     SHIELD_GUN,
     WeaponCategory,
     WeaponSpec,
+    check_params,
     new_table_set,
     resolve_aim,
     reward_for,
@@ -275,3 +279,121 @@ class TestArmory:
     def test_other_floats_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             replace(spec_for(WeaponCategory.OTHER), **{field: value})
+
+
+def parent_accepts(cls, v) -> bool:
+    """The range checks each parameter class made before check_params, kept
+    as the reference for it: whether the field values `v` pass them."""
+    def finite(*skip):
+        return all(
+            math.isfinite(v[f.name])
+            for f in fields(cls) if f.type == "float" and f.name not in skip
+        )
+
+    def campaign_ranges():
+        return not v["games"] < 1 and 0.0 < v["minutes"] < math.inf and not v["snapshot_every"] < 0
+
+    if cls is OpponentProfile:
+        return finite() and all(
+            0.0 <= v[name] < math.inf for name in ("fov_deg", "turn_rate_deg_s", "speed_fraction")
+        )
+    if cls is PhysicsParams:
+        return finite() and not v["tick_hz"] < 1 and not v["decision_every"] < 1 and not any(
+            v[name] < 0 for name in (
+                "spawn_assault_ammo", "weapon_pickup_ammo", "ammo_pickup_amount",
+                "base_speed", "rl_fov_deg", "rl_turn_rate_deg_s",
+            )
+        )
+    if cls is BehaviorParams:
+        return finite() and v["strafe_flip_min_s"] <= v["strafe_flip_max_s"] and all(
+            v[name] >= 0.0 for name in (
+                "dodge_radius", "waypoint_radius", "pit_avoid_margin",
+                "fire_align_tolerance_deg", "engage_range", "scripted_stop_range",
+            )
+        )
+    if cls is WeaponSpec:
+        return (
+            v["projectile_speed"] > 0.0 and finite("projectile_speed")
+            and not v["damage_per_hit"] <= 0 and not v["fire_interval"] <= 0
+            and not any(
+                v[name] < 0 for name in ("splash_radius", "spread_deg", "melee_range", "aim_skew")
+            )
+            and not v["pellets"] < 1
+        )
+    if cls is HarnessParams:
+        return campaign_ranges() and not v["opponents"] < 1
+    if cls is CampaignSettings:
+        return campaign_ranges()
+    raise AssertionError(cls)
+
+
+SWEEP_VALUES = [
+    math.nan, math.inf, -math.inf, 1e308, -1e308, -5, -1, -0.5, -1e-300, -0.0,
+    0, 0.0, 1e-300, 0.5, 1, 2,
+]
+
+# The int fields with a lower bound: nan passed every such bound before, as
+# `nan < 1` is False, and fails it now.  No config reads nan into an int.
+NEWLY_REJECTED_NAN = {
+    "PhysicsParams": {
+        "tick_hz", "decision_every", "spawn_assault_ammo", "weapon_pickup_ammo",
+        "ammo_pickup_amount",
+    },
+    "WeaponSpec": {"pellets"},
+    "HarnessParams": {"games", "snapshot_every", "opponents"},
+    "CampaignSettings": {"games", "snapshot_every"},
+}
+
+
+class TestCheckParams:
+    @pytest.mark.parametrize("base", [
+        CFG.profiles[1],
+        CFG.physics,
+        CFG.behavior,
+        CFG.armory["rocket_launcher"],
+        CFG.harness,
+        CampaignSettings(level=1, games=1, minutes=1.0, seed=1, out_dir=Path("unused"),
+                         snapshot_every=0),
+    ], ids=lambda base: type(base).__name__)
+    def test_accepts_and_rejects_what_the_parent_checks_did(self, base):
+        cls = type(base)
+        changed = set()
+        for f in fields(cls):
+            if f.type not in ("int", "float"):
+                continue
+            for value in SWEEP_VALUES:
+                v = {g.name: getattr(base, g.name) for g in fields(cls)}
+                v[f.name] = value
+                try:
+                    replace(base, **{f.name: value})
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                if accepted != parent_accepts(cls, v):
+                    assert not accepted and f.type == "int" and math.isnan(value), (f.name, value)
+                    changed.add(f.name)
+        assert changed == NEWLY_REJECTED_NAN.get(cls.__name__, set())
+
+    def test_messages(self):
+        # Quoted, as the package's postponed annotations are.
+        @dataclass
+        class Params:
+            count: "int"
+            size: "float"
+            speed: "float"
+
+        def message(count=1, size=1.0, speed=1.0):
+            with pytest.raises(ValueError) as exc:
+                check_params(Params(count, size, speed), at_least={"count": 1},
+                             above={"size": 0, "speed": 0}, may_be_inf=("speed",))
+            return str(exc.value)
+
+        check_params(Params(1, 1.0, math.inf), above={"speed": 0}, may_be_inf=("speed",))
+        assert message(size=math.nan) == "size must be finite, got nan"
+        assert message(size=-math.inf) == "size must be finite, got -inf"
+        assert message(count=0) == "count must be >= 1, got 0"
+        assert message(count=math.nan) == "count must be >= 1, got nan"
+        assert message(size=-0.0) == "size must be > 0, got -0.0"
+        # A field that may be inf is left to its bounds.
+        assert message(speed=-math.inf) == "speed must be > 0, got -inf"
+        assert message(speed=math.nan) == "speed must be > 0, got nan"

@@ -40,6 +40,9 @@ from pathlib import Path
 WARMUP_UNITS = 2
 BOOTSTRAP_RESAMPLES = 2000
 SEED = 1
+POLICY = "perfbench/data/policy-l1-s7.rlsq"
+# What a worker loads from its checkout.
+CHECKOUT_FILES = ("src/sarsa_arena/__init__.py", POLICY)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +66,7 @@ def worker(checkout: Path) -> int:
 
     # Loaded once, untimed, as perfbench loads them once per repetition.
     sim = config.load_config()
-    policy = snapshots.read_snapshot(checkout / "perfbench" / "data" / "policy-l1-s7.rlsq")
+    policy = snapshots.read_snapshot(checkout / POLICY)
     for request in sys.stdin:
         unit = json.loads(request)
         wall0, cpu0 = time.perf_counter(), time.process_time()
@@ -163,6 +166,10 @@ def parse_args(argv):
     args = parser.parse_args(argv)
     if args.worker is None and (args.base is None or args.change is None):
         parser.error("--base and --change are required")
+    for flag, checkout in (("--base", args.base), ("--change", args.change)):
+        for needed in CHECKOUT_FILES:
+            if checkout is not None and not (checkout / needed).is_file():
+                parser.error(f"{flag} {checkout} is not a checkout: it lacks {needed}")
     for flag, count in (("--lives", args.lives), ("--games", args.games)):
         if count < 0:
             parser.error(f"{flag} must be >= 0, got {count}")
