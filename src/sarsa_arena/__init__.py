@@ -3,7 +3,7 @@
 from .config import ConfigError, SimConfig, default_config, load_config
 from .encoder import CombatObservation, N_STATES, decode, encode
 from .harness import (
-    CampaignResult,
+    Campaign,
     CampaignSettings,
     GameRecord,
     LifeRecord,
@@ -24,7 +24,7 @@ from .weapons import WeaponCategory, WeaponSpec, new_table_set
 __version__ = "0.1.0"
 
 __all__ = [
-    "CampaignResult",
+    "Campaign",
     "CampaignSettings",
     "CombatObservation",
     "ConfigError",

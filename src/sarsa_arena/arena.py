@@ -210,7 +210,9 @@ class OpponentProfile:
     combat_jump_prob_s: float
 
     def __post_init__(self) -> None:
-        check_params(self, at_least={"fov_deg": 0, "turn_rate_deg_s": 0, "speed_fraction": 0})
+        check_params(self, at_least={
+            "fov_deg": 0, "turn_rate_deg_s": 0, "speed_fraction": 0, "aim_lag_s": 0,
+        })
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,8 @@ class PhysicsParams:
         check_params(self, at_least={
             "tick_hz": 1, "decision_every": 1, "spawn_assault_ammo": 0,
             "weapon_pickup_ammo": 0, "ammo_pickup_amount": 0, "base_speed": 0,
-            "rl_fov_deg": 0, "rl_turn_rate_deg_s": 0,
+            "rl_fov_deg": 0, "rl_turn_rate_deg_s": 0, "aim_lag_s": 0, "respawn_delay_s": 0,
+            "pickup_respawn_s": 0, "jump_duration_s": 0,
         })
 
     @property
@@ -643,7 +646,7 @@ class World:
         self.pit_steering = tuple(steering)
 
         # The learning bot's bookkeeping: its current life, which began at
-        # life_start_tick, its last finished life until the harness takes it,
+        # life_start_tick, its last finished life until play hands it on,
         # and its game.
         self.life = LifeStats()
         self.life_start_tick = 0
@@ -758,6 +761,18 @@ class World:
         return best, best_d, best_bearing
 
     # -- tick --------------------------------------------------------------
+
+    def play(self, ticks: int, events_file=None):
+        """Tick `ticks` times, writing each tick's events to `events_file`
+        when one is given, and yield each life the bot completes, taken from
+        `completed_life`."""
+        for _ in range(ticks):
+            events = self.tick()
+            if events and events_file is not None:
+                events_file.write("".join([format_event(e) + "\n" for e in events]))
+            if self.completed_life is not None:
+                life, self.completed_life = self.completed_life, None
+                yield life
 
     def tick(self) -> list[Event]:
         dt = self.dt

@@ -11,10 +11,10 @@ import contextlib
 import csv
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .arena import LifeStats, RL_AGENT_ID, RlShooterController, World, format_event
+from .arena import LifeStats, RL_AGENT_ID, RlShooterController, World
 from .config import SimConfig
 from .learner import QTableSet
 from .metrics import FieldSummary, hit_percentage, kd_ratio, summarize_field
@@ -72,90 +72,87 @@ class CampaignSettings:
         return f"L{self.level}-s{self.seed}"
 
 
-@dataclass
-class CampaignResult:
-    settings: CampaignSettings
-    lives: list[LifeRecord] = field(default_factory=list)
-    games: list[GameRecord] = field(default_factory=list)
-    tset: QTableSet | None = None
+class Campaign:
+    """A campaign's state: settings, rng, tables, controller, the records so
+    far and the open output files.  Play each game with `play_game()` inside
+    `with campaign.files:`, which closes them."""
 
+    def __init__(self, sim: SimConfig, settings: CampaignSettings) -> None:
+        if settings.level not in sim.profiles:
+            raise ValueError(
+                f"level {settings.level} has no [opponent:{settings.level}] section; "
+                f"the known levels are {', '.join(map(str, sorted(sim.profiles)))}"
+            )
+        ticks = settings.minutes * 60 * sim.physics.tick_hz
+        if ticks == math.inf:
+            raise ValueError(
+                f"a game of {settings.minutes:g} minutes at {sim.physics.tick_hz} Hz "
+                "has too many ticks to count"
+            )
+        self.sim = sim
+        self.settings = settings
+        self.ticks_per_game = round(ticks)
+        self.out = Path(settings.out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.rng = random.Random(settings.seed)
+        self.tset = new_table_set(sim.learner)
+        self.controller = RlShooterController(self.tset, sim.armory, sim.priority, self.rng)
+        self.lives: list[LifeRecord] = []
+        self.games: list[GameRecord] = []
+        self.weapon_names = list(sim.armory)
+        with contextlib.ExitStack() as files:
+            self.events_file = files.enter_context(
+                (self.out / "events.log").open("w", encoding="ascii")
+            ) if settings.record_events else None
+            self.lives_w = csv.writer(files.enter_context(
+                (self.out / "lives.csv").open("w", newline="", encoding="ascii")))
+            self.lives_w.writerow(_header(LifeRecord))
+            self.games_w = csv.writer(files.enter_context(
+                (self.out / "games.csv").open("w", newline="", encoding="ascii")))
+            self.games_w.writerow(_header(GameRecord, self.weapon_names))
+            self.files = files.pop_all()
 
-def run_campaign(sim: SimConfig, settings: CampaignSettings) -> CampaignResult:
-    """Play `settings.games` games at one opponent level, learning throughout."""
-    ticks = settings.minutes * 60 * sim.physics.tick_hz
-    if ticks == math.inf:
-        raise ValueError(
-            f"a game of {settings.minutes:g} minutes at {sim.physics.tick_hz} Hz "
-            "has too many ticks to count"
+    def play_game(self) -> None:
+        """Play the next game in a fresh World: record each of the bot's
+        lives as it ends, then the game."""
+        sim, settings, tset = self.sim, self.settings, self.tset
+        game = len(self.games) + 1
+        world = World(
+            sim.arena, sim.armory, sim.physics, sim.behavior,
+            sim.profiles[settings.level], self.controller, self.rng,
+            n_opponents=sim.harness.opponents,
         )
-    ticks_per_game = round(ticks)
-    out = Path(settings.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(settings.seed)
-    tset = new_table_set(sim.learner)
-    controller = RlShooterController(tset, sim.armory, sim.priority, rng)
-    result = CampaignResult(settings=settings, tset=tset)
-    weapon_names = list(sim.armory)
+        for stats in world.play(self.ticks_per_game, self.events_file):
+            self._record_life(game, stats)
+            if settings.snapshot_every > 0 and tset.lives % settings.snapshot_every == 0:
+                write_snapshot(tset, self.out / f"snap_{settings.level}_{tset.lives}.rlsq")
+        # A bot dead at the whistle has had its death recorded already.
+        if world.agents[RL_AGENT_ID].alive:
+            self._record_life(game, world.finalize_truncated_life())
+        stats = asdict(world.game)
+        del stats["kill_streak"]  # a running count, not a game total
+        record = GameRecord(run_id=settings.run_id, game=game, level=settings.level, **stats)
+        self.games.append(record)
+        self.games_w.writerow(_row(record, self.weapon_names))
 
-    lives_path = out / "lives.csv"
-    games_path = out / "games.csv"
+    def _record_life(self, game: int, stats: LifeStats) -> None:
+        record = LifeRecord(
+            run_id=self.settings.run_id, game=game, life=len(self.lives) + 1,
+            level=self.settings.level, hits=stats.hits, misses=stats.misses,
+            reward=stats.reward, duration_s=stats.duration_s, death_cause=stats.cause,
+        )
+        self.lives.append(record)
+        self.lives_w.writerow(_row(record))
 
-    with contextlib.ExitStack() as files:
-        events_file = files.enter_context(
-            (out / "events.log").open("w", encoding="ascii")
-        ) if settings.record_events else None
-        lives_f = files.enter_context(lives_path.open("w", newline="", encoding="ascii"))
-        games_f = files.enter_context(games_path.open("w", newline="", encoding="ascii"))
-        lives_w = csv.writer(lives_f)
-        lives_w.writerow(_header(LifeRecord))
-        games_w = csv.writer(games_f)
-        games_w.writerow(_header(GameRecord, weapon_names))
 
-        def record_life(game: int, stats: LifeStats) -> None:
-            record = LifeRecord(
-                run_id=settings.run_id, game=game, life=len(result.lives) + 1,
-                level=settings.level, hits=stats.hits, misses=stats.misses,
-                reward=stats.reward, duration_s=stats.duration_s,
-                death_cause=stats.cause,
-            )
-            result.lives.append(record)
-            lives_w.writerow(_row(record))
-
-        for game in range(1, settings.games + 1):
-            world = World(
-                sim.arena, sim.armory, sim.physics, sim.behavior,
-                sim.profiles[settings.level], controller, rng,
-                n_opponents=sim.harness.opponents,
-            )
-            for _ in range(ticks_per_game):
-                events = world.tick()
-                if events and events_file is not None:
-                    events_file.write("".join([format_event(e) + "\n" for e in events]))
-                if world.completed_life is not None:
-                    record_life(game, world.completed_life)
-                    world.completed_life = None
-                    if settings.snapshot_every > 0 and (
-                        tset.lives % settings.snapshot_every == 0
-                    ):
-                        write_snapshot(
-                            tset,
-                            out / f"snap_{settings.level}_{tset.lives}.rlsq",
-                        )
-
-            # A bot dead at the whistle has had its death recorded already.
-            if world.agents[RL_AGENT_ID].alive:
-                record_life(game, world.finalize_truncated_life())
-
-            stats = asdict(world.game)
-            del stats["kill_streak"]  # a running count, not a game total
-            game_record = GameRecord(
-                run_id=settings.run_id, game=game, level=settings.level, **stats
-            )
-            result.games.append(game_record)
-            games_w.writerow(_row(game_record, weapon_names))
-
-    write_snapshot(tset, out / f"snap_{settings.level}_final.rlsq")
-    return result
+def run_campaign(sim: SimConfig, settings: CampaignSettings) -> Campaign:
+    """Play `settings.games` games at one opponent level, learning throughout."""
+    campaign = Campaign(sim, settings)
+    with campaign.files:
+        for _ in range(settings.games):
+            campaign.play_game()
+    write_snapshot(campaign.tset, campaign.out / f"snap_{settings.level}_final.rlsq")
+    return campaign
 
 
 # Criterion 7 caps each evaluation life at 30 simulated seconds of 30 Hz ticks.
@@ -182,13 +179,8 @@ def evaluate_policy(
             controller_cls(tset, sim.armory, sim.priority, rng), rng,
             n_opponents=sim.harness.opponents,
         )
-        for _ in range(EVAL_MAX_TICKS):
-            world.tick()
-            if world.completed_life is not None:
-                rewards.append(world.completed_life.reward)
-                break
-        else:
-            rewards.append(world.finalize_truncated_life().reward)
+        life = next(world.play(EVAL_MAX_TICKS), None) or world.finalize_truncated_life()
+        rewards.append(life.reward)
     return rewards
 
 

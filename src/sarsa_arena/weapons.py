@@ -100,11 +100,12 @@ class WeaponSpec:
         # A speed of inf means hitscan; 0 would leave a rocket in flight
         # forever, and a negative one would fly it backwards.  Below 0, the
         # spread would drop the scatter, the melee range would fire as
-        # hitscan, and the skew would swap Left and Right.
+        # hitscan, the skew would swap Left and Right, and the step would aim
+        # Above below the opponent's feet.
         check_params(
             self,
             at_least={"splash_radius": 0, "spread_deg": 0, "melee_range": 0,
-                      "aim_skew": 0, "pellets": 1},
+                      "aim_skew": 0, "above_step": 0, "pellets": 1},
             above={"damage_per_hit": 0, "fire_interval": 0, "projectile_speed": 0},
             may_be_inf=("projectile_speed",),
         )

@@ -123,6 +123,15 @@ class TestTrain:
         ("weapon:assault_rifle", "spread_deg", "-2.5"),
         ("weapon:shield_gun", "melee_range", "-120"),
         ("weapon:shock_rifle", "aim_skew", "-60"),
+        # Once a run gone quietly wrong: a reaction delay that leads a moving
+        # target, an instant respawn or pickup, a jump that never leaves the
+        # ground and Above aimed below the feet.
+        ("opponent:1", "aim_lag_s", "-0.5"),
+        ("physics", "aim_lag_s", "-0.5"),
+        ("physics", "respawn_delay_s", "-3"),
+        ("physics", "pickup_respawn_s", "-1"),
+        ("physics", "jump_duration_s", "-0.7"),
+        ("weapon:rocket_launcher", "above_step", "-50"),
     ])
     def test_out_of_range_value_is_config_error(self, section, key, value, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[{section}]\n{key} = {value}\n") == 1

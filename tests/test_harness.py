@@ -1,3 +1,4 @@
+import copy
 import filecmp
 import io
 from pathlib import Path
@@ -5,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from sarsa_arena import harness
-from sarsa_arena.arena import RL_AGENT_ID
+from sarsa_arena.arena import RL_AGENT_ID, format_event
 from sarsa_arena.config import ConfigError, default_config, load_config
 from sarsa_arena.harness import (
+    Campaign,
     CampaignSettings,
     format_report,
     load_games_csv,
@@ -123,7 +125,7 @@ class TestEventsLog:
             ticks += 1
             empty += not events
             expected.writelines(
-                (harness.format_event(e) + "\n").encode("ascii") for e in events
+                (format_event(e) + "\n").encode("ascii") for e in events
             )
             return events
 
@@ -157,6 +159,47 @@ class TestEventsLog:
             run_campaign(CFG, settings(tmp_path, games=1, record_events=True))
         logs = [f for name, f in opened if name == "events.log"]
         assert len(logs) == 1 and logs[0].closed
+
+
+class TestCarriedState:
+    def test_a_campaign_continued_in_a_fresh_one_matches_the_unbroken_run(self, tmp_path):
+        # Everything one game hands to the next lives in Campaign: its copy,
+        # taken after game 2, plays games 3 and 4 as the unbroken run did.
+        def campaign(name):
+            return Campaign(CFG, settings(
+                tmp_path / name, level=5, games=4, minutes=0.5, record_events=True,
+            ))
+
+        whole = run_campaign(CFG, campaign("whole").settings)
+        first = campaign("first")
+        with first.files:
+            first.play_game()
+            first.play_game()
+        second = campaign("second")
+        second.rng.setstate(first.rng.getstate())
+        second.tset.tables = copy.deepcopy(first.tset.tables)
+        second.tset.lives = first.tset.lives
+        second.lives = list(first.lives)
+        second.games = list(first.games)
+        with second.files:
+            second.play_game()
+            second.play_game()
+
+        assert 0 < len(first.lives) < len(second.lives)
+        assert second.lives == whole.lives and second.games == whole.games
+        for name in ("lives.csv", "games.csv"):
+            head = (first.out / name).read_text().splitlines()
+            tail = (second.out / name).read_text().splitlines()[1:]
+            assert head + tail == (whole.out / name).read_text().splitlines(), name
+        assert tail
+        joined = (first.out / "events.log").read_bytes() + (second.out / "events.log").read_bytes()
+        assert joined == (whole.out / "events.log").read_bytes()
+        snapshots = {
+            p.name: p.read_bytes() for c in (first, second) for p in c.out.glob("snap_*")
+        }
+        assert snapshots == {
+            p.name: p.read_bytes() for p in whole.out.glob("snap_*") if "final" not in p.name
+        }
 
 
 class TestOpponents:
@@ -221,6 +264,12 @@ class TestSettingsRanges:
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=message):
             run_campaign(CFG, settings(out, **{key: value}))
+        assert not out.exists()
+
+    def test_unknown_level_raises_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="the known levels are 1, 3, 5$"):
+            run_campaign(CFG, settings(out, level=2))
         assert not out.exists()
 
     def test_game_too_long_to_count_raises_before_writing(self, tmp_path):

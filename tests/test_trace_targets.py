@@ -82,3 +82,27 @@ def test_each_controller_counts_its_own_decisions():
     assert calls["arena.GreedyController.decide"] == calls["learner.QTable.row"] > 0
     assert calls["arena.RandomController.decide"] > 0
     assert calls["arena.RlShooterController.decide"] == 0
+
+
+def test_the_train_command_counts_every_traced_layer(tmp_path):
+    # train-l5's per-layer numbers come from these wrappers: a call site that
+    # bound tick or write_snapshot around its module attribute would read 0.
+    from sarsa_arena import cli
+    from sarsa_arena.config import default_config
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main([
+            "train", "--level", "5", "--games", "1", "--minutes", "0.05",
+            "--snapshot-every", "1", "--events", "--no-plots", "--seed", "1",
+            "--out", str(tmp_path),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = {name: stats.calls for name, stats in tracer.stats.items()}
+    assert calls["harness.run_campaign"] == calls["arena.World"] == calls["config.load_config"] == 1
+    assert calls["arena.tick"] == round(0.05 * 60 * default_config().physics.tick_hz)
+    # The final snapshot is always written.
+    assert calls["snapshots.write_snapshot"] >= 1

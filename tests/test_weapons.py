@@ -107,7 +107,7 @@ class TestResolveAim:
     @pytest.mark.parametrize("weapon", [
         spec_for(WeaponCategory.OTHER),
         spec_for(WeaponCategory.OTHER, aim_skew=60.0, above_step=0.0),
-        spec_for(WeaponCategory.OTHER, aim_skew=0.0, above_step=-37.25),
+        spec_for(WeaponCategory.OTHER, aim_skew=0.0, above_step=-0.0),  # -0.0 passes the >= 0 bound
         spec_for(WeaponCategory.OTHER, aim_skew=1e-300, above_step=1e300),
         spec_for(WeaponCategory.OTHER, aim_skew=33.3, above_step=0.1),
     ])
@@ -344,6 +344,17 @@ NEWLY_REJECTED_NAN = {
     "CampaignSettings": {"games", "snapshot_every"},
 }
 
+# The float fields that were only required to be finite and must now be
+# >= 0, so every negative value is newly rejected.  A negative aim lag leads
+# a moving target (the handicap becomes foresight), a negative delay or
+# duration ends at once what it should hold for a while, and a negative
+# above_step aims Above below the opponent's feet.
+NEWLY_REJECTED_NEGATIVE = {
+    "OpponentProfile": {"aim_lag_s"},
+    "PhysicsParams": {"aim_lag_s", "respawn_delay_s", "pickup_respawn_s", "jump_duration_s"},
+    "WeaponSpec": {"above_step"},
+}
+
 
 class TestCheckParams:
     @pytest.mark.parametrize("base", [
@@ -357,7 +368,7 @@ class TestCheckParams:
     ], ids=lambda base: type(base).__name__)
     def test_accepts_and_rejects_what_the_parent_checks_did(self, base):
         cls = type(base)
-        changed = set()
+        changed_nan, changed_negative = set(), set()
         for f in fields(cls):
             if f.type not in ("int", "float"):
                 continue
@@ -370,9 +381,18 @@ class TestCheckParams:
                 except ValueError:
                     accepted = False
                 if accepted != parent_accepts(cls, v):
-                    assert not accepted and f.type == "int" and math.isnan(value), (f.name, value)
-                    changed.add(f.name)
-        assert changed == NEWLY_REJECTED_NAN.get(cls.__name__, set())
+                    assert not accepted, (f.name, value)
+                    if f.type == "int" and math.isnan(value):
+                        changed_nan.add(f.name)
+                    else:
+                        assert f.type == "float" and value < 0, (f.name, value)
+                        changed_negative.add((f.name, value))
+        assert changed_nan == NEWLY_REJECTED_NAN.get(cls.__name__, set())
+        negatives = [value for value in SWEEP_VALUES if -math.inf < value < 0]
+        assert changed_negative == {
+            (name, value)
+            for name in NEWLY_REJECTED_NEGATIVE.get(cls.__name__, ()) for value in negatives
+        }
 
     def test_messages(self):
         # Quoted, as the package's postponed annotations are.
