@@ -612,13 +612,23 @@ class World:
         self.segments = arena.blocking_segments
         # Agents are clamped to [CYLINDER_RADIUS, walk_max] on both axes.
         self.walk_max = arena.size - CYLINDER_RADIUS
-        # Interior walls as (x1, y1, x2, y2, x2 - x1, y2 - y1, vertical), for
-        # line_of_sight, which proves its test for the vertical ones.
+        # The largest coordinate that line_of_sight and _hitscan read, and a
+        # margin far above their rounding at that size: each proves its
+        # early-out with it.
+        extent = max([arena.size] + [
+            abs(c) for w in arena.walls for c in (w.x1, w.y1, w.x2, w.y2)
+        ])
+        margin = 1e-9 * extent
+        self.reach_sq = CYLINDER_RADIUS * CYLINDER_RADIUS + margin * extent
+        # Interior walls as (x1, y1, x2, y2, x2 - x1, y2 - y1, vertical, lo,
+        # hi), for line_of_sight, which proves its tests for the vertical
+        # ones; [lo, hi] is the wall's y-extent grown by the margin.
         walls = []
         for w in arena.walls:
             ex, ey = w.x2 - w.x1, w.y2 - w.y1
             walls.append((w.x1, w.y1, w.x2, w.y2, ex, ey,
-                          ex == 0.0 and 1.0 <= abs(ey) < math.inf))
+                          ex == 0.0 and 1.0 <= abs(ey) < math.inf,
+                          min(w.y1, w.y2) - margin, max(w.y1, w.y2) + margin))
         self.walls = tuple(walls)
         # The most the opponents and the bot turn in one tick.
         self.scripted_turn = profile.turn_rate_deg_s * self.dt
@@ -702,15 +712,40 @@ class World:
         2**-1074 and |ey| >= 1, so ey * (x1 - wx1) is non-zero (perhaps
         infinite), d1 is exactly its negation, and d1 > 0 exactly when x1 is
         on the side of wx1 given by the sign of ey.  Likewise d2.
+
+        Before that x test, the band test skips a vertical wall when y1 and
+        y2 both lie below its grown extent's lo or both above its hi
+        (World.__init__: the wall's ends less and plus margin = 1e-9 * C, C
+        the largest of the arena's size and every |wall coordinate|).  Where
+        the x test would skip the wall too, that changes nothing.  Otherwise
+        wx1 lies between x1 and x2.  Proof, for endpoints with coordinates in
+        [1, size], as agents' are, and a wall above the segment (the other
+        case is its mirror).  If x1 == x2, both ends lie on the wall's line,
+        d1 to d4 are 0, and segments_intersect reports only an end inside the
+        other segment's bounding box: there is none, as the y-ranges are
+        disjoint.  Otherwise |dx| >= 2**-52.  For either end wy of the wall,
+        d3 or d4 rounds e = dx * (wy - y1) - dy * (wx1 - x1).  Exactly, e =
+        dx * (wy - yc): the line from (x1, y1) along the rounded (dx, dy)
+        meets x = wx1 at height yc, at most 3u*C above max(y1, y2) (u =
+        2**-53), and lo is at most 2u*C above the wall's end less margin, so
+        wy - yc > margin - 5u*C.  The rounding of e's two differences and two
+        products, each under 2C*|dx| in size, is under 7u*C*|dx|, and |dx| *
+        margin lies far above the subnormals.  The first product alone can
+        overflow, to an infinity of e's sign.  So d3 and d4 are non-zero with
+        the sign of dx, as margin > 12u*C, and the general path would
+        continue at its (d3, d4) test.
         """
-        dx, dy = x2 - x1, y2 - y1
-        for wx1, wy1, wx2, wy2, ex, ey, vertical in self.walls:
-            if vertical and x1 != wx1 and x2 != wx1 and (x1 < wx1) == (x2 < wx1):
-                continue  # both ends strictly on one side of the wall's line
+        for wx1, wy1, wx2, wy2, ex, ey, vertical, lo, hi in self.walls:
+            if vertical and (
+                y1 < lo and y2 < lo or y1 > hi and y2 > hi
+                or x1 != wx1 and x2 != wx1 and (x1 < wx1) == (x2 < wx1)
+            ):
+                continue  # both ends past one end of the wall, or on one side of it
             d1 = ex * (y1 - wy1) - ey * (x1 - wx1)
             d2 = ex * (y2 - wy1) - ey * (x2 - wx1)
             if (d1 > 0) == (d2 > 0) and d1 != 0 and d2 != 0:
                 continue  # both ends strictly on one side of the wall's line
+            dx, dy = x2 - x1, y2 - y1
             d3 = dx * (wy1 - y1) - dy * (wx1 - x1)
             d4 = dx * (wy2 - y1) - dy * (wx2 - x1)
             if (d3 > 0) == (d4 > 0) and d3 != 0 and d4 != 0:
@@ -1265,6 +1300,34 @@ class World:
         return True
 
     def _hitscan(self, agent, weapon: WeaponSpec, aim_point, damage_records) -> bool:
+        """Fire one hitscan pellet: the first agent on the ray is hit unless a
+        wall comes first.
+
+        The distance test skips an agent whose centre lies too far from the
+        shot's 2-D line for geo.ray_cylinder_t to return anything but None:
+        cross * cross > limit, where cross = dx * (cy - oy) - dy * (cx - ox),
+        limit = hh * reach_sq, hh = dx * dx + dy * dy (ray_cylinder_t's a)
+        and reach_sq = R**2 + margin * C (World.__init__: R is
+        CYLINDER_RADIUS, margin = 1e-9 * C and C >= size > 2R).  A zero or
+        subnormal hh sets limit to inf, and nothing is skipped.  Proof, with
+        u = 2**-53, f = (cx - ox, cy - oy) rounded (|f| < 1.5C, agents being
+        inside the arena), d = (dx, dy) and D the distance of o + f from the
+        line, D = |K| / |d| for K = dx * f[1] - dy * f[0] exactly:
+        - A skip means D > sqrt(reach_sq) * (1 - 4u) - 3u*C: cross is K to
+          within 3u*C*|d|, and cross * cross and limit round by a few u, the
+          subnormals lying far below |d|**2 * margin * C.
+        - ray_cylinder_t returns a t only if (a) its origin test finds |f| <=
+          R to within 2u, so D <= R * (1 + 2u); or (b) its side test finds
+          the discriminant >= 0, whose quarter is exactly |d|**2 * (R**2 -
+          D**2) and rounds by under u * |d|**2 * (12 * |f|**2 + 5 * R**2), so
+          D**2 <= R**2 * (1 + 5u) + 27u*C**2; or (c) an end cap finds a
+          rounded point (x, y) within R * (1 + 3u) of the centre, where (x,
+          y) lies within 6u*C of the line's point (ox + t * dx, oy + t * dy)
+          and o + f within 2u*C of the centre, so D <= R * (1 + 3u) + 8u*C.
+        Since margin * C = 1e-9 * C**2 and C > 2R, the skip's bound exceeds
+        each of (a), (b) and (c).  So the victim and the damage record are
+        those of the same loop without the test.
+        """
         # self._ray(agent, aim_point), inlined.
         ox, oy, oz = agent.x, agent.y, agent.z + self.physics.eye_height
         dx = aim_point[0] - ox
@@ -1287,11 +1350,16 @@ class World:
             dx, dy = dx * c - dy * s, dx * s + dy * c
 
         origin, direction = (ox, oy, oz), (dx, dy, dz)
+        hh = dx * dx + dy * dy
+        limit = hh * self.reach_sq if hh >= 2.0 ** -1022 else math.inf
         best_t = math.inf
         victim = None
         for other in self.agents:
             if other.id == agent.id or not other.alive:
                 continue
+            cross = dx * (other.y - oy) - dy * (other.x - ox)
+            if cross * cross > limit:
+                continue  # the distance test: ray_cylinder_t would return None
             t = geo.ray_cylinder_t(
                 origin, direction, (other.x, other.y), other.z,
                 CYLINDER_RADIUS, CYLINDER_HEIGHT,

@@ -41,6 +41,7 @@ from sarsa_arena.harness import evaluate_policy
 from sarsa_arena.learner import N_ACTIONS
 from sarsa_arena.weapons import (
     ASSAULT_RIFLE,
+    CYLINDER_HEIGHT,
     CYLINDER_RADIUS,
     WeaponCategory,
     new_table_set,
@@ -781,10 +782,25 @@ VERTICAL_ARENA = Arena(
     spawn_points=((100, 100), (3900, 100), (100, 3900), (3900, 3900)),
     pickups=(),
 )
+
+
+def scaled_arena(arena, k):
+    """`arena` with every length multiplied by `k`."""
+    return Arena(
+        size=arena.size * k,
+        walls=tuple(Wall(w.x1 * k, w.y1 * k, w.x2 * k, w.y2 * k) for w in arena.walls),
+        pits=tuple(Pit(p.x * k, p.y * k, p.radius * k) for p in arena.pits),
+        spawn_points=tuple((x * k, y * k) for x, y in arena.spawn_points),
+        pickups=tuple(replace(s, x=s.x * k, y=s.y * k) for s in arena.pickups),
+    )
+
+
 WORLDS = {
     "default": world_in(default_config().arena),
     "diagonal": world_in(DIAGONAL_ARENA),
     "vertical": world_in(VERTICAL_ARENA),
+    # Near the largest arena accepted, where the margin is far above an ulp.
+    "scaled": world_in(scaled_arena(default_config().arena, 1e90)),
 }
 
 
@@ -820,9 +836,16 @@ def inside_points(draw, arena):
                 x = math.nextafter(x, draw(st.sampled_from([0.0, size])))
             for _ in range(draw(st.integers(0, 3))):
                 y = math.nextafter(y, draw(st.sampled_from([0.0, size])))
-    x = min(max(x, 1.0), size - 1.0)
-    y = min(max(y, 1.0), size - 1.0)
-    return x, y
+    # Strictly inside, also where 1.0 is below an ulp of the size.
+    top = size - max(1.0, math.ulp(size))
+    return min(max(x, 1.0), top), min(max(y, 1.0), top)
+
+
+def ulps_from(x, k):
+    """`x` moved by `k` ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
 
 
 def assert_matches_reference(world, p, q):
@@ -847,6 +870,33 @@ class TestLineOfSight:
         assert [w[6] for w in WORLDS["vertical"].walls] == [True, True, False, False]
         assert [w[6] for w in WORLDS["default"].walls] == [True, True]
         assert [w[6] for w in WORLDS["diagonal"].walls] == [False, False, False]
+        assert [w[6] for w in WORLDS["scaled"].walls] == [True, True]
+
+    def test_band_is_each_walls_extent_grown_by_the_margin(self):
+        # The margin is 1e-9 times the largest coordinate: the size, 4000.
+        assert [w[7:] for w in WORLDS["default"].walls] == [(1400 - 4e-6, 2600 + 4e-6)] * 2
+        assert [w[7:] for w in WORLDS["vertical"].walls[:2]] == [(1400 - 4e-6, 2600 + 4e-6)] * 2
+
+    @pytest.mark.parametrize("name", ["default", "vertical", "scaled"])
+    def test_band_edges(self, name):
+        # Endpoints at a band edge and the wall's end beside it, 1-8 ulps
+        # either side of each, and far past that end, on, beside and either
+        # side of the wall's line: each pair lies across the line, so that
+        # the x test fails, and beside the same end, where the band test
+        # decides.
+        world = WORLDS[name]
+        reach = world.arena.size / 20
+        for wx, wy1, _, wy2, _, _, vertical, lo, hi in world.walls:
+            if not vertical:
+                continue
+            for edge, end, far in ((lo, min(wy1, wy2), lo - reach),
+                                   (hi, max(wy1, wy2), hi + reach)):
+                ys = [ulps_from(y, k) for y in (edge, end) for k in range(-8, 9)] + [far]
+                left = [wx - reach, math.nextafter(wx, -math.inf), wx]
+                right = [wx, math.nextafter(wx, math.inf), wx + reach]
+                for p in [(x, y) for x in left for y in ys]:
+                    for q in [(x, y) for x in right for y in ys]:
+                        assert_matches_reference(world, p, q)
 
     @pytest.mark.parametrize("wall", VERTICAL_ARENA.walls[:2], ids=["up", "down"])
     def test_vertical_wall_on_its_line_and_at_its_ends(self, wall):
@@ -873,6 +923,177 @@ class TestLineOfSight:
         assert world.line_of_sight(x, 2700.0, x, 3000.0)  # beyond its end
         assert world.line_of_sight(1000.0, 2000.0, 1100.0, 2000.0)
         assert not world.line_of_sight(1000.0, 2000.0, 1300.0, 2000.0)
+
+
+# ---------------------------------------------------------------------------
+# _hitscan's distance test against geo.ray_cylinder_t
+
+
+def open_world(size):
+    return world_in(Arena(
+        size=size, walls=(), pits=(),
+        spawn_points=tuple((size * a, size * b) for a in (0.25, 0.75) for b in (0.25, 0.75)),
+        pickups=(),
+    ))
+
+
+# Arenas from just wider than an agent to 1e96, and the default one's walls.
+HITSCAN_WORLDS = {
+    f"{size:g}": open_world(size) for size in (40.0, 4000.0, 1e8, 1e20, 1e50, 1e96)
+}
+HITSCAN_WORLDS["default"] = WORLDS["default"]
+
+
+def assert_skip_is_a_miss(world, origin, direction, centre, base):
+    """A centre that _hitscan's distance test, as written there but for a
+    direction of any length, skips is one that ray_cylinder_t misses."""
+    dx, dy = direction[0], direction[1]
+    hh = dx * dx + dy * dy
+    limit = hh * world.reach_sq if hh >= 2.0 ** -1022 else math.inf
+    cross = dx * (centre[1] - origin[1]) - dy * (centre[0] - origin[0])
+    if cross * cross > limit:
+        assert geo.ray_cylinder_t(
+            origin, direction, centre, base, CYLINDER_RADIUS, CYLINDER_HEIGHT
+        ) is None
+
+
+def near_line(draw, world, o, d):
+    """A point beside the 2-D line from `o` along `d` (not zero), at a few
+    margins or ulps from CYLINDER_RADIUS, or inside it; clamped to where
+    agents can stand."""
+    size = world.arena.size
+    step = draw(st.sampled_from([1e-9 * size, 2.0 ** -52 * size, 2.0 ** -48]))
+    off = CYLINDER_RADIUS + draw(st.floats(-8.0, 8.0)) * step
+    along = draw(st.floats(-0.5, 1.5)) * size
+    n = math.hypot(d[0], d[1])
+    ux, uy = d[0] / n, d[1] / n
+    x = o[0] + along * ux - off * uy
+    y = o[1] + along * uy + off * ux
+    lo, hi = CYLINDER_RADIUS, world.walk_max
+    return min(max(x, lo), hi), min(max(y, lo), hi)
+
+
+class TestHitscanDistanceTest:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(HITSCAN_WORLDS)))
+    def test_skipped_centres_are_missed(self, data, name):
+        # Any direction, not only a unit one: near-tangent to the cylinder,
+        # vertical or nearly so (hh zero or subnormal), or from an origin
+        # inside it; the origin anywhere from below its base to above its top.
+        world = HITSCAN_WORLDS[name]
+        coord = st.floats(CYLINDER_RADIUS, world.walk_max)
+        o = (data.draw(coord), data.draw(coord))
+        kind = data.draw(st.sampled_from(["free", "tangent", "vertical", "inside"]))
+        # Zero, or so small that hh is subnormal or zero.
+        tiny = st.sampled_from([0.0, -0.0, 3.44e-162]) | st.floats(-1e-150, 1e-150)
+        # A |dz| under about 1e-150 makes ray_cylinder_t square an end cap's
+        # offset past 1e154, where float ** raises OverflowError: left out.
+        # A level shot (dz 0) meets the side of a far cylinder.
+        dz = data.draw(st.just(0.0) | st.sampled_from([1.0, -1.0])
+                       | st.floats(-0.3, 0.3).filter(lambda z: z == 0.0 or abs(z) > 1e-100))
+        if kind == "vertical":
+            d = (data.draw(tiny), data.draw(tiny), dz or 1.0)
+        else:
+            d = (data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0)), dz)
+        if kind == "tangent" and d[:2] != (0.0, 0.0):
+            centre = near_line(data.draw, world, o, d)
+        elif kind in ("inside", "vertical"):
+            offset = st.floats(-CYLINDER_RADIUS, CYLINDER_RADIUS)
+            centre = (o[0] + data.draw(offset), o[1] + data.draw(offset))
+        else:
+            centre = (data.draw(coord), data.draw(coord))
+        base = data.draw(st.sampled_from([0.0, 30.0]))
+        oz = base + data.draw(st.floats(-10.0, 70.0))
+        assert_skip_is_a_miss(world, (o[0], o[1], oz), d, centre, base)
+
+    @pytest.mark.parametrize("name", sorted(HITSCAN_WORLDS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_skipped_centres_beside_level_shots_are_missed(self, name, data):
+        # Where ray_cylinder_t's side test rounds most: a level shot from far
+        # off, passing a few margins or ulps from the cylinder's radius.
+        world = HITSCAN_WORLDS[name]
+        coord = st.floats(CYLINDER_RADIUS, world.walk_max)
+        o = (data.draw(coord), data.draw(coord), data.draw(st.floats(0.0, CYLINDER_HEIGHT)))
+        d = (data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0)), 0.0)
+        if d[:2] != (0.0, 0.0):
+            assert_skip_is_a_miss(world, o, d, near_line(data.draw, world, o, d), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(HITSCAN_WORLDS)))
+    def test_hitscan_equals_the_loop_without_the_test(self, data, name):
+        # The same shot with reach_sq = inf, where the test skips nothing:
+        # the same return, damage record and rng stream.
+        world = HITSCAN_WORLDS[name]
+        coord = st.floats(CYLINDER_RADIUS, world.walk_max)
+        shooter = world.agents[data.draw(st.integers(0, 3))]
+        shooter.x, shooter.y = data.draw(coord), data.draw(coord)
+        aim = (data.draw(coord), data.draw(coord), data.draw(st.floats(-50.0, 150.0)))
+        if data.draw(st.booleans()):
+            aim = (shooter.x, shooter.y, aim[2])  # straight up or down
+        d = (aim[0] - shooter.x, aim[1] - shooter.y)
+        for other in world.agents:
+            other.alive = data.draw(st.booleans()) or other is shooter
+            other.z = data.draw(st.sampled_from([0.0, 40.0]))
+            if other is shooter:
+                continue
+            where = data.draw(st.sampled_from(["near", "at", "free"]))
+            if where == "near" and d != (0.0, 0.0):
+                other.x, other.y = near_line(data.draw, world, (shooter.x, shooter.y), d)
+            elif where == "at":
+                other.x, other.y = shooter.x, shooter.y
+            else:
+                other.x, other.y = data.draw(coord), data.draw(coord)
+        weapon = replace(world.armory["shock_rifle"],
+                         spread_deg=data.draw(st.sampled_from([0.0, 3.0])))
+        state = world.rng.getstate()
+        filtered = []
+        hit = world._hitscan(shooter, weapon, aim, filtered)
+        after = world.rng.getstate()
+        world.rng.setstate(state)
+        reach_sq, world.reach_sq = world.reach_sq, math.inf
+        try:
+            unfiltered = []
+            assert world._hitscan(shooter, weapon, aim, unfiltered) is hit
+        finally:
+            world.reach_sq = reach_sq
+        assert filtered == unfiltered
+        assert world.rng.getstate() == after
+
+    def test_a_shot_of_subnormal_hh_skips_nothing(self):
+        # Nearly straight up, from inside the victim: dx is about 3.4e-162,
+        # so hh rounds down to 2 subnormal ulps, and cross * cross exceeds
+        # hh * reach_sq though ray_cylinder_t hits at t = 0.
+        world = world_in(OPEN_ARENA)
+        spots = [(1000.0, 1000.0), (1000.0, 1016.9), (3000.0, 3000.0), (3000.0, 1000.0)]
+        for agent, (x, y) in zip(world.agents, spots):
+            agent.x, agent.y, agent.z = x, y, 0.0
+        rifle = replace(world.armory["shock_rifle"], spread_deg=0.0)
+        records = []
+        aim = (1000.0 + 3.4e-12, 1000.0, 1e150)
+        assert world._hitscan(world.agents[0], rifle, aim, records)
+        assert [r[1] for r in records] == [1]
+
+    def test_only_agents_near_the_shot_are_tested(self, monkeypatch):
+        world = world_in(OPEN_ARENA)
+        tested = []
+        full_test = geo.ray_cylinder_t
+
+        def spy(origin, direction, centre, *rest):
+            tested.append(centre)
+            return full_test(origin, direction, centre, *rest)
+
+        monkeypatch.setattr(geo, "ray_cylinder_t", spy)
+        # Aimed along y = 1000: 2 lies within the radius of the line, 3 just
+        # beyond it, and 1, aimed at, on it.
+        spots = [(1000.0, 1000.0), (3000.0, 1000.0), (2000.0, 1016.5), (2000.0, 1017.5)]
+        for agent, (x, y) in zip(world.agents, spots):
+            agent.x, agent.y = x, y
+        records = []
+        rifle = replace(world.armory["shock_rifle"], spread_deg=0.0)
+        assert world._hitscan(world.agents[0], rifle, (3000.0, 1000.0, 19.5), records)
+        assert tested == [(3000.0, 1000.0), (2000.0, 1016.5)]
+        assert [r[1] for r in records] == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import csv
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,6 +230,24 @@ class TestByteIdentity:
     def test_short_run_outputs_are_pinned(self, tmp_path, capsys):
         assert main(SHORT_RUN + ["--out", str(tmp_path)]) == 0
         assert tree_digest(tmp_path) == SHORT_RUN_SHA256
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Set and dict order of strings follows PYTHONHASHSEED, fixed per
+        # interpreter, so each run is a fresh one.  Plots on.
+        src = Path(__file__).resolve().parent.parent / "src"
+        digests = []
+        for hash_seed in ("0", "12345"):
+            out = tmp_path / hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-m", "sarsa_arena.cli", "train", "--level", "5",
+                 "--games", "2", "--minutes", "0.5", "--seed", "7", "--events",
+                 "--snapshot-every", "1", "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed),
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(tree_digest(out))
+        assert digests[0] == digests[1]
 
 
 class TestReport:
