@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from . import geometry as geo
 from .encoder import CombatObservation, discretize_distance, encode
@@ -55,8 +56,7 @@ MAX_ARENA_SIZE = 1e100
 # Static world description
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     x1: float
     y1: float
     x2: float
@@ -71,15 +71,13 @@ class Wall:
         return (self.x2, self.y2)
 
 
-@dataclass(frozen=True)
-class Pit:
+class Pit(NamedTuple):
     x: float
     y: float
     radius: float
 
 
-@dataclass(frozen=True)
-class PickupSpot:
+class PickupSpot(NamedTuple):
     kind: str  # "weapon" | "ammo"
     weapon: str | None
     x: float
@@ -110,8 +108,8 @@ class Arena:
     pickups: tuple[PickupSpot, ...]
 
     def __post_init__(self) -> None:
-        # Movement clamps agents to [r, size - r]; this keeps them strictly
-        # inside the boundary, which World.line_of_sight relies on.
+        # Movement clamps agents to [r, World.walk_max], strictly inside the
+        # boundary, which World.line_of_sight relies on.
         if not 2 * CYLINDER_RADIUS < self.size <= MAX_ARENA_SIZE:
             raise ValueError(
                 f"arena size {self.size:g} must be wider than an agent and at "
@@ -273,8 +271,7 @@ class BehaviorParams:
 # Events
 
 
-@dataclass(frozen=True)
-class DamageEvent:
+class DamageEvent(NamedTuple):
     tick: int
     attacker: int
     victim: int
@@ -283,28 +280,24 @@ class DamageEvent:
     self_inflicted: bool
 
 
-@dataclass(frozen=True)
-class KillEvent:
+class KillEvent(NamedTuple):
     tick: int
     killer: int
     victim: int
 
 
-@dataclass(frozen=True)
-class SuicideEvent:
+class SuicideEvent(NamedTuple):
     tick: int
     victim: int
     cause: str  # "pit" | "self-splash"
 
 
-@dataclass(frozen=True)
-class SpawnEvent:
+class SpawnEvent(NamedTuple):
     tick: int
     agent: int
 
 
-@dataclass(frozen=True)
-class PickupEvent:
+class PickupEvent(NamedTuple):
     tick: int
     agent: int
     item: str
@@ -373,8 +366,7 @@ class AgentState:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class FireCommand:
+class FireCommand(NamedTuple):
     weapon: str
     aim: tuple[float, float, float] | None  # None: locked on the target
     target_id: int
@@ -610,8 +602,10 @@ class World:
         self.dt = physics.dt
         self.tick_count = 0
         self.segments = arena.blocking_segments
-        # Agents are clamped to [CYLINDER_RADIUS, walk_max] on both axes.
-        self.walk_max = arena.size - CYLINDER_RADIUS
+        # Agents are clamped to [CYLINDER_RADIUS, walk_max] on both axes,
+        # strictly inside the boundary: above 2**58, size - CYLINDER_RADIUS
+        # rounds to size.
+        self.walk_max = min(arena.size - CYLINDER_RADIUS, math.nextafter(arena.size, 0.0))
         # The largest coordinate that line_of_sight and _hitscan read, and a
         # margin far above their rounding at that size: each proves its
         # early-out with it.

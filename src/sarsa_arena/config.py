@@ -6,6 +6,7 @@ import configparser
 import os
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
+from typing import NamedTuple
 
 from .arena import (
     Arena,
@@ -40,8 +41,7 @@ class HarnessParams:
         )
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     learner: LearnerConfig
     armory: dict[str, WeaponSpec]
     priority: PriorityTables

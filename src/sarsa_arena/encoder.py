@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 N_STATES = 1296
 
@@ -56,8 +57,7 @@ class FacingSector(enum.IntEnum):
     FL1 = 5  # [-60, 0)
 
 
-@dataclass(frozen=True)
-class DirectionClass:
+class DirectionClass(NamedTuple):
     radial: RadialMotion
     tangential: TangentialMotion
 

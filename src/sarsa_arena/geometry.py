@@ -113,9 +113,13 @@ def ray_cylinder_t(
             if t >= 0.0:
                 x = ox + t * dx
                 y = oy + t * dy
-                if (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius and (
-                    best is None or t < best
-                ):
+                try:
+                    inside = (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius
+                except OverflowError:
+                    # Float `**` raises past about 1e154 (a nearly level
+                    # ray), so the point is off any cap narrower than that.
+                    continue
+                if inside and (best is None or t < best):
                     best = t
     # A zero direction finds nothing: starting inside, it returned 0.0 above.
     return best

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .arena import LifeStats, RL_AGENT_ID, RlShooterController, World
 from .config import SimConfig
@@ -270,8 +271,7 @@ def load_games_csv(path: Path | str) -> list[GameRecord]:
 # Reporting
 
 
-@dataclass(frozen=True)
-class LevelSummary:
+class LevelSummary(NamedTuple):
     level: int
     games: int
     kills: int

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def kd_ratio(kills: int, deaths_by_others: int, suicides: int) -> float | None:
@@ -43,8 +42,7 @@ def centred_moving_average(series: Sequence[float], window: int = 11) -> list[fl
     return averages
 
 
-@dataclass(frozen=True)
-class FieldSummary:
+class FieldSummary(NamedTuple):
     mean: float
     std: float
     minimum: float

@@ -2,7 +2,7 @@ import hashlib
 import math
 import random
 import struct
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -243,7 +243,7 @@ def test_scripted_fire_shares_one_frozen_lock_on_per_target():
                 assert cmd is world.lock_on[cmd.target_id]
                 fired.add(cmd.target_id)
     assert RL_AGENT_ID in fired
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         world.lock_on[RL_AGENT_ID].target_id = 1
 
 
@@ -791,7 +791,7 @@ def scaled_arena(arena, k):
         walls=tuple(Wall(w.x1 * k, w.y1 * k, w.x2 * k, w.y2 * k) for w in arena.walls),
         pits=tuple(Pit(p.x * k, p.y * k, p.radius * k) for p in arena.pits),
         spawn_points=tuple((x * k, y * k) for x, y in arena.spawn_points),
-        pickups=tuple(replace(s, x=s.x * k, y=s.y * k) for s in arena.pickups),
+        pickups=tuple(s._replace(x=s.x * k, y=s.y * k) for s in arena.pickups),
     )
 
 
@@ -915,6 +915,16 @@ class TestLineOfSight:
         assert geo.segments_intersect(p, q, (1200.0, 1400.0), (1200.0, 2600.0))
         assert_matches_reference(WORLDS["default"], p, q)
 
+    def test_agents_stay_strictly_inside_a_huge_arena(self):
+        # size - CYLINDER_RADIUS rounds to size above 2**58.
+        world = WORLDS["scaled"]
+        assert world.walk_max < world.arena.size
+        coords = [CYLINDER_RADIUS, world.arena.size / 2, world.walk_max]
+        points = [(x, y) for x in coords for y in coords]
+        for i, p in enumerate(points):
+            for q in points[i:]:
+                assert_matches_reference(world, p, q)
+
     def test_collinear_with_a_wall(self):
         world = WORLDS["default"]
         x = 1200.0
@@ -986,11 +996,10 @@ class TestHitscanDistanceTest:
         kind = data.draw(st.sampled_from(["free", "tangent", "vertical", "inside"]))
         # Zero, or so small that hh is subnormal or zero.
         tiny = st.sampled_from([0.0, -0.0, 3.44e-162]) | st.floats(-1e-150, 1e-150)
-        # A |dz| under about 1e-150 makes ray_cylinder_t square an end cap's
-        # offset past 1e154, where float ** raises OverflowError: left out.
-        # A level shot (dz 0) meets the side of a far cylinder.
+        # A level shot (dz 0) meets the side of a far cylinder; a nearly
+        # level one squares an end cap's offset past 1e154.
         dz = data.draw(st.just(0.0) | st.sampled_from([1.0, -1.0])
-                       | st.floats(-0.3, 0.3).filter(lambda z: z == 0.0 or abs(z) > 1e-100))
+                       | st.floats(-0.3, 0.3))
         if kind == "vertical":
             d = (data.draw(tiny), data.draw(tiny), dz or 1.0)
         else:
