@@ -26,7 +26,8 @@ print(f"done: {trained.tset.lives} lives of experience\n")
 
 for name, cls in (("greedy", GreedyController), ("random", RandomController)):
     # Lives are capped at 30 simulated seconds (harness.EVAL_MAX_TICKS).
-    rewards = evaluate_policy(sim, trained.tset, cls, range(5000, 5000 + N_LIVES))
+    lives = evaluate_policy(sim, trained.tset, cls, range(5000, 5000 + N_LIVES))
+    rewards = [life.reward for life in lives]
     print(f"{name:>6s}: mean reward {statistics.fmean(rewards):7.1f} "
           f"over {N_LIVES} lives "
           f"(median {statistics.median(rewards):.0f})")

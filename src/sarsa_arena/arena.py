@@ -406,14 +406,13 @@ class LifeStats:
 
 @dataclass(slots=True)
 class GameStats:
-    """The learning bot's counts for one game, named as the fields of
-    harness.GameRecord; `kill_streak` is its run of kills since it last died."""
+    """The learning bot's counts for one game: the fields of
+    harness.GameRecord past its run id, game and level."""
 
     shoot_s: dict[str, float]
     kills: int = 0
     deaths_by_others: int = 0
     suicides: int = 0
-    kill_streak: int = 0
     max_kill_streak: int = 0
     weapons_collected: int = 0
     ammo_collected: int = 0
@@ -464,22 +463,16 @@ class RlShooterController:
         if not self.learns:
             return
         pcat, ps, pa = self.pending
-        ptable = self.tset.tables[pcat]
-        cfg = self.tset.cfg
+        tables, cfg = self.tset.tables, self.tset.cfg
+        ptable = tables[pcat]
         if next_state_action is None:
             terminal_update(ptable, ps, pa, r, cfg)
-        else:
-            ncat, ns, na = next_state_action
-            if ncat == pcat:
-                sarsa_update(ptable, ps, pa, r, ns, na, cfg)
-            else:
-                ntable = self.tset.tables[ncat]
-                sarsa_update(
-                    ptable, ps, pa, r, ps, pa, cfg,
-                    next_value=ntable.value(ns, na),
-                )
-                # Credit does not flow across weapon categories.
-                begin_life(ptable)
+            return
+        ncat, ns, na = next_state_action
+        sarsa_update(ptable, ps, pa, r, ns, na, cfg, next_value=tables[ncat].value(ns, na))
+        if ncat != pcat:
+            # Credit does not flow across weapon categories.
+            begin_life(ptable)
 
     def _choose(self, table: QTable, state: int) -> int:
         """The action for `state`: epsilon-greedy under the schedule."""
@@ -651,11 +644,12 @@ class World:
 
         # The learning bot's bookkeeping: its current life, which began at
         # life_start_tick, its last finished life until play hands it on,
-        # and its game.
+        # its game and its run of kills since it last died.
         self.life = LifeStats()
         self.life_start_tick = 0
         self.completed_life: LifeStats | None = None
         self.game = GameStats(shoot_s={name: 0.0 for name in armory})
+        self.kill_streak = 0
 
         for i, agent in enumerate(self.agents):
             self._spawn(agent, self.arena.spawn_points[i % len(self.arena.spawn_points)])
@@ -793,8 +787,9 @@ class World:
 
     def play(self, ticks: int, events_file=None):
         """Tick `ticks` times, writing each tick's events to `events_file`
-        when one is given, and yield each life the bot completes, taken from
-        `completed_life`."""
+        when one is given, and yield each of the bot's lives as it ends: each
+        death's, taken from `completed_life`, then the life cut off at the
+        whistle if the bot is alive then."""
         for _ in range(ticks):
             events = self.tick()
             if events and events_file is not None:
@@ -802,6 +797,8 @@ class World:
             if self.completed_life is not None:
                 life, self.completed_life = self.completed_life, None
                 yield life
+        if self.agents[RL_AGENT_ID].alive:
+            yield self.finalize_truncated_life()
 
     def tick(self) -> list[Event]:
         dt = self.dt
@@ -889,8 +886,8 @@ class World:
             if isinstance(death, KillEvent) and death.killer == RL_AGENT_ID:
                 game = self.game
                 game.kills += 1
-                game.kill_streak += 1
-                game.max_kill_streak = max(game.max_kill_streak, game.kill_streak)
+                self.kill_streak += 1
+                game.max_kill_streak = max(game.max_kill_streak, self.kill_streak)
             agent.respawn_timer = self.physics.respawn_delay_s
             agent.fire_command = None
             if agent.id == RL_AGENT_ID:
@@ -914,7 +911,7 @@ class World:
         else:
             cause = "killed"
             game.deaths_by_others += 1
-        game.kill_streak = 0
+        self.kill_streak = 0
         self.completed_life = self._life_stats(self.controller.on_death(), cause)
         # finalize_truncated_life reads these while the bot waits to respawn.
         self.life = LifeStats()

@@ -98,7 +98,7 @@ def cmd_train(args) -> int:
             print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 1
-        except ValueError as exc:  # a game with too many ticks to count
+        except ValueError as exc:  # a game with too many ticks, or under one
             print(f"error: {exc}", file=sys.stderr)
             return 1
         summary = summarize_level(result.lives, result.games)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .arena import LifeStats, RL_AGENT_ID, RlShooterController, World
+from .arena import LifeStats, RlShooterController, World
 from .config import SimConfig
 from .learner import QTableSet
 from .metrics import FieldSummary, hit_percentage, kd_ratio, summarize_field
@@ -85,11 +85,11 @@ class Campaign:
                 f"the known levels are {', '.join(map(str, sorted(sim.profiles)))}"
             )
         ticks = settings.minutes * 60 * sim.physics.tick_hz
+        game = f"a game of {settings.minutes:g} minutes at {sim.physics.tick_hz} Hz"
         if ticks == math.inf:
-            raise ValueError(
-                f"a game of {settings.minutes:g} minutes at {sim.physics.tick_hz} Hz "
-                "has too many ticks to count"
-            )
+            raise ValueError(f"{game} has too many ticks to count")
+        if round(ticks) < 1:
+            raise ValueError(f"{game} is shorter than one tick")
         self.sim = sim
         self.settings = settings
         self.ticks_per_game = round(ticks)
@@ -115,7 +115,8 @@ class Campaign:
 
     def play_game(self) -> None:
         """Play the next game in a fresh World: record each of the bot's
-        lives as it ends, then the game."""
+        lives as it ends, the one cut off at the whistle included, then the
+        game."""
         sim, settings, tset = self.sim, self.settings, self.tset
         game = len(self.games) + 1
         world = World(
@@ -124,26 +125,22 @@ class Campaign:
             n_opponents=sim.harness.opponents,
         )
         for stats in world.play(self.ticks_per_game, self.events_file):
-            self._record_life(game, stats)
-            if settings.snapshot_every > 0 and tset.lives % settings.snapshot_every == 0:
+            record = LifeRecord(
+                run_id=settings.run_id, game=game, life=len(self.lives) + 1,
+                level=settings.level, hits=stats.hits, misses=stats.misses,
+                reward=stats.reward, duration_s=stats.duration_s, death_cause=stats.cause,
+            )
+            self.lives.append(record)
+            self.lives_w.writerow(_row(record))
+            # A periodic snapshot follows the death it counts, not the whistle.
+            if (settings.snapshot_every > 0 and stats.cause != "game-end"
+                    and tset.lives % settings.snapshot_every == 0):
                 write_snapshot(tset, self.out / f"snap_{settings.level}_{tset.lives}.rlsq")
-        # A bot dead at the whistle has had its death recorded already.
-        if world.agents[RL_AGENT_ID].alive:
-            self._record_life(game, world.finalize_truncated_life())
-        stats = asdict(world.game)
-        del stats["kill_streak"]  # a running count, not a game total
-        record = GameRecord(run_id=settings.run_id, game=game, level=settings.level, **stats)
+        record = GameRecord(
+            run_id=settings.run_id, game=game, level=settings.level, **asdict(world.game)
+        )
         self.games.append(record)
         self.games_w.writerow(_row(record, self.weapon_names))
-
-    def _record_life(self, game: int, stats: LifeStats) -> None:
-        record = LifeRecord(
-            run_id=self.settings.run_id, game=game, life=len(self.lives) + 1,
-            level=self.settings.level, hits=stats.hits, misses=stats.misses,
-            reward=stats.reward, duration_s=stats.duration_s, death_cause=stats.cause,
-        )
-        self.lives.append(record)
-        self.lives_w.writerow(_row(record))
 
 
 def run_campaign(sim: SimConfig, settings: CampaignSettings) -> Campaign:
@@ -162,14 +159,15 @@ EVAL_MAX_TICKS = 30 * 30
 
 def evaluate_policy(
     sim: SimConfig, policy: QTableSet, controller_cls, seeds
-) -> list[float]:
-    """Each seed's reward for one life of `policy` played by `controller_cls`.
+) -> list[LifeStats]:
+    """Each seed's record of one life of `policy` played by `controller_cls`.
 
     Every life gets its own `random.Random(seed)`, a copy of the policy's Q
-    values and a fresh World against level-1 opponents; a life still running
-    after EVAL_MAX_TICKS ticks ends there and keeps its reward so far.
+    values and a fresh World against level-1 opponents, so it starts at tick
+    0; a life still running after EVAL_MAX_TICKS ticks ends there, as
+    "game-end", and keeps its reward so far.
     """
-    rewards = []
+    lives = []
     for seed in seeds:
         rng = random.Random(seed)
         tset = new_table_set(sim.learner)
@@ -180,9 +178,8 @@ def evaluate_policy(
             controller_cls(tset, sim.armory, sim.priority, rng), rng,
             n_opponents=sim.harness.opponents,
         )
-        life = next(world.play(EVAL_MAX_TICKS), None) or world.finalize_truncated_life()
-        rewards.append(life.reward)
-    return rewards
+        lives.append(next(world.play(EVAL_MAX_TICKS)))
+    return lives
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,8 @@ def sarsa_update(
 ) -> float:
     """One Sarsa(lambda) step on `table`; returns the TD error.
 
-    The TD error uses the pre-update values.  `next_value` overrides the
-    bootstrap Q(s', a') when the next pair lives in a different table.
+    The TD error uses the pre-update values.  `next_value`, when given, is
+    the bootstrap Q(s', a'), read from whichever table holds the next pair.
     """
     table._check_pair(s, a)
     table._check_pair(s_next, a_next)

@@ -69,44 +69,122 @@ def test_level5_unit_writes_events_as_train_l5_does(monkeypatch):
 
     def recording(sim, settings):
         result = real_run_campaign(sim, settings)
-        log = Path(settings.out_dir) / "events.log"
-        logged.append((settings.record_events, log.stat().st_size))
+        out = Path(settings.out_dir)
+        logged.append((settings.record_events, (out / "events.log").stat().st_size,
+                       settings.snapshot_every, sorted(p.name for p in out.glob("snap_*"))))
         return result
 
     monkeypatch.setattr(harness, "run_campaign", recording)
     assert ab_ticks._level5_game(default_config(), 1)
-    [(record_events, size)] = logged
+    [(record_events, size, snapshot_every, snapshots)] = logged
     assert record_events and size > 0
+    assert snapshot_every == 5 and "snap_5_5.rlsq" in snapshots
 
 
 class FakeSide:
-    def __init__(self, name, lines, seconds, log):
-        self.name, self.lines, self.seconds, self.log = name, lines, seconds, log
+    """A worker for checkout `name` that takes `SECONDS[name]` per unit and
+    logs its start, each unit it runs and its close."""
+
+    SECONDS = {"A": 2.0, "B": 1.0}
+
+    def __init__(self, name, log, lines=("a",)):
+        self.name, self.log, self.lines = name, log, list(lines)
+        log.append(("start", name))
 
     def run(self, unit):
         self.log.append((self.name, unit["seed"]))
-        return {"cpu_s": self.seconds, "wall_s": self.seconds, "lines": self.lines}
+        seconds = self.SECONDS[self.name]
+        return {"cpu_s": seconds, "wall_s": seconds, "lines": self.lines}
+
+    def close(self):
+        self.log.append(("close", self.name))
 
 
 def test_sides_alternate_abba_and_ratios_are_base_over_change():
     log = []
-    base, change = FakeSide("A", ["a"], 2.0, log), FakeSide("B", ["a"], 1.0, log)
     units = ab_ticks.units(4, 0)["frozen-eval"]
-    ratios = ab_ticks.compare(base, change, units)
-    assert ratios == {"cpu_s": [2.0] * 4, "wall_s": [2.0] * 4}
-    timed = log[2 * ab_ticks.WARMUP_UNITS:]
+    ratios = ab_ticks.compare("A", "B", units, start=lambda name: FakeSide(name, log))
+    assert ratios == {"cpu_s": [[2.0] * 4], "wall_s": [[2.0] * 4]}
+    timed = log[2 + 2 * ab_ticks.WARMUP_UNITS:-2]
     assert "".join(name for name, _ in timed) == "ABBAABBA"
     assert [seed for _, seed in timed] == [u["seed"] for u in units for _ in "AB"]
 
 
+def test_each_block_gets_fresh_workers_and_the_lead_alternates(monkeypatch):
+    monkeypatch.setattr(ab_ticks, "BLOCK_UNITS", 4)
+    log = []
+    units = ab_ticks.units(10, 0)["frozen-eval"]
+    ratios = ab_ticks.compare("A", "B", units, start=lambda name: FakeSide(name, log))
+    assert ratios == {clock: [[2.0] * 4, [2.0] * 4, [2.0] * 2] for clock in ("cpu_s", "wall_s")}
+    blocks = []
+    for event in log:
+        if event[0] == "start" and (not blocks or blocks[-1][-1][0] == "close"):
+            blocks.append([])
+        blocks[-1].append(event)
+    assert len(blocks) == 3
+    for block, lead, timed_order, block_units in zip(
+        blocks, "ABA", ("ABBAABBA", "BAABBAAB", "ABBA"), (units[:4], units[4:8], units[8:]),
+    ):
+        other = "B" if lead == "A" else "A"
+        # Started lead first, warmed up, timed, then both closed.
+        assert block[:2] == [("start", lead), ("start", other)]
+        assert block[-2:] == [("close", lead), ("close", other)]
+        runs = block[2:-2]
+        warmup = 2 * ab_ticks.WARMUP_UNITS
+        assert runs[:warmup] == [
+            (name, u["seed"]) for u in block_units[:ab_ticks.WARMUP_UNITS] for name in (lead, other)
+        ]
+        timed = runs[warmup:]
+        assert "".join(name for name, _ in timed) == timed_order
+        assert [seed for _, seed in timed] == [u["seed"] for u in block_units for _ in "AB"]
+
+
+def test_blocks_of_the_default_size():
+    log = []
+    units = ab_ticks.units(60, 0)["frozen-eval"]
+    ratios = ab_ticks.compare("A", "B", units, start=lambda name: FakeSide(name, log))
+    assert [len(block) for block in ratios["cpu_s"]] == [25, 25, 10]
+    assert [event for event in log if event[0] == "start"] == [
+        ("start", lead) for pair in ("AB", "BA", "AB") for lead in pair
+    ]
+
+
 def test_differing_life_lines_stop_the_comparison():
-    base, change = FakeSide("A", ["a"], 1.0, []), FakeSide("B", ["b"], 1.0, [])
+    log = []
+
+    def start(name):
+        return FakeSide(name, log, lines=[name])
+
     with pytest.raises(SystemExit, match="outputs differ"):
-        ab_ticks.compare(base, change, ab_ticks.units(1, 0)["frozen-eval"])
+        ab_ticks.compare("A", "B", ab_ticks.units(1, 0)["frozen-eval"], start=start)
+    assert log[-2:] == [("close", "A"), ("close", "B")]
+
+
+def test_resampling_draws_whole_blocks_then_units_within_them():
+    rng = random.Random(0)
+    # Within a block of equal units, a draw repeats the block whole.
+    blocks = [[1.0] * 3, [2.0] * 5]
+    seen = {tuple(ab_ticks.resample(blocks, rng)) for _ in range(200)}
+    assert seen == {
+        tuple(first + second) for first in blocks for second in blocks
+    }
+    # Within a drawn block, units are drawn with replacement.
+    draws = [ab_ticks.resample([[1.0, 2.0, 3.0]], rng) for _ in range(200)]
+    assert all(len(d) == 3 and set(d) <= {1.0, 2.0, 3.0} for d in draws)
+    assert any(len(set(d)) < 3 for d in draws)
+
+
+def test_interval_covers_the_spread_between_blocks():
+    # One of three worker pairs ran 20% apart: a bootstrap over the pooled
+    # units would hide it, one over blocks does not.
+    blocks = [[1.0] * 25, [1.0] * 25, [1.2] * 25]
+    assert ab_ticks.bootstrap_median_ci(blocks, random.Random(0)) == (1.0, 1.2)
+    pooled = [[ratio for block in blocks for ratio in block]]
+    assert ab_ticks.bootstrap_median_ci(pooled, random.Random(0)) == (1.0, 1.0)
 
 
 def test_bootstrap_interval_brackets_the_median():
     ratios = [1.0, 1.1, 0.9, 1.05, 0.95, 1.2, 0.8]
-    lo, hi = ab_ticks.bootstrap_median_ci(ratios, random.Random(0))
+    lo, hi = ab_ticks.bootstrap_median_ci([ratios], random.Random(0))
     assert lo <= 1.0 <= hi
-    assert ab_ticks.bootstrap_median_ci([1.5] * 5, random.Random(0)) == (1.5, 1.5)
+    assert ab_ticks.bootstrap_median_ci([[1.5] * 5], random.Random(0)) == (1.5, 1.5)

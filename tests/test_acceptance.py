@@ -247,8 +247,10 @@ def test_criterion_7_frozen_greedy_policy_beats_random(tmp_path):
     ))
     seeds = list(range(1_000, 1_500))  # 500 matched lives per policy
     # Each life is capped at 30 simulated seconds (EVAL_MAX_TICKS).
-    greedy = np.asarray(evaluate_policy(CFG, trained.tset, GreedyController, seeds))
-    rand = np.asarray(evaluate_policy(CFG, trained.tset, RandomController, seeds))
+    greedy = np.asarray([life.reward for life in evaluate_policy(
+        CFG, trained.tset, GreedyController, seeds)])
+    rand = np.asarray([life.reward for life in evaluate_policy(
+        CFG, trained.tset, RandomController, seeds)])
 
     diff = greedy - rand
     boot = np.random.default_rng(0).choice(diff, size=(10_000, diff.size))

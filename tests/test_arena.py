@@ -48,11 +48,11 @@ from sarsa_arena.weapons import (
 )
 
 
-def make_world(seed=1, level=1, tset=None, cfg=None):
+def make_world(seed=1, level=1, tset=None, cfg=None, controller_cls=RlShooterController):
     cfg = cfg or default_config()
     rng = random.Random(seed)
     tset = tset or new_table_set(cfg.learner)
-    ctrl = RlShooterController(tset, cfg.armory, cfg.priority, rng)
+    ctrl = controller_cls(tset, cfg.armory, cfg.priority, rng)
     world = World(
         cfg.arena, cfg.armory, cfg.physics, cfg.behavior,
         cfg.profiles[level], ctrl, rng,
@@ -153,7 +153,7 @@ class TestAccounting:
         game = world.game
         assert (
             game.kills, game.deaths_by_others, game.suicides,
-            game.kill_streak, game.max_kill_streak,
+            world.kill_streak, game.max_kill_streak,
         ) == (kills, deaths_by_others, suicides, streak, max_streak)
         assert kills > 0 and deaths_by_others > 0
 
@@ -229,6 +229,41 @@ class TestAccounting:
         # so shots fired and shots recorded agree exactly.
         assert recorded == shots
         assert shots > 50
+
+
+class TestGameBoundary:
+    """World.play ends every life it starts, so a game hands the next one a
+    controller with no pending interval, no reward carried over and no
+    traces.  Half-minute level-5 games with the bot alive or dead at the
+    whistle; the learner's seeds 6 and 7 are test_harness.TestWhistle's."""
+
+    @pytest.mark.parametrize("controller_cls,seed,alive", [
+        (RlShooterController, 1, True),
+        (RlShooterController, 6, False),
+        (RlShooterController, 7, False),
+        (GreedyController, 1, True),
+        (GreedyController, 8, False),
+        (RandomController, 2, True),
+        (RandomController, 1, False),
+    ])
+    def test_play_yields_every_life_and_leaves_the_controller_idle(
+        self, controller_cls, seed, alive
+    ):
+        cfg = default_config()
+        tset = new_table_set(cfg.learner) if controller_cls.learns else fixed_policy(cfg)
+        world, ctrl, _ = make_world(
+            seed=seed, level=5, tset=tset, cfg=cfg, controller_cls=controller_cls,
+        )
+        lives = list(world.play(GAME_TICKS // 2))
+        assert world.agents[RL_AGENT_ID].alive == alive
+        # Each death's life in turn, then the one cut off at the whistle if
+        # the bot is alive then.
+        deaths = world.game.deaths_by_others + world.game.suicides
+        assert [life.cause == "game-end" for life in lives] == [False] * deaths + [True] * alive
+        assert tset.lives == deaths
+        assert ctrl.pending is None and ctrl.interval_shots == 0
+        assert ctrl.life_reward == 0.0
+        assert all(not t.traces for t in tset.tables.values())
 
 
 def test_scripted_fire_shares_one_frozen_lock_on_per_target():
@@ -1522,8 +1557,11 @@ def test_evaluate_policy_plays_the_pinned_loop():
     cfg = default_config()
     for controller_cls in (GreedyController, RandomController):
         policy = fixed_policy(cfg)
-        rewards = evaluate_policy(cfg, policy, controller_cls, FROZEN_SEEDS)
-        assert rewards == [life[5] for life in frozen_lives(controller_cls, FROZEN_SEEDS)]
+        lives = evaluate_policy(cfg, policy, controller_cls, FROZEN_SEEDS)
+        pinned = frozen_lives(controller_cls, FROZEN_SEEDS)
+        assert [(controller_cls.__name__, seed, round(life.duration_s * cfg.physics.tick_hz),
+                 life.hits, life.misses, life.reward, life.duration_s, life.cause)
+                for seed, life in zip(FROZEN_SEEDS, lives)] == pinned
         assert policy.lives == 0 and all(not t.visit_counts for t in policy.tables.values())
 
 

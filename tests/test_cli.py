@@ -185,6 +185,9 @@ class TestTrain:
         (["--snapshot-every", "-1"], "snapshot_every must be >= 0"),
         # Once an OverflowError traceback: 1e308 minutes of ticks is inf.
         (["--minutes", "1e308"], "a game of 1e+308 minutes at 30 Hz has too many ticks"),
+        # Once two game-end lives of 0.0 s and exit 0.
+        (["--games", "2", "--minutes", "0.0001"],
+         "a game of 0.0001 minutes at 30 Hz is shorter than one tick"),
     ])
     def test_campaign_flag_out_of_range_is_error(self, flags, message, tmp_path, capsys):
         out = tmp_path / "out"

@@ -253,6 +253,26 @@ class TestWhistle:
         assert all(not t.traces for t in result.tset.tables.values())
 
 
+class TestSnapshotCadence:
+    def test_each_periodic_snapshot_follows_the_death_it_counts(self, tmp_path, monkeypatch):
+        # Game 1 ends with the bot alive: its whistle life is recorded, but
+        # the snapshot of the lives counted so far was written at the death.
+        campaign = Campaign(CFG, settings(
+            tmp_path, level=5, games=2, minutes=0.5, seed=1, snapshot_every=1,
+        ))
+        written = []
+        monkeypatch.setattr(harness, "write_snapshot", lambda tset, path: written.append(
+            (path.name, tset.lives, campaign.lives[-1])))
+        with campaign.files:
+            campaign.play_game()
+            campaign.play_game()
+        deaths = [r for r in campaign.lives if r.death_cause != "game-end"]
+        assert [r.death_cause for r in campaign.lives if r.game == 1][-1] == "game-end"
+        assert written == [
+            (f"snap_5_{n}.rlsq", n, death) for n, death in enumerate(deaths, start=1)
+        ]
+
+
 class TestSettingsRanges:
     @pytest.mark.parametrize("key,value,message", [
         ("games", 0, "games must be >= 1"),
@@ -277,6 +297,26 @@ class TestSettingsRanges:
         with pytest.raises(ValueError, match="too many ticks to count"):
             run_campaign(CFG, settings(out, minutes=1e308))
         assert not out.exists()
+
+    # Once two game-end lives of 0.0 s: 0.0001 minutes is round(0.18) = 0 ticks.
+    def test_game_shorter_than_one_tick_raises_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(
+            ValueError, match="^a game of 0.0001 minutes at 30 Hz is shorter than one tick$"
+        ):
+            run_campaign(CFG, settings(out, minutes=0.0001))
+        assert not out.exists()
+
+    def test_the_shortest_game_is_one_tick(self, tmp_path):
+        tick_minutes = 1 / (60 * CFG.physics.tick_hz)
+        with pytest.raises(ValueError, match="shorter than one tick"):
+            Campaign(CFG, settings(tmp_path / "half", minutes=tick_minutes / 2))
+        assert not (tmp_path / "half").exists()
+        result = run_campaign(CFG, settings(tmp_path / "one", games=1, minutes=tick_minutes))
+        assert result.ticks_per_game == 1
+        assert [(r.death_cause, r.duration_s) for r in result.lives] == [
+            ("game-end", CFG.physics.dt)
+        ]
 
 
 class TestReport:

@@ -3,25 +3,33 @@
 
     python3 tools/ab_ticks.py --base PARENT_CHECKOUT --change CHECKOUT
 
-Starts one warm worker process per checkout, each importing ``sarsa_arena``
-from its checkout's ``src/``, and hands both the same small units of work:
-single ``frozen-eval`` lives (one seed of ``harness.evaluate_policy``: a
-stored level-1 policy played greedily or at random in a fresh World, capped
-at 900 ticks) and single one-minute level-5 games (a one-game campaign
-that writes its events.log, as the benchmark's train-l5 workload does).
-Each unit runs on both sides back to back, the side that goes first
-alternating from unit to unit (ABBA), so that the host's drift, which moves
-in phases of seconds to minutes, meets both sides alike.  Both sides must report identical lives
-(the reward of a frozen-eval life, every LifeRecord of a game) for every
-unit, or the comparison stops with exit code 1.  Unit seeds and the
-bootstrap's stream derive from SEED.
+Hands two checkouts the same small units of work: single ``frozen-eval``
+lives (one seed of ``harness.evaluate_policy``: a stored level-1 policy
+played greedily or at random in a fresh World, capped at 900 ticks) and
+single one-minute level-5 games (a one-game campaign that writes its
+events.log and a snapshot every 5 lives, as the benchmark's train-l5
+workload does).  Each side runs them in a warm worker process that imports
+``sarsa_arena`` from its checkout's ``src/``.
+
+Every worker process runs at a speed of its own, a few percent off its
+twin's, so the units run in blocks of BLOCK_UNITS, each block on a fresh
+pair of workers.  The side whose worker starts first and runs the block's
+first unit first alternates from block to block; within a block each unit
+runs on both sides back to back, the side that goes first alternating from
+unit to unit (ABBA), so that the host's drift, which moves in phases of
+seconds to minutes, meets both sides alike.  Both sides must report
+identical lives (every LifeStats of a frozen-eval life, every LifeRecord of
+a game) for every unit, or the comparison stops with exit code 1.  Unit
+seeds and the bootstrap's stream derive from SEED.
 
 For each kind of unit it prints the median over units of base time over
 change time (above 1 means the change ticks faster), with a 95% percentile
 bootstrap interval of that median, in process CPU time and in wall time.
-This follows Kalibera and Jones, "Rigorous benchmarking in reasonable time"
-(ISMM 2013).  Running a checkout against itself (an A/A run) shows the noise
-floor of the comparison.
+The bootstrap resamples whole blocks, then units within each drawn block,
+so the interval covers the spread between worker processes as well as
+between units.  This follows Kalibera and Jones, "Rigorous benchmarking in
+reasonable time" (ISMM 2013).  Running a checkout against itself (an A/A
+run) shows the noise floor of the comparison.
 """
 
 from __future__ import annotations
@@ -36,7 +44,10 @@ import tempfile
 import time
 from pathlib import Path
 
-# Units run on both sides before timing starts, to warm the workers.
+# Units per block, each block on a fresh pair of worker processes.
+BLOCK_UNITS = 25
+# Units run on both sides at the start of each block, untimed, to warm the
+# block's workers.
 WARMUP_UNITS = 2
 BOOTSTRAP_RESAMPLES = 2000
 SEED = 1
@@ -55,7 +66,7 @@ def _level5_game(sim, seed: int) -> list[str]:
     with tempfile.TemporaryDirectory() as out:
         result = harness.run_campaign(sim, harness.CampaignSettings(
             level=5, games=1, minutes=1.0, seed=seed, out_dir=Path(out),
-            snapshot_every=0, record_events=True,
+            snapshot_every=5, record_events=True,
         ))
     return [repr(life) for life in result.lives]
 
@@ -72,8 +83,8 @@ def worker(checkout: Path) -> int:
         wall0, cpu0 = time.perf_counter(), time.process_time()
         if unit["kind"] == "frozen-eval":
             controller_cls = getattr(arena, unit["controller"])
-            rewards = harness.evaluate_policy(sim, policy, controller_cls, [unit["seed"]])
-            lines = [repr(reward) for reward in rewards]
+            lives = harness.evaluate_policy(sim, policy, controller_cls, [unit["seed"]])
+            lines = [repr(life) for life in lives]
         else:
             lines = _level5_game(sim, unit["seed"])
         cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
@@ -113,11 +124,21 @@ class Side:
         self.proc.stdout.close()
 
 
-def bootstrap_median_ci(ratios: list[float], rng: random.Random) -> tuple[float, float]:
-    """95% percentile bootstrap interval of the median of `ratios`."""
+def resample(blocks: list[list[float]], rng: random.Random) -> list[float]:
+    """One bootstrap draw: as many blocks as there are, drawn with
+    replacement, then as many units as each drawn block holds, drawn with
+    replacement from that block."""
+    return [
+        ratio for block in rng.choices(blocks, k=len(blocks))
+        for ratio in rng.choices(block, k=len(block))
+    ]
+
+
+def bootstrap_median_ci(blocks: list[list[float]], rng: random.Random) -> tuple[float, float]:
+    """95% percentile bootstrap interval of the median of the ratios in
+    `blocks`, resampled by `resample`."""
     medians = sorted(
-        statistics.median(rng.choices(ratios, k=len(ratios)))
-        for _ in range(BOOTSTRAP_RESAMPLES)
+        statistics.median(resample(blocks, rng)) for _ in range(BOOTSTRAP_RESAMPLES)
     )
     return (medians[int(0.025 * BOOTSTRAP_RESAMPLES)],
             medians[int(0.975 * BOOTSTRAP_RESAMPLES) - 1])
@@ -135,22 +156,39 @@ def units(lives: int, games: int) -> dict[str, list[dict]]:
     }
 
 
-def compare(base: Side, change: Side, unit_list: list[dict]) -> dict[str, list[float]]:
-    """Base-over-change time ratios per unit, each unit run ABBA-ordered."""
-    for unit in unit_list[:WARMUP_UNITS]:
-        base.run(unit)
-        change.run(unit)
-    ratios: dict[str, list[float]] = {"cpu_s": [], "wall_s": []}
-    for i, unit in enumerate(unit_list):
-        order = (base, change) if i % 2 == 0 else (change, base)
-        replies = {side: side.run(unit) for side in order}
-        a, b = replies[base], replies[change]
-        if a["lines"] != b["lines"]:
-            raise SystemExit(
-                f"outputs differ on {unit}:\n  base   {a['lines']}\n  change {b['lines']}"
-            )
-        for clock in ratios:
-            ratios[clock].append(a[clock] / b[clock])
+def compare(base: Path, change: Path, unit_list: list[dict], start) -> dict:
+    """Base-over-change time ratios per unit, by block of BLOCK_UNITS units:
+    {clock: [[ratio per unit] per block]}.  Each block starts a fresh worker
+    per checkout with `start(checkout)`, the lead side's first, the change
+    leading every other block; the side that runs a unit first alternates
+    from unit to unit, starting with the lead (ABBA)."""
+    ratios: dict[str, list[list[float]]] = {"cpu_s": [], "wall_s": []}
+    for first in range(0, len(unit_list), BLOCK_UNITS):
+        block = unit_list[first:first + BLOCK_UNITS]
+        swap = first // BLOCK_UNITS % 2 == 1
+        sides = []
+        try:
+            for checkout in (change, base) if swap else (base, change):
+                sides.append(start(checkout))
+            base_side, change_side = sides[::-1] if swap else sides
+            for unit in block[:WARMUP_UNITS]:
+                for side in sides:
+                    side.run(unit)
+            for clock in ratios:
+                ratios[clock].append([])
+            for i, unit in enumerate(block):
+                order = sides if i % 2 == 0 else sides[::-1]
+                replies = {side: side.run(unit) for side in order}
+                a, b = replies[base_side], replies[change_side]
+                if a["lines"] != b["lines"]:
+                    raise SystemExit(
+                        f"outputs differ on {unit}:\n  base   {a['lines']}\n  change {b['lines']}"
+                    )
+                for clock in ratios:
+                    ratios[clock][-1].append(a[clock] / b[clock])
+        finally:
+            for side in sides:
+                side.close()
     return ratios
 
 
@@ -182,24 +220,19 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     if args.worker is not None:
         return worker(args.worker.resolve())
-    base, change = Side(args.base.resolve()), None
-    try:
-        change = Side(args.change.resolve())
-        rng = random.Random(SEED)
-        for kind, unit_list in units(args.lives, args.games).items():
-            if not unit_list:
-                continue
-            ratios = compare(base, change, unit_list)
-            for clock, values in ratios.items():
-                lo, hi = bootstrap_median_ci(values, rng)
-                print(
-                    f"{kind}: {len(values)} pairs, {clock} base/change median "
-                    f"{statistics.median(values):.4f} (95% CI {lo:.4f}-{hi:.4f})"
-                )
-    finally:
-        base.close()
-        if change is not None:
-            change.close()
+    rng = random.Random(SEED)
+    for kind, unit_list in units(args.lives, args.games).items():
+        if not unit_list:
+            continue
+        ratios = compare(args.base.resolve(), args.change.resolve(), unit_list, Side)
+        for clock, blocks in ratios.items():
+            values = [ratio for block in blocks for ratio in block]
+            lo, hi = bootstrap_median_ci(blocks, rng)
+            print(
+                f"{kind}: {len(values)} pairs, {clock} base/change median "
+                f"{statistics.median(values):.4f} (95% CI {lo:.4f}-{hi:.4f}, "
+                f"{len(blocks)} blocks)"
+            )
     return 0
 
 
