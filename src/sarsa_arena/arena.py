@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -231,12 +232,13 @@ class PhysicsParams:
     aim_lag_s: float
 
     def __post_init__(self) -> None:
+        # Above the largest float, `dt` and a game's tick count overflow.
         check_params(self, at_least={
             "tick_hz": 1, "decision_every": 1, "spawn_assault_ammo": 0,
             "weapon_pickup_ammo": 0, "ammo_pickup_amount": 0, "base_speed": 0,
             "rl_fov_deg": 0, "rl_turn_rate_deg_s": 0, "aim_lag_s": 0, "respawn_delay_s": 0,
             "pickup_respawn_s": 0, "jump_duration_s": 0,
-        })
+        }, at_most={"tick_hz": sys.float_info.max})
 
     @property
     def dt(self) -> float:

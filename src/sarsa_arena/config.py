@@ -188,11 +188,11 @@ def load_config(path: str | os.PathLike | None = None) -> SimConfig:
     parser = _bundled_parser()
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except OSError as exc:  # a missing file, a directory, no permission
             raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path}: {exc}") from exc
     try:
         return _build(parser)

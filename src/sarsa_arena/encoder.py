@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 N_STATES = 1296
@@ -66,8 +65,7 @@ class DirectionClass(NamedTuple):
         return int(self.radial) * 3 + int(self.tangential)
 
 
-@dataclass(frozen=True)
-class CombatObservation:
+class CombatObservation(NamedTuple):
     """Raw perception of the engaged opponent.
 
     `rel_velocity` is the opponent's planar velocity relative to the bot,
@@ -80,15 +78,6 @@ class CombatObservation:
     opponent_jumping: bool
     facing_angle: float
     weapon_instant_hit: bool
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.distance) or self.distance < 0:
-            raise ValueError(f"distance {self.distance} must be finite and >= 0")
-        vx, vy = self.rel_velocity
-        if not (math.isfinite(vx) and math.isfinite(vy)):
-            raise ValueError("velocity components must be finite")
-        if not -180.0 <= self.facing_angle < 180.0:
-            raise ValueError(f"facing angle {self.facing_angle} outside [-180, 180)")
 
 
 def discretize_distance(d: float) -> DistanceBand:
@@ -128,7 +117,7 @@ def classify_direction(rel_velocity: tuple[float, float]) -> DirectionClass:
 
 
 def discretize_rotation(facing_angle: float) -> FacingSector:
-    if not math.isfinite(facing_angle) or not -180.0 <= facing_angle < 180.0:
+    if not -180.0 <= facing_angle < 180.0:  # nan and inf fail too
         raise ValueError(f"facing angle {facing_angle} outside [-180, 180)")
     if facing_angle >= 0:
         if facing_angle < 60.0:
@@ -161,7 +150,8 @@ def encode_parts(
 
 
 def encode(obs: CombatObservation) -> int:
-    """Discretize an observation into its state index in [0, 1296)."""
+    """Discretize an observation into its state index in [0, 1296); its
+    discretizers raise ValueError for a value outside their ranges."""
     vx, vy = obs.rel_velocity
     return encode_parts(
         discretize_distance(obs.distance),

@@ -58,12 +58,13 @@ AIM_POINTS: dict[str, tuple[float, int, float] | None] = {
 }
 
 
-def check_params(params, at_least=None, above=None, may_be_inf=()) -> None:
+def check_params(params, at_least=None, above=None, may_be_inf=(), at_most=None) -> None:
     """Reject a field of the dataclass `params` that is out of range.
 
     Every float field must be finite, bar those `may_be_inf` names, which
     only their bounds test.  Each field `at_least` names must be >= its
-    bound and each that `above` names must be > it; nan fails both tests.
+    bound, each that `above` names must be > it and each that `at_most`
+    names must be <= it; nan fails every test.
     """
     for f in fields(params):
         value = getattr(params, f.name)
@@ -77,6 +78,10 @@ def check_params(params, at_least=None, above=None, may_be_inf=()) -> None:
         value = getattr(params, name)
         if not value > lo:
             raise ValueError(f"{name} must be > {lo}, got {value}")
+    for name, hi in (at_most or {}).items():
+        value = getattr(params, name)
+        if not value <= hi:
+            raise ValueError(f"{name} must be <= {hi}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,15 @@ class TestTrain:
         assert err.startswith(f"error: cannot read config file {tmp_path}:")
         assert "Traceback" not in err
 
+    def test_config_not_utf8_is_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"[physics]\n# \xff\ntick_hz = 30\n")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
+
     def test_environment_names_no_config_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SARSA_ARENA_CONFIG", str(tmp_path / "nonexistent.cfg"))
         assert main([
@@ -135,6 +144,8 @@ class TestTrain:
         ("physics", "pickup_respawn_s", "-1"),
         ("physics", "jump_duration_s", "-0.7"),
         ("weapon:rocket_launcher", "above_step", "-50"),
+        # Once an OverflowError traceback: no float holds the rate.
+        pytest.param("physics", "tick_hz", "1" + "0" * 400, id="physics-tick_hz-1e400"),
     ])
     def test_out_of_range_value_is_config_error(self, section, key, value, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[{section}]\n{key} = {value}\n") == 1

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import re
 
 import pytest
 
@@ -68,6 +69,19 @@ def test_override_reaches_only_its_field(tmp_path):
 def test_key_no_field_reads_is_rejected(tmp_path, text, key):
     with pytest.raises(ConfigError, match=f"invalid configuration: .*unknown key '{key}'"):
         load(tmp_path, text)
+
+
+def test_config_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "user.cfg"
+    path.write_bytes(b"[physics]\n# \xff\ntick_hz = 30\n")
+    with pytest.raises(ConfigError, match=f"config file {re.escape(str(path))}: 'utf-8' codec"):
+        load_config(path)
+
+
+def test_tick_hz_must_fit_a_float(tmp_path):
+    assert load(tmp_path, f"[physics]\ntick_hz = {10**308}\n").physics.tick_hz == 10**308
+    with pytest.raises(ConfigError, match="tick_hz must be <= 1.7976931348623157e[+]308"):
+        load(tmp_path, f"[physics]\ntick_hz = {10**309}\n")
 
 
 def test_unknown_section_is_rejected(tmp_path):

@@ -93,6 +93,13 @@ class TestDirection:
         d = classify_direction((-40.0, 200.0))
         assert d == DirectionClass(RadialMotion.NONE, TangentialMotion.RIGHT)
 
+    def test_rejects_non_finite(self):
+        # encode never gets here with such a velocity (discretize_speed
+        # rejects it first), so this check is tested on its own.
+        for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ValueError, match="direction inputs must be finite"):
+                classify_direction(bad)
+
     def test_negation_swaps_classes(self):
         rng = random.Random(2)
         swap_r = {
@@ -222,9 +229,54 @@ class TestEncode:
         )
 
     def test_observation_validation(self):
+        # CombatObservation is a plain record: encode is where it is checked.
         with pytest.raises(ValueError):
-            CombatObservation(-1.0, (0, 0), False, 0.0, False)
+            encode(CombatObservation(-1.0, (0, 0), False, 0.0, False))
         with pytest.raises(ValueError):
-            CombatObservation(10.0, (math.nan, 0), False, 0.0, False)
+            encode(CombatObservation(10.0, (math.nan, 0), False, 0.0, False))
         with pytest.raises(ValueError):
-            CombatObservation(10.0, (0, 0), False, 180.0, False)
+            encode(CombatObservation(10.0, (0, 0), False, 180.0, False))
+
+
+def reference_check(obs):
+    """The checks CombatObservation once ran on construction, kept as the
+    reference for the ones encode runs now."""
+    if not math.isfinite(obs.distance) or obs.distance < 0:
+        raise ValueError(f"distance {obs.distance} must be finite and >= 0")
+    vx, vy = obs.rel_velocity
+    if not (math.isfinite(vx) and math.isfinite(vy)):
+        raise ValueError("velocity components must be finite")
+    if not -180.0 <= obs.facing_angle < 180.0:
+        raise ValueError(f"facing angle {obs.facing_angle} outside [-180, 180)")
+
+
+GRID_DISTANCES = (-1.0, -5e-324, -0.0, 0.0, 510.0, 1700.0, 1e308, math.inf, -math.inf, math.nan)
+GRID_VELOCITIES = (0.0, 49.9, -49.9, 1e308, -1e308, math.inf, -math.inf, math.nan)
+GRID_FACINGS = (
+    -180.0, math.nextafter(-180.0, -math.inf), -0.0, math.nextafter(180.0, 0.0), 180.0,
+    math.inf, -math.inf, math.nan,
+)
+
+
+def test_encode_rejects_what_the_reference_rejects():
+    outcomes = set()
+    for distance, vx, vy, facing in itertools.product(
+        GRID_DISTANCES, GRID_VELOCITIES, GRID_VELOCITIES, GRID_FACINGS,
+    ):
+        obs = CombatObservation(distance, (vx, vy), False, facing, True)
+        try:
+            reference_check(obs)
+        except ValueError as exc:
+            expected = str(exc)
+        else:
+            expected = None
+        try:
+            encode(obs)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            got = None
+        assert got == expected, obs
+        outcomes.add(expected and expected.split()[0])
+    # Some of the grid passes, and each check is the first to reject some.
+    assert outcomes == {None, "distance", "velocity", "facing"}

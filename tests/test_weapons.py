@@ -344,6 +344,10 @@ NEWLY_REJECTED_NAN = {
     "CampaignSettings": {"games", "snapshot_every"},
 }
 
+# The int field with an upper bound: inf met tick_hz's lower bound before,
+# for a tick of 0 s, and fails its bound of sys.float_info.max now.
+NEWLY_REJECTED_INF = {"PhysicsParams": {"tick_hz"}}
+
 # The float fields that were only required to be finite and must now be
 # >= 0, so every negative value is newly rejected.  A negative aim lag leads
 # a moving target (the handicap becomes foresight), a negative delay or
@@ -368,7 +372,7 @@ class TestCheckParams:
     ], ids=lambda base: type(base).__name__)
     def test_accepts_and_rejects_what_the_parent_checks_did(self, base):
         cls = type(base)
-        changed_nan, changed_negative = set(), set()
+        changed_nan, changed_inf, changed_negative = set(), set(), set()
         for f in fields(cls):
             if f.type not in ("int", "float"):
                 continue
@@ -384,10 +388,13 @@ class TestCheckParams:
                     assert not accepted, (f.name, value)
                     if f.type == "int" and math.isnan(value):
                         changed_nan.add(f.name)
+                    elif f.type == "int" and value == math.inf:
+                        changed_inf.add(f.name)
                     else:
                         assert f.type == "float" and value < 0, (f.name, value)
                         changed_negative.add((f.name, value))
         assert changed_nan == NEWLY_REJECTED_NAN.get(cls.__name__, set())
+        assert changed_inf == NEWLY_REJECTED_INF.get(cls.__name__, set())
         negatives = [value for value in SWEEP_VALUES if -math.inf < value < 0]
         assert changed_negative == {
             (name, value)
@@ -405,13 +412,15 @@ class TestCheckParams:
         def message(count=1, size=1.0, speed=1.0):
             with pytest.raises(ValueError) as exc:
                 check_params(Params(count, size, speed), at_least={"count": 1},
-                             above={"size": 0, "speed": 0}, may_be_inf=("speed",))
+                             above={"size": 0, "speed": 0}, may_be_inf=("speed",),
+                             at_most={"count": 10})
             return str(exc.value)
 
         check_params(Params(1, 1.0, math.inf), above={"speed": 0}, may_be_inf=("speed",))
         assert message(size=math.nan) == "size must be finite, got nan"
         assert message(size=-math.inf) == "size must be finite, got -inf"
         assert message(count=0) == "count must be >= 1, got 0"
+        assert message(count=11) == "count must be <= 10, got 11"
         assert message(count=math.nan) == "count must be >= 1, got nan"
         assert message(size=-0.0) == "size must be > 0, got -0.0"
         # A field that may be inf is left to its bounds.
