@@ -17,11 +17,12 @@ from sarsa_arena.harness import CampaignSettings, evaluate_policy, run_campaign
 N_LIVES = 120
 
 sim = default_config()
-out = Path(tempfile.mkdtemp(prefix="frozen_policy_"))
 print("training 8 games at level 1 ...")
-trained = run_campaign(sim, CampaignSettings(
-    level=1, games=8, minutes=3.0, seed=7, out_dir=out, snapshot_every=0,
-))
+# The campaign's CSVs and snapshot are not needed past training.
+with tempfile.TemporaryDirectory(prefix="frozen_policy_") as out:
+    trained = run_campaign(sim, CampaignSettings(
+        level=1, games=8, minutes=3.0, seed=7, out_dir=Path(out), snapshot_every=0,
+    ))
 print(f"done: {trained.tset.lives} lives of experience\n")
 
 for name, cls in (("greedy", GreedyController), ("random", RandomController)):

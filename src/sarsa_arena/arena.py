@@ -47,10 +47,10 @@ RL_AGENT_ID = 0
 PICKUP_RADIUS = 60.0
 # The proximity index cuts the arena into this many cells along each axis.
 INDEX_CELLS = 40
-# The widest arena accepted.  _placeable admits features out to about
-# 7e12 * size, so squared distances between agents and admitted features stay
-# under 1e227 here; float `** 2` would overflow from a size near 1e141 on.
-MAX_ARENA_SIZE = 1e100
+# The widest arena accepted, and the most that a pit's or pickup's |x| or |y|
+# and a pit's radius may be.  World's early-out proofs and the proximity
+# index's one-cell growth rest on this game-scale bound.
+MAX_ARENA_SIZE = 2.0 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +85,6 @@ class PickupSpot(NamedTuple):
     y: float
 
 
-def _placeable(x: float, y: float, reach: float, cell: float) -> bool:
-    """Whether the proximity index can place a feature of centre (x, y) and
-    `reach`: all finite, `reach` >= 0, and a rounding step at |centre| +
-    reach under a sixteenth of a cell.  The box edges and the distance tests
-    each round by a few such steps, so the index's one-cell growth covers
-    them; a far feature (say a pit at -1e20 of radius 1e20, whose right edge
-    rounds to 0 though its test passes everywhere up to x = 8192) it could
-    not cover."""
-    return (
-        all(map(math.isfinite, (x, y, reach)))
-        and reach >= 0.0
-        and math.ulp(max(abs(x), abs(y)) + reach) < cell / 16
-    )
-
-
 @dataclass(frozen=True)
 class Arena:
     size: float
@@ -113,31 +98,26 @@ class Arena:
         # boundary, which World.line_of_sight relies on.
         if not 2 * CYLINDER_RADIUS < self.size <= MAX_ARENA_SIZE:
             raise ValueError(
-                f"arena size {self.size:g} must be wider than an agent and at "
-                f"most {MAX_ARENA_SIZE:g}"
+                f"arena size {self.size!r} must be wider than an agent and at "
+                f"most {MAX_ARENA_SIZE:.0f}"
             )
-        # The proximity index places each pit and pickup by its bounding box,
-        # grown by one cell.  A negative radius would also kill like a
-        # positive one but steer agents with a negative margin.
-        cell = self.size / INDEX_CELLS
-        # World.line_of_sight's test for vertical walls relies on this too.
+        # World.line_of_sight proves its wall tests for walls in the arena.
         for wall in self.walls:
-            if not all(map(math.isfinite, (wall.x1, wall.y1, wall.x2, wall.y2))):
-                raise ValueError(f"walls: {wall} needs finite coordinates")
+            if not all(0.0 <= c <= self.size for c in wall):
+                raise ValueError(f"walls: {wall} needs coordinates in [0, {self.size!r}]")
+        # The proximity index places each pit and pickup by its bounding box,
+        # grown by one cell, which covers rounding within these bounds.  A
+        # negative radius would also kill like a positive one but steer
+        # agents with a negative margin.  A centre may lie outside the arena.
+        m = MAX_ARENA_SIZE
         for pit in self.pits:
-            if not _placeable(pit.x, pit.y, pit.radius, cell):
+            if not (abs(pit.x) <= m and abs(pit.y) <= m and 0.0 <= pit.radius <= m):
                 raise ValueError(
-                    f"pits: {pit} needs a finite centre and radius >= 0, and "
-                    "a rounding step at |centre| + radius under 1/16 of an "
-                    f"index cell ({cell:g} uu)"
+                    f"pits: {pit} needs |x|, |y| and a radius >= 0 of at most {m:.0f}"
                 )
         for spot in self.pickups:
-            if not _placeable(spot.x, spot.y, PICKUP_RADIUS, cell):
-                raise ValueError(
-                    f"pickups: {spot} needs finite coordinates, and a rounding "
-                    f"step at |centre| + {PICKUP_RADIUS:g} under 1/16 of an "
-                    f"index cell ({cell:g} uu)"
-                )
+            if not (abs(spot.x) <= m and abs(spot.y) <= m):
+                raise ValueError(f"pickups: {spot} needs |x| and |y| of at most {m:.0f}")
         if len(self.spawn_points) < 4:
             raise ValueError("arena needs at least 4 spawn points")
         for sx, sy in self.spawn_points:
@@ -169,8 +149,10 @@ class Arena:
 
         Each feature is entered in every cell that its bounding box touches,
         grown by one whole cell, so no point that the distance tests accept,
-        rounding included, lies in a cell without it: __post_init__ admits
-        only features whose rounding is well under a cell (_placeable).
+        rounding included, lies in a cell without it: at |centre| + reach <=
+        2**21 + 60 (__post_init__) one rounding step is at most 2**-31 uu, far
+        under 1/16 of the smallest cell (2 * CYLINDER_RADIUS / INDEX_CELLS /
+        16, about 0.053 uu).
         Only cells that agents can stand in are kept: [0, INDEX_CELLS] on
         both axes.
         """
@@ -598,25 +580,21 @@ class World:
         self.tick_count = 0
         self.segments = arena.blocking_segments
         # Agents are clamped to [CYLINDER_RADIUS, walk_max] on both axes,
-        # strictly inside the boundary: above 2**58, size - CYLINDER_RADIUS
-        # rounds to size.
-        self.walk_max = min(arena.size - CYLINDER_RADIUS, math.nextafter(arena.size, 0.0))
-        # The largest coordinate that line_of_sight and _hitscan read, and a
-        # margin far above their rounding at that size: each proves its
-        # early-out with it.
-        extent = max([arena.size] + [
-            abs(c) for w in arena.walls for c in (w.x1, w.y1, w.x2, w.y2)
-        ])
-        margin = 1e-9 * extent
-        self.reach_sq = CYLINDER_RADIUS * CYLINDER_RADIUS + margin * extent
+        # strictly inside the boundary; the difference is exact at every
+        # accepted size.
+        self.walk_max = arena.size - CYLINDER_RADIUS
+        # A margin far above the rounding of line_of_sight and _hitscan at
+        # the arena's size C, which bounds every coordinate they read: each
+        # proves its early-out with it.
+        margin = 1e-9 * arena.size
+        self.reach_sq = CYLINDER_RADIUS * CYLINDER_RADIUS + margin * arena.size
         # Interior walls as (x1, y1, x2, y2, x2 - x1, y2 - y1, vertical, lo,
         # hi), for line_of_sight, which proves its tests for the vertical
-        # ones; [lo, hi] is the wall's y-extent grown by the margin.
+        # ones; [lo, hi] is the wall's y-range grown by the margin.
         walls = []
         for w in arena.walls:
             ex, ey = w.x2 - w.x1, w.y2 - w.y1
-            walls.append((w.x1, w.y1, w.x2, w.y2, ex, ey,
-                          ex == 0.0 and 1.0 <= abs(ey) < math.inf,
+            walls.append((w.x1, w.y1, w.x2, w.y2, ex, ey, ex == 0.0 and 1.0 <= abs(ey),
                           min(w.y1, w.y2) - margin, max(w.y1, w.y2) + margin))
         self.walls = tuple(walls)
         # The most the opponents and the bot turn in one tick.
@@ -694,36 +672,34 @@ class World:
         The sign tests are segments_intersect's, with the same floating-point
         expressions; only its collinear and touching cases are handed to it.
 
-        For a vertical wall (ex == 0.0, 1.0 <= |ey| < inf) the first sign test
-        reads x1 != wx1 and x2 != wx1 and (x1 < wx1) == (x2 < wx1).  Proof:
-        walls are finite (Arena) and |y1| is at most MAX_ARENA_SIZE, so
-        y1 - wy1 is finite and ex * (y1 - wy1) is ±0.0.  If x1 == wx1,
-        ey * (x1 - wx1) is ±0.0 too, so d1 == 0.  Otherwise |x1 - wx1| >=
-        2**-1074 and |ey| >= 1, so ey * (x1 - wx1) is non-zero (perhaps
-        infinite), d1 is exactly its negation, and d1 > 0 exactly when x1 is
-        on the side of wx1 given by the sign of ey.  Likewise d2.
+        For a vertical wall (ex == 0.0, |ey| >= 1) the first sign test reads
+        x1 != wx1 and x2 != wx1 and (x1 < wx1) == (x2 < wx1).  Proof: the
+        wall's ends and the endpoints lie in [0, C], C the arena's size
+        (Arena), so ex * (y1 - wy1) is ±0.0.  If x1 == wx1, ey * (x1 - wx1)
+        is ±0.0 too, so d1 == 0.  Otherwise |x1 - wx1| >= 2**-1074 and 1 <=
+        |ey| <= C, so ey * (x1 - wx1) is finite and non-zero, d1 is exactly
+        its negation, and d1 > 0 exactly when x1 is on the side of wx1 given
+        by the sign of ey.  Likewise d2.
 
-        Before that x test, the band test skips a vertical wall when y1 and
-        y2 both lie below its grown extent's lo or both above its hi
-        (World.__init__: the wall's ends less and plus margin = 1e-9 * C, C
-        the largest of the arena's size and every |wall coordinate|).  Where
-        the x test would skip the wall too, that changes nothing.  Otherwise
-        wx1 lies between x1 and x2.  Proof, for endpoints with coordinates in
-        [1, size], as agents' are, and a wall above the segment (the other
-        case is its mirror).  If x1 == x2, both ends lie on the wall's line,
-        d1 to d4 are 0, and segments_intersect reports only an end inside the
-        other segment's bounding box: there is none, as the y-ranges are
-        disjoint.  Otherwise |dx| >= 2**-52.  For either end wy of the wall,
-        d3 or d4 rounds e = dx * (wy - y1) - dy * (wx1 - x1).  Exactly, e =
-        dx * (wy - yc): the line from (x1, y1) along the rounded (dx, dy)
-        meets x = wx1 at height yc, at most 3u*C above max(y1, y2) (u =
-        2**-53), and lo is at most 2u*C above the wall's end less margin, so
-        wy - yc > margin - 5u*C.  The rounding of e's two differences and two
-        products, each under 2C*|dx| in size, is under 7u*C*|dx|, and |dx| *
-        margin lies far above the subnormals.  The first product alone can
-        overflow, to an infinity of e's sign.  So d3 and d4 are non-zero with
-        the sign of dx, as margin > 12u*C, and the general path would
-        continue at its (d3, d4) test.
+        Before that x test, the band test skips a vertical wall when y1 and y2
+        both lie below its grown y-range's lo or both above its hi
+        (World.__init__: the wall's ends less and plus margin = 1e-9 * C).
+        Where the x test would skip the wall too, that changes nothing.
+        Otherwise wx1 lies between x1 and x2.  Proof, for endpoints with
+        coordinates in [1, C], as agents' are, and a wall above the segment
+        (the other case is its mirror).  If x1 == x2, both ends lie on the
+        wall's line, d1 to d4 are 0, and segments_intersect reports only an
+        end inside the other segment's bounding box: there is none, as the
+        y-ranges are disjoint.  Otherwise |dx| >= 2**-52.  For either end wy
+        of the wall, d3 or d4 rounds e = dx * (wy - y1) - dy * (wx1 - x1).
+        Exactly, e = dx * (wy - yc): the line from (x1, y1) along the rounded
+        (dx, dy) meets x = wx1 at height yc, at most 3u*C above max(y1, y2)
+        (u = 2**-53), and lo is at most 2u*C above the wall's end less
+        margin, so wy - yc > margin - 5u*C.  The rounding of e's two
+        differences and two products, each under 2C*|dx| in size, is under
+        7u*C*|dx|, and |dx| * margin lies far above the subnormals.  So d3
+        and d4 are non-zero with the sign of dx, as margin > 12u*C, and the
+        general path would continue at its (d3, d4) test.
         """
         for wx1, wy1, wx2, wy2, ex, ey, vertical, lo, hi in self.walls:
             if vertical and (
@@ -1298,17 +1274,18 @@ class World:
 
         The distance test skips an agent whose centre lies too far from the
         shot's 2-D line for geo.ray_cylinder_t to return anything but None:
-        cross * cross > limit, where cross = dx * (cy - oy) - dy * (cx - ox),
-        limit = hh * reach_sq, hh = dx * dx + dy * dy (ray_cylinder_t's a)
-        and reach_sq = R**2 + margin * C (World.__init__: R is
-        CYLINDER_RADIUS, margin = 1e-9 * C and C >= size > 2R).  A zero or
-        subnormal hh sets limit to inf, and nothing is skipped.  Proof, with
-        u = 2**-53, f = (cx - ox, cy - oy) rounded (|f| < 1.5C, agents being
-        inside the arena), d = (dx, dy) and D the distance of o + f from the
-        line, D = |K| / |d| for K = dx * f[1] - dy * f[0] exactly:
-        - A skip means D > sqrt(reach_sq) * (1 - 4u) - 3u*C: cross is K to
-          within 3u*C*|d|, and cross * cross and limit round by a few u, the
-          subnormals lying far below |d|**2 * margin * C.
+        cross * cross > reach_sq, where cross = dx * (cy - oy) - dy * (cx -
+        ox) and reach_sq = R**2 + margin * C (World.__init__: R is
+        CYLINDER_RADIUS, C the arena's size, margin = 1e-9 * C and C > 2R).
+        d = (dx, dy) is the level part of a unit vector, perhaps turned by
+        the spread, so |d|**2 <= 1 + 8u (u = 2**-53).  Proof, with f =
+        (cx - ox, cy - oy) rounded (|f| < 1.5C, agents being inside the
+        arena) and D the distance of o + f from the line, D = |K| / |d| for
+        K = dx * f[1] - dy * f[0] exactly:
+        - A skip means |cross| > R * (1 - u), so |d| > R / (2C): a nearly
+          vertical shot, whose tiny d keeps cross tiny, skips nothing, and d
+          lies far above the subnormals.  cross is K to within 3u*C*|d|, so
+          D > sqrt(reach_sq) * (1 - 6u) - 3u*C.
         - ray_cylinder_t returns a t only if (a) its origin test finds |f| <=
           R to within 2u, so D <= R * (1 + 2u); or (b) its side test finds
           the discriminant >= 0, whose quarter is exactly |d|**2 * (R**2 -
@@ -1343,8 +1320,7 @@ class World:
             dx, dy = dx * c - dy * s, dx * s + dy * c
 
         origin, direction = (ox, oy, oz), (dx, dy, dz)
-        hh = dx * dx + dy * dy
-        limit = hh * self.reach_sq if hh >= 2.0 ** -1022 else math.inf
+        limit = self.reach_sq
         best_t = math.inf
         victim = None
         for other in self.agents:

@@ -25,6 +25,11 @@ class ConfigError(ValueError):
     pass
 
 
+# The most scripted opponents a game may have: World builds one agent per
+# opponent, and each tick every agent looks for every other.
+MAX_OPPONENTS = 64
+
+
 @dataclass(frozen=True)
 class HarnessParams:
     snapshot_every: int
@@ -37,7 +42,7 @@ class HarnessParams:
         # checked here too: the CLI applies them with dataclasses.replace.
         check_params(
             self, at_least={"games": 1, "snapshot_every": 0, "opponents": 1},
-            above={"minutes": 0},
+            above={"minutes": 0}, at_most={"opponents": MAX_OPPONENTS},
         )
 
 

@@ -609,6 +609,20 @@ class TestLearningPlumbing:
         assert not tset.tables[mg_cat].traces
 
 
+M = MAX_ARENA_SIZE
+PAST_M = math.nextafter(M, math.inf)
+# Changes to the default arena at each bound's edge, which Arena accepts:
+# the size, wall ends at 0 and at the size, and pit and pickup coordinates
+# and a pit radius at +-M.  One ulp past each is rejected below.
+AT_THE_BOUNDS = [
+    {"size": M},
+    {"walls": (Wall(0.0, 1400.0, 1200.0, 0.0), Wall(4000.0, 2600.0, 2800.0, 4000.0))},
+    {"pits": (Pit(M, 2000.0, 100.0), Pit(-M, -M, 100.0), Pit(2000.0, -M, M))},
+    {"pickups": (PickupSpot("ammo", None, M, 600.0),
+                 PickupSpot("weapon", "shock_rifle", -M, -M))},
+]
+
+
 class TestArenaValidation:
     def test_spawn_in_pit_rejected(self):
         with pytest.raises(ValueError):
@@ -624,10 +638,10 @@ class TestArenaValidation:
         with pytest.raises(ValueError):
             Arena(size=1000.0, walls=(), pits=(), spawn_points=((1, 1),), pickups=())
 
-    # Above MAX_ARENA_SIZE, squared distances could overflow float (at 1e200
-    # the spawn-in-pit test did).
+    # A 1e200-wide arena once ended in an OverflowError traceback from the
+    # spawn-in-pit test.
     @pytest.mark.parametrize(
-        "size", [30.0, math.nextafter(MAX_ARENA_SIZE, math.inf), 1e200, math.inf]
+        "size", [30.0, math.nextafter(MAX_ARENA_SIZE, math.inf), 1e200, math.inf, math.nan]
     )
     def test_arena_narrower_than_an_agent_or_infinite_rejected(self, size):
         with pytest.raises(ValueError):
@@ -643,31 +657,35 @@ class TestArenaValidation:
         Pit(2000.0, 2000.0, math.nan),
         Pit(2000.0, 2000.0, math.inf),
         Pit(1e308, 2000.0, 1e308),  # finite, but its bounding box is not
-        # Finite box, but one rounding step at |centre| + radius is 32768 uu,
-        # wider than the cells (500 uu at size 20000): see FAR_PIT below.
+        # Far past MAX_ARENA_SIZE, where one rounding step at |centre| +
+        # radius is wider than a cell: see FAR_PIT below.
         Pit(-1e20, 2000.0, 1e20),
+        Pit(PAST_M, 2000.0, 100.0),
+        Pit(2000.0, -PAST_M, 100.0),
+        Pit(2000.0, -M, PAST_M),
     ])
-    def test_pit_needs_finite_centre_and_radius_at_least_zero(self, pit):
+    def test_pit_needs_a_bounded_centre_and_radius_at_least_zero(self, pit):
         with pytest.raises(ValueError, match="pit"):
             replace(default_config().arena, size=20000.0, pits=(pit,))
 
-    def test_pit_accepted_while_its_rounding_stays_under_a_sixteenth_cell(self):
-        # size 20000: cells of 500 uu, so a step under 31.25 uu is accepted.
-        near = Pit(-2.0 ** 47, 2000.0, 2.0 ** 47 - 1000.0)  # |c| + r < 2 ** 48: step 1/32
-        far = Pit(-2.0 ** 60, 2000.0, 2.0 ** 60 - 1000.0)  # |c| + r >= 2 ** 60: step 256
-        replace(default_config().arena, size=20000.0, pits=(near,))
-        with pytest.raises(ValueError, match="1/16 of an index cell"):
-            replace(default_config().arena, size=20000.0, pits=(far,))
+    @pytest.mark.parametrize("change", AT_THE_BOUNDS, ids=lambda change: next(iter(change)))
+    def test_geometry_at_its_bounds_accepted(self, change):
+        cell, _ = replace(default_config().arena, **change).proximity
+        assert cell == change.get("size", 4000.0) / INDEX_CELLS
 
     def test_widest_arena_plays_with_its_farthest_pit(self):
-        # |centre| + radius = 6e112 rounds by 2 ** 322 < 1/16 of a cell, so
-        # the pit is admitted; its squared distances stay finite in play.
-        far = Pit(-6e112, 5e99, 1e99)
+        # The farthest pit admitted, |centre| + radius = 2 ** 21, its rim
+        # passing x = 0 beside the bot, which stands in a cell that lists it.
+        m = MAX_ARENA_SIZE
+        far = Pit(-m, m / 2, m)
         arena = Arena(
-            size=MAX_ARENA_SIZE, walls=(), pits=(far,),
-            spawn_points=((1e99, 1e99), (9e99, 1e99), (1e99, 9e99), (9e99, 9e99)),
+            size=m, walls=(), pits=(far,),
+            spawn_points=((CYLINDER_RADIUS, m / 2), (0.9 * m, 0.1 * m),
+                          (0.1 * m, 0.9 * m), (0.9 * m, 0.9 * m)),
             pickups=(),
         )
+        cell, index = arena.proximity
+        assert index[(0.0, (m / 2) // cell)][0] == ((-m, m / 2, m * m),)
         world = world_in(arena)
         for _ in range(60):
             world.tick()
@@ -677,8 +695,10 @@ class TestArenaValidation:
         with pytest.raises(ValueError, match="pickup"):
             replace(default_config().arena, pickups=(PickupSpot("ammo", None, 1e18, 600.0),))
 
-    @pytest.mark.parametrize("x,y", [(math.nan, 600.0), (600.0, math.inf), (-math.inf, 600.0)])
-    def test_pickup_spot_must_be_finite(self, x, y):
+    @pytest.mark.parametrize("x,y", [
+        (math.nan, 600.0), (600.0, math.inf), (-math.inf, 600.0), (-PAST_M, 600.0), (600.0, PAST_M),
+    ])
+    def test_pickup_spot_must_lie_within_the_bound(self, x, y):
         with pytest.raises(ValueError, match="pickup"):
             replace(default_config().arena, pickups=(PickupSpot("ammo", None, x, y),))
 
@@ -720,13 +740,16 @@ class TestArenaValidation:
         with pytest.raises(ValueError, match=field):
             replace(default_config().behavior, **{field: value})
 
-    # Once a wall that blocked nothing; World.line_of_sight relies on it.
+    # A nan wall once blocked nothing; World.line_of_sight relies on walls
+    # lying in [0, size].
     @pytest.mark.parametrize("wall", [
         Wall(1200.0, 1400.0, 1200.0, math.nan),
         Wall(math.inf, 1400.0, 1200.0, 2600.0),
         Wall(1200.0, -math.inf, 1200.0, 2600.0),
+        Wall(-5e-324, 1400.0, 1200.0, 1400.0),
+        Wall(1200.0, 1400.0, 1200.0, math.nextafter(4000.0, math.inf)),
     ])
-    def test_wall_must_be_finite(self, wall):
+    def test_wall_must_lie_in_the_arena(self, wall):
         with pytest.raises(ValueError, match="walls: Wall"):
             replace(default_config().arena, walls=(wall,))
 
@@ -834,8 +857,8 @@ WORLDS = {
     "default": world_in(default_config().arena),
     "diagonal": world_in(DIAGONAL_ARENA),
     "vertical": world_in(VERTICAL_ARENA),
-    # Near the largest arena accepted, where the margin is far above an ulp.
-    "scaled": world_in(scaled_arena(default_config().arena, 1e90)),
+    # Near the widest arena accepted: 4000 * 256 = 1,024,000 uu.
+    "scaled": world_in(scaled_arena(default_config().arena, 256)),
 }
 
 
@@ -871,9 +894,7 @@ def inside_points(draw, arena):
                 x = math.nextafter(x, draw(st.sampled_from([0.0, size])))
             for _ in range(draw(st.integers(0, 3))):
                 y = math.nextafter(y, draw(st.sampled_from([0.0, size])))
-    # Strictly inside, also where 1.0 is below an ulp of the size.
-    top = size - max(1.0, math.ulp(size))
-    return min(max(x, 1.0), top), min(max(y, 1.0), top)
+    return min(max(x, 1.0), size - 1.0), min(max(y, 1.0), size - 1.0)
 
 
 def ulps_from(x, k):
@@ -908,7 +929,7 @@ class TestLineOfSight:
         assert [w[6] for w in WORLDS["scaled"].walls] == [True, True]
 
     def test_band_is_each_walls_extent_grown_by_the_margin(self):
-        # The margin is 1e-9 times the largest coordinate: the size, 4000.
+        # The margin is 1e-9 times the arena's size, 4000.
         assert [w[7:] for w in WORLDS["default"].walls] == [(1400 - 4e-6, 2600 + 4e-6)] * 2
         assert [w[7:] for w in WORLDS["vertical"].walls[:2]] == [(1400 - 4e-6, 2600 + 4e-6)] * 2
 
@@ -951,8 +972,9 @@ class TestLineOfSight:
         assert_matches_reference(WORLDS["default"], p, q)
 
     def test_agents_stay_strictly_inside_a_huge_arena(self):
-        # size - CYLINDER_RADIUS rounds to size above 2**58.
+        # walk_max = size - CYLINDER_RADIUS, exact at every accepted size.
         world = WORLDS["scaled"]
+        assert world.walk_max == world.arena.size - CYLINDER_RADIUS
         assert world.walk_max < world.arena.size
         coords = [CYLINDER_RADIUS, world.arena.size / 2, world.walk_max]
         points = [(x, y) for x in coords for y in coords]
@@ -982,21 +1004,36 @@ def open_world(size):
     ))
 
 
-# Arenas from just wider than an agent to 1e96, and the default one's walls.
+# Arenas from just wider than an agent to the widest accepted, and the
+# default one's walls.
 HITSCAN_WORLDS = {
-    f"{size:g}": open_world(size) for size in (40.0, 4000.0, 1e8, 1e20, 1e50, 1e96)
+    f"{size:g}": open_world(size) for size in (40.0, 4000.0, 1e5, MAX_ARENA_SIZE)
 }
 HITSCAN_WORLDS["default"] = WORLDS["default"]
 
 
+def hitscan_direction(origin, aim, spread_yaw):
+    """The unit direction _hitscan fires from `origin` at `aim`, turned by
+    `spread_yaw` radians as its spread turns it, or None where it does not
+    fire."""
+    dx, dy, dz = aim[0] - origin[0], aim[1] - origin[1], aim[2] - origin[2]
+    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if norm == 0.0:
+        return None
+    dx, dy, dz = dx / norm, dy / norm, dz / norm
+    if spread_yaw:
+        c, s = math.cos(spread_yaw), math.sin(spread_yaw)
+        dx, dy = dx * c - dy * s, dx * s + dy * c
+    return dx, dy, dz
+
+
 def assert_skip_is_a_miss(world, origin, direction, centre, base):
-    """A centre that _hitscan's distance test, as written there but for a
-    direction of any length, skips is one that ray_cylinder_t misses."""
+    """A centre that _hitscan's distance test, as written there, skips for a
+    direction it builds (hitscan_direction) is one that ray_cylinder_t
+    misses."""
     dx, dy = direction[0], direction[1]
-    hh = dx * dx + dy * dy
-    limit = hh * world.reach_sq if hh >= 2.0 ** -1022 else math.inf
     cross = dx * (centre[1] - origin[1]) - dy * (centre[0] - origin[0])
-    if cross * cross > limit:
+    if cross * cross > world.reach_sq:
         assert geo.ray_cylinder_t(
             origin, direction, centre, base, CYLINDER_RADIUS, CYLINDER_HEIGHT
         ) is None
@@ -1004,10 +1041,12 @@ def assert_skip_is_a_miss(world, origin, direction, centre, base):
 
 def near_line(draw, world, o, d):
     """A point beside the 2-D line from `o` along `d` (not zero), at a few
-    margins or ulps from CYLINDER_RADIUS, or inside it; clamped to where
-    agents can stand."""
+    margins, ulps or 1/1024ths of CYLINDER_RADIUS from it, or inside it;
+    clamped to where agents can stand."""
     size = world.arena.size
-    step = draw(st.sampled_from([1e-9 * size, 2.0 ** -52 * size, 2.0 ** -48]))
+    step = draw(st.sampled_from([
+        1e-9 * size, 2.0 ** -52 * size, 2.0 ** -48, CYLINDER_RADIUS / 1024,
+    ]))
     off = CYLINDER_RADIUS + draw(st.floats(-8.0, 8.0)) * step
     along = draw(st.floats(-0.5, 1.5)) * size
     n = math.hypot(d[0], d[1])
@@ -1022,23 +1061,29 @@ class TestHitscanDistanceTest:
     @settings(max_examples=500, deadline=None)
     @given(data=st.data(), name=st.sampled_from(sorted(HITSCAN_WORLDS)))
     def test_skipped_centres_are_missed(self, data, name):
-        # Any direction, not only a unit one: near-tangent to the cylinder,
-        # vertical or nearly so (hh zero or subnormal), or from an origin
-        # inside it; the origin anywhere from below its base to above its top.
+        # Shots as _hitscan builds them, turned by up to 45 degrees of
+        # spread: near-tangent to the cylinder, vertical or nearly so, or
+        # from an origin inside it; the origin anywhere from below its base
+        # to above its top.
         world = HITSCAN_WORLDS[name]
         coord = st.floats(CYLINDER_RADIUS, world.walk_max)
-        o = (data.draw(coord), data.draw(coord))
+        base = data.draw(st.sampled_from([0.0, 30.0]))
+        o = (data.draw(coord), data.draw(coord), base + data.draw(st.floats(-10.0, 70.0)))
         kind = data.draw(st.sampled_from(["free", "tangent", "vertical", "inside"]))
-        # Zero, or so small that hh is subnormal or zero.
-        tiny = st.sampled_from([0.0, -0.0, 3.44e-162]) | st.floats(-1e-150, 1e-150)
-        # A level shot (dz 0) meets the side of a far cylinder; a nearly
-        # level one squares an end cap's offset past 1e154.
-        dz = data.draw(st.just(0.0) | st.sampled_from([1.0, -1.0])
-                       | st.floats(-0.3, 0.3))
         if kind == "vertical":
-            d = (data.draw(tiny), data.draw(tiny), dz or 1.0)
+            # Aimed far above or below, off the vertical by nothing or by
+            # far less than the height: a tiny or zero level part.
+            nudge = st.sampled_from([0.0, 3.4e-12]) | st.floats(-1e-6, 1e-6)
+            height = st.sampled_from([1e3, 1e12, 1e150, -1e3, -1e150])
+            aim = (o[0] + data.draw(nudge), o[1] + data.draw(nudge), o[2] + data.draw(height))
         else:
-            d = (data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0)), dz)
+            # A level shot (dz 0) meets the side of a far cylinder.
+            rise = st.just(0.0) | st.floats(-200.0, 200.0)
+            aim = (data.draw(coord), data.draw(coord), o[2] + data.draw(rise))
+        spread = st.just(0.0) | st.floats(-45.0, 45.0)
+        d = hitscan_direction(o, aim, math.radians(data.draw(spread)))
+        if d is None:
+            return
         if kind == "tangent" and d[:2] != (0.0, 0.0):
             centre = near_line(data.draw, world, o, d)
         elif kind in ("inside", "vertical"):
@@ -1046,9 +1091,7 @@ class TestHitscanDistanceTest:
             centre = (o[0] + data.draw(offset), o[1] + data.draw(offset))
         else:
             centre = (data.draw(coord), data.draw(coord))
-        base = data.draw(st.sampled_from([0.0, 30.0]))
-        oz = base + data.draw(st.floats(-10.0, 70.0))
-        assert_skip_is_a_miss(world, (o[0], o[1], oz), d, centre, base)
+        assert_skip_is_a_miss(world, o, d, centre, base)
 
     @pytest.mark.parametrize("name", sorted(HITSCAN_WORLDS))
     @settings(max_examples=150, deadline=None)
@@ -1059,8 +1102,9 @@ class TestHitscanDistanceTest:
         world = HITSCAN_WORLDS[name]
         coord = st.floats(CYLINDER_RADIUS, world.walk_max)
         o = (data.draw(coord), data.draw(coord), data.draw(st.floats(0.0, CYLINDER_HEIGHT)))
-        d = (data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0)), 0.0)
-        if d[:2] != (0.0, 0.0):
+        aim = (data.draw(coord), data.draw(coord), o[2])
+        d = hitscan_direction(o, aim, math.radians(data.draw(st.floats(-45.0, 45.0))))
+        if d is not None:
             assert_skip_is_a_miss(world, o, d, near_line(data.draw, world, o, d), 0.0)
 
     @settings(max_examples=300, deadline=None)
@@ -1104,10 +1148,10 @@ class TestHitscanDistanceTest:
         assert filtered == unfiltered
         assert world.rng.getstate() == after
 
-    def test_a_shot_of_subnormal_hh_skips_nothing(self):
+    def test_a_nearly_vertical_shot_skips_nothing(self):
         # Nearly straight up, from inside the victim: dx is about 3.4e-162,
-        # so hh rounds down to 2 subnormal ulps, and cross * cross exceeds
-        # hh * reach_sq though ray_cylinder_t hits at t = 0.
+        # and ray_cylinder_t hits at t = 0, so the distance test must skip
+        # nothing.
         world = world_in(OPEN_ARENA)
         spots = [(1000.0, 1000.0), (1000.0, 1016.9), (3000.0, 3000.0), (3000.0, 1000.0)]
         for agent, (x, y) in zip(world.agents, spots):
@@ -1409,7 +1453,7 @@ class TestProximityIndex:
         assert reached(STRADDLE_ARENA, 200.0, 2000.0)[0]
 
     def test_far_pit_would_reach_cells_its_box_leaves_out(self):
-        # Why Arena rejects FAR_PIT: its right edge rounds to 0.0, in cell 0
+        # Why Arena bounds pits: FAR_PIT's right edge rounds to 0.0, in cell 0
         # (cells are 500 wide at size 20000), yet its test passes at every
         # x < 8192, where x + 1e20 rounds to 1e20, far past the one-cell growth.
         cell = 20000.0 / INDEX_CELLS

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -8,11 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from sarsa_arena.arena import MAX_ARENA_SIZE
 from sarsa_arena.cli import main
 from sarsa_arena.config import default_config
 from sarsa_arena.harness import GameRecord, _header
 from sarsa_arena.snapshots import read_snapshot
 
+# The narrowest arena size that is too wide.
+PAST_M = math.nextafter(MAX_ARENA_SIZE, math.inf)
 # games.csv columns: the GameRecord fields, shoot_s spread over the armory.
 GAMES_COLUMNS = len(_header(GameRecord, default_config().armory))
 
@@ -98,6 +102,8 @@ class TestTrain:
         ("behavior", "strafe_flip_min_s", "2.0"),
         ("opponent:1", "fov_deg", "nan"),
         ("harness", "opponents", "0"),
+        # Once one agent per opponent, built before any check could stop it.
+        ("harness", "opponents", "100000000"),
         ("harness", "games", "0"),
         ("harness", "minutes", "nan"),
         ("harness", "minutes", "-1"),
@@ -161,21 +167,45 @@ class TestTrain:
         # Once a wall that blocked nothing: no sight, movement, ray or splash.
         (
             "walls = 1200 1400 1200 nan; 2800 1400 2800 2600",
-            "walls: Wall(x1=1200.0, y1=1400.0, x2=1200.0, y2=nan) needs finite coordinates",
+            "walls: Wall(x1=1200.0, y1=1400.0, x2=1200.0, y2=nan) needs coordinates in "
+            "[0, 4000.0]",
         ),
         ("walls = 1200 1400 inf 2600", "walls: Wall(x1=1200.0, y1=1400.0, x2=inf, y2=2600.0)"),
-        # Once an OverflowError traceback from the spawn-in-pit test.
+        # A 1e200-wide arena once ended in an OverflowError traceback from the
+        # spawn-in-pit test.
         (
-            "size = 1e200\nspawns = 1e199 1e199; 9e199 1e199; 1e199 9e199; 9e199 9e199\n"
-            "pits = 5e199 5e199 1e198",
-            "arena size 1e+200 must be wider than an agent and at most 1e+100",
+            f"size = {PAST_M!r}",
+            f"arena size {PAST_M!r} must be wider than an agent and at most 1048576",
         ),
+        # One ulp past each bound that test_arena_geometry_at_its_bounds_is_accepted meets.
+        ("walls = -5e-324 1400 1200 1400", "walls: Wall(x1=-5e-324, "),
+        (f"walls = 1200 1400 1200 {math.nextafter(4000.0, math.inf)!r}",
+         "walls: Wall(x1=1200.0, y1=1400.0, x2=1200.0, y2=4000.0000000000005) needs coordinates"),
+        (f"pits = {PAST_M!r} 2000 100", f"pits: Pit(x={PAST_M!r}, "),
+        (f"pits = 2000 {-PAST_M!r} 100", f"pits: Pit(x=2000.0, y={-PAST_M!r}, "),
+        (f"pits = 2000 -1048576 {PAST_M!r}",
+         f"pits: Pit(x=2000.0, y=-1048576.0, radius={PAST_M!r})"),
+        (f"ammo_pickups = {-PAST_M!r} 600",
+         f"pickups: PickupSpot(kind='ammo', weapon=None, x={-PAST_M!r}"),
+        (f"weapon_pickups = shock_rifle 600 {PAST_M!r}",
+         "pickups: PickupSpot(kind='weapon', weapon='shock_rifle', x=600.0, "),
     ])
     def test_arena_geometry_out_of_range_is_config_error(self, value, message, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[arena]\n{value}\n") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid configuration: {message}")
         assert "Traceback" not in err
+
+    # Each bound of the arena at its edge; one ulp past each is rejected above.
+    @pytest.mark.parametrize("value", [
+        "size = 1048576",
+        "walls = 0 1400 1200 0; 4000 2600 2800 4000",
+        "pits = 1048576 2000 100; -1048576 -1048576 100; 2000 -1048576 1048576",
+        "ammo_pickups = 1048576 600\nweapon_pickups = shock_rifle -1048576 -1048576",
+    ])
+    def test_arena_geometry_at_its_bounds_is_accepted(self, value, tmp_path, capsys):
+        assert train_with_config(tmp_path, f"[arena]\n{value}\n") == 0
+        assert not capsys.readouterr().err
 
     @pytest.mark.parametrize("text,key", [
         ("[opponent:7]\nspeed_fraction = 0.5\n", "strafes"),

@@ -1,13 +1,14 @@
 import hashlib
 import inspect
+import random
 import re
 
 import pytest
 
-from sarsa_arena.arena import World
-from sarsa_arena.config import ConfigError, default_config, load_config
+from sarsa_arena.arena import RlShooterController, World
+from sarsa_arena.config import MAX_OPPONENTS, ConfigError, default_config, load_config
 from sarsa_arena.learner import LearnerConfig
-from sarsa_arena.weapons import WeaponCategory, WeaponSpec
+from sarsa_arena.weapons import WeaponCategory, WeaponSpec, new_table_set
 
 # The bundled defaults as built, pinned: the INI file is their only source,
 # so a change to how it is read must leave every value and type as it was.
@@ -125,3 +126,19 @@ def test_campaign_ranges_are_checked(tmp_path, key, value, message):
 def test_campaign_range_edges_are_accepted(tmp_path):
     harness = load(tmp_path, "[harness]\ngames = 1\nminutes = 0.01\nsnapshot_every = 0\n").harness
     assert (harness.games, harness.minutes, harness.snapshot_every) == (1, 0.01, 0)
+
+
+def test_opponents_are_accepted_up_to_their_bound(tmp_path):
+    sim = load(tmp_path, f"[harness]\nopponents = {MAX_OPPONENTS}\n")
+    assert sim.harness.opponents == MAX_OPPONENTS
+    with pytest.raises(
+        ConfigError, match=f"opponents must be <= {MAX_OPPONENTS}, got {MAX_OPPONENTS + 1}"
+    ):
+        load(tmp_path, f"[harness]\nopponents = {MAX_OPPONENTS + 1}\n")
+    rng = random.Random(1)
+    controller = RlShooterController(new_table_set(sim.learner), sim.armory, sim.priority, rng)
+    world = World(sim.arena, sim.armory, sim.physics, sim.behavior, sim.profiles[1],
+                  controller, rng, n_opponents=MAX_OPPONENTS)
+    for _ in range(30):
+        world.tick()
+    assert len(world.agents) == MAX_OPPONENTS + 1

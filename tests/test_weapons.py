@@ -344,9 +344,14 @@ NEWLY_REJECTED_NAN = {
     "CampaignSettings": {"games", "snapshot_every"},
 }
 
-# The int field with an upper bound: inf met tick_hz's lower bound before,
-# for a tick of 0 s, and fails its bound of sys.float_info.max now.
-NEWLY_REJECTED_INF = {"PhysicsParams": {"tick_hz"}}
+# The int fields with an upper bound, and the values above it: inf met
+# tick_hz's lower bound before, for a tick of 0 s, and fails its bound of
+# sys.float_info.max now; an opponent count above MAX_OPPONENTS built one
+# agent each before.
+NEWLY_REJECTED_LARGE = {
+    "PhysicsParams": {("tick_hz", math.inf)},
+    "HarnessParams": {("opponents", 1e308), ("opponents", math.inf)},
+}
 
 # The float fields that were only required to be finite and must now be
 # >= 0, so every negative value is newly rejected.  A negative aim lag leads
@@ -372,7 +377,7 @@ class TestCheckParams:
     ], ids=lambda base: type(base).__name__)
     def test_accepts_and_rejects_what_the_parent_checks_did(self, base):
         cls = type(base)
-        changed_nan, changed_inf, changed_negative = set(), set(), set()
+        changed_nan, changed_large, changed_negative = set(), set(), set()
         for f in fields(cls):
             if f.type not in ("int", "float"):
                 continue
@@ -388,13 +393,13 @@ class TestCheckParams:
                     assert not accepted, (f.name, value)
                     if f.type == "int" and math.isnan(value):
                         changed_nan.add(f.name)
-                    elif f.type == "int" and value == math.inf:
-                        changed_inf.add(f.name)
+                    elif f.type == "int" and value >= 1e308:
+                        changed_large.add((f.name, value))
                     else:
                         assert f.type == "float" and value < 0, (f.name, value)
                         changed_negative.add((f.name, value))
         assert changed_nan == NEWLY_REJECTED_NAN.get(cls.__name__, set())
-        assert changed_inf == NEWLY_REJECTED_INF.get(cls.__name__, set())
+        assert changed_large == NEWLY_REJECTED_LARGE.get(cls.__name__, set())
         negatives = [value for value in SWEEP_VALUES if -math.inf < value < 0]
         assert changed_negative == {
             (name, value)
