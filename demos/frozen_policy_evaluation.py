@@ -11,12 +11,12 @@ import tempfile
 from pathlib import Path
 
 from sarsa_arena.arena import GreedyController, RandomController
-from sarsa_arena.config import default_config
+from sarsa_arena.config import load_config
 from sarsa_arena.harness import CampaignSettings, evaluate_policy, run_campaign
 
 N_LIVES = 120
 
-sim = default_config()
+sim = load_config()
 print("training 8 games at level 1 ...")
 # The campaign's CSVs and snapshot are not needed past training.
 with tempfile.TemporaryDirectory(prefix="frozen_policy_") as out:
@@ -26,7 +26,7 @@ with tempfile.TemporaryDirectory(prefix="frozen_policy_") as out:
 print(f"done: {trained.tset.lives} lives of experience\n")
 
 for name, cls in (("greedy", GreedyController), ("random", RandomController)):
-    # Lives are capped at 30 simulated seconds (harness.EVAL_MAX_TICKS).
+    # Lives are capped at 30 simulated seconds (harness.EVAL_MAX_S).
     lives = evaluate_policy(sim, trained.tset, cls, range(5000, 5000 + N_LIVES))
     rewards = [life.reward for life in lives]
     print(f"{name:>6s}: mean reward {statistics.fmean(rewards):7.1f} "

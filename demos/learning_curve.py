@@ -10,7 +10,7 @@ Usage: python3 demos/learning_curve.py [out_dir]
 import sys
 from pathlib import Path
 
-from sarsa_arena.config import default_config
+from sarsa_arena.config import load_config
 from sarsa_arena.harness import (
     CampaignSettings,
     format_report,
@@ -20,7 +20,7 @@ from sarsa_arena.harness import (
 from sarsa_arena.svg import render_campaign_plots
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_out/learning_curve")
-sim = default_config()
+sim = load_config()
 
 settings = CampaignSettings(
     level=1, games=12, minutes=3.0, seed=42, out_dir=out, snapshot_every=25,

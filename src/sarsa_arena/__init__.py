@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ConfigError": "config",
     "SimConfig": "config",
-    "default_config": "config",
     "load_config": "config",
     "CombatObservation": "encoder",
     "N_STATES": "encoder",

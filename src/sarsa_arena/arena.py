@@ -63,14 +63,6 @@ class Wall(NamedTuple):
     x2: float
     y2: float
 
-    @property
-    def a(self) -> tuple[float, float]:
-        return (self.x1, self.y1)
-
-    @property
-    def b(self) -> tuple[float, float]:
-        return (self.x2, self.y2)
-
 
 class Pit(NamedTuple):
     x: float
@@ -124,20 +116,8 @@ class Arena:
             if not (0 < sx < self.size and 0 < sy < self.size):
                 raise ValueError("spawn point outside the walkable region")
             for pit in self.pits:
-                if geo.point_in_circle((sx, sy), (pit.x, pit.y), pit.radius):
+                if (sx - pit.x) ** 2 + (sy - pit.y) ** 2 <= pit.radius * pit.radius:
                     raise ValueError("spawn point inside a pit")
-
-    @property
-    def blocking_segments(self) -> tuple[tuple[tuple[float, float], tuple[float, float]], ...]:
-        segs = [(w.a, w.b) for w in self.walls]
-        s = self.size
-        segs += [
-            ((0.0, 0.0), (s, 0.0)),
-            ((s, 0.0), (s, s)),
-            ((s, s), (0.0, s)),
-            ((0.0, s), (0.0, 0.0)),
-        ]
-        return tuple(segs)
 
     @cached_property
     def proximity(self) -> tuple[float, dict]:
@@ -179,7 +159,6 @@ class Arena:
 
 @dataclass(frozen=True)
 class OpponentProfile:
-    level: int
     speed_fraction: float
     strafes: bool
     dodges: bool
@@ -344,10 +323,6 @@ class AgentState:
         self.death: KillEvent | SuicideEvent | None = None
         self.alert_pos: tuple[float, float] | None = None
         self.alert_timer = 0.0
-
-    @property
-    def pos(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 class FireCommand(NamedTuple):
@@ -578,7 +553,6 @@ class World:
         self.rng = rng
         self.dt = physics.dt
         self.tick_count = 0
-        self.segments = arena.blocking_segments
         # Agents are clamped to [CYLINDER_RADIUS, walk_max] on both axes,
         # strictly inside the boundary; the difference is exact at every
         # accepted size.
@@ -590,13 +564,21 @@ class World:
         self.reach_sq = CYLINDER_RADIUS * CYLINDER_RADIUS + margin * arena.size
         # Interior walls as (x1, y1, x2, y2, x2 - x1, y2 - y1, vertical, lo,
         # hi), for line_of_sight, which proves its tests for the vertical
-        # ones; [lo, hi] is the wall's y-range grown by the margin.
+        # ones; [lo, hi] is the wall's y-range grown by the margin.  Every
+        # wall as a segment ((x1, y1), (x2, y2)), the boundary's four last,
+        # for projectiles and splash.
         walls = []
+        segments = []
         for w in arena.walls:
             ex, ey = w.x2 - w.x1, w.y2 - w.y1
             walls.append((w.x1, w.y1, w.x2, w.y2, ex, ey, ex == 0.0 and 1.0 <= abs(ey),
                           min(w.y1, w.y2) - margin, max(w.y1, w.y2) + margin))
+            segments.append(((w.x1, w.y1), (w.x2, w.y2)))
         self.walls = tuple(walls)
+        s = arena.size
+        segments += [((0.0, 0.0), (s, 0.0)), ((s, 0.0), (s, s)),
+                     ((s, s), (0.0, s)), ((0.0, s), (0.0, 0.0))]
+        self.segments = tuple(segments)
         # The most the opponents and the bot turn in one tick.
         self.scripted_turn = profile.turn_rate_deg_s * self.dt
         self.rl_turn = physics.rl_turn_rate_deg_s * self.dt
@@ -1221,7 +1203,7 @@ class World:
             if agent.inventory.get(cmd.weapon, 0) <= 0:
                 return
             agent.inventory[cmd.weapon] -= 1
-        agent.cooldown = weapon.fire_interval
+        agent.cooldown = weapon.interval
 
         is_rl = agent.id == RL_AGENT_ID
         if is_rl:
@@ -1229,7 +1211,7 @@ class World:
 
         if weapon.melee_range > 0.0:
             hit = self._melee(agent, weapon, aim_point, damage_records)
-        elif weapon.projectile_speed == math.inf:  # weapon.is_hitscan
+        elif weapon.speed == math.inf:  # hitscan
             hit = False
             for _ in range(weapon.pellets):
                 hit |= self._hitscan(agent, weapon, aim_point, damage_records)
@@ -1264,7 +1246,7 @@ class World:
         if best is None:
             return False
         damage_records.append(
-            (agent.id, best.id, weapon.damage_per_hit, weapon.name, False)
+            (agent.id, best.id, weapon.damage, weapon.name, False)
         )
         return True
 
@@ -1343,7 +1325,7 @@ class World:
             if t_wall is not None and t_wall < best_t:
                 return False
         damage_records.append(
-            (agent.id, victim.id, weapon.damage_per_hit, weapon.name, False)
+            (agent.id, victim.id, weapon.damage, weapon.name, False)
         )
         return True
 
@@ -1352,7 +1334,7 @@ class World:
         if ray is None:
             return
         origin, (ux, uy, uz), norm = ray
-        speed = weapon.projectile_speed
+        speed = weapon.speed
         if agent.id == RL_AGENT_ID:
             self.life.misses += 1
         self.projectiles.append(Projectile(
@@ -1371,7 +1353,7 @@ class World:
                 if other.id == proj.shooter or not other.alive:
                     continue
                 t = geo.ray_cylinder_t(
-                    (proj.x, proj.y, proj.z), direction, other.pos,
+                    (proj.x, proj.y, proj.z), direction, (other.x, other.y),
                     other.z, CYLINDER_RADIUS, CYLINDER_HEIGHT,
                 )
                 if t is not None and t <= 1.0 and t < best_t:
@@ -1389,7 +1371,7 @@ class World:
             t = min(best_t, wall_t)
             if t == math.inf:
                 t = 1.0
-                proj.remaining -= weapon.projectile_speed * dt
+                proj.remaining -= weapon.speed * dt
                 if not (proj.remaining <= 0.0 or proj.z + direction[2] < 0.0):
                     proj.x += direction[0]
                     proj.y += direction[1]
@@ -1416,11 +1398,11 @@ class World:
         damaged_opponent = False
         if direct_victim is not None:
             damage_records.append(
-                (proj.shooter, direct_victim.id, weapon.damage_per_hit,
+                (proj.shooter, direct_victim.id, weapon.damage,
                  weapon.name, False)
             )
             damaged_opponent = True
-        if weapon.splash_radius > 0.0:
+        if weapon.splash > 0.0:
             for other in self.agents:
                 if not other.alive or other is direct_victim:
                     continue
@@ -1430,17 +1412,17 @@ class World:
                 dy = other.y - point[1]
                 dz = (other.z + MID_Z) - point[2]
                 d = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if d >= weapon.splash_radius:
+                if d >= weapon.splash:
                     continue
                 # A rocket can detonate on the outer wall, so splash is
                 # tested against every blocking segment, boundary included.
                 splash_from = (point[0], point[1])
                 if any(
-                    geo.segments_intersect(splash_from, other.pos, a, b)
+                    geo.segments_intersect(splash_from, (other.x, other.y), a, b)
                     for a, b in self.segments
                 ):
                     continue
-                amount = weapon.damage_per_hit * (1.0 - d / weapon.splash_radius)
+                amount = weapon.damage * (1.0 - d / weapon.splash)
                 if amount <= 0.0:
                     continue
                 self_inflicted = other.id == proj.shooter

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
@@ -20,8 +19,6 @@ from .snapshots import SnapshotError, read_snapshot
 from .svg import render_campaign_plots
 from .weapons import ACTION_LABELS
 
-LEVELS = (1, 3, 5)
-
 
 def non_negative_int(text: str) -> int:
     """argparse type for counts: an int of at least 0."""
@@ -29,6 +26,11 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def level_or_all(text: str) -> int | str:
+    """argparse type for --level: an int, or "all"."""
+    return text if text == "all" else int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="run learning campaigns")
     train.add_argument(
-        "--level", default="all", choices=["1", "3", "5", "all"],
-        help="opponent skill level (default: all)",
+        "--level", default="all", type=level_or_all,
+        help="an [opponent:N] level of the config, or all (default: all)",
     )
     train.add_argument("--games", type=int, default=None,
                        help="games per level (default from config)")
@@ -68,28 +70,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args) -> int:
-    flags = {
-        "games": args.games, "minutes": args.minutes,
-        "snapshot_every": args.snapshot_every,
-    }
     try:
         sim = load_config(args.config)
-        # The flags override [harness] and pass the same range checks.
-        harness = replace(
-            sim.harness, **{k: v for k, v in flags.items() if v is not None}
-        )
+        levels = sorted(sim.profiles) if args.level == "all" else [args.level]
+        # The flags override their [harness] keys; CampaignSettings checks them.
+        flags = {"games": args.games, "minutes": args.minutes,
+                 "snapshot_every": args.snapshot_every}
+        given = {k: getattr(sim.harness, k) if v is None else v for k, v in flags.items()}
+        runs = [CampaignSettings(level=level, seed=args.seed, out_dir=args.out / f"level{level}",
+                                 record_events=args.events, **given) for level in levels]
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    levels = LEVELS if args.level == "all" else (int(args.level),)
     summaries = []
-    for level in levels:
-        out_dir = args.out / f"level{level}"
-        settings = CampaignSettings(
-            level=level, games=harness.games, minutes=harness.minutes, seed=args.seed,
-            out_dir=out_dir, snapshot_every=harness.snapshot_every,
-            record_events=args.events,
-        )
+    for settings in runs:
+        out_dir = settings.out_dir
         try:
             result = run_campaign(sim, settings)
             if not args.no_plots:
@@ -103,7 +98,7 @@ def cmd_train(args) -> int:
             return 1
         summary = summarize_level(result.lives, result.games)
         summaries.append(summary)
-        print(f"level {level}: {harness.games} games -> {out_dir}")
+        print(f"level {settings.level}: {settings.games} games -> {out_dir}")
     print(format_report(summaries))
     return 0
 

@@ -38,8 +38,6 @@ class HarnessParams:
     opponents: int
 
     def __post_init__(self) -> None:
-        # The `train` flags --games, --minutes and --snapshot-every are
-        # checked here too: the CLI applies them with dataclasses.replace.
         check_params(
             self, at_least={"games": 1, "snapshot_every": 0, "opponents": 1},
             above={"minutes": 0}, at_most={"opponents": MAX_OPPONENTS},
@@ -79,14 +77,6 @@ _READERS = {
         w.strip() for w in section[key].split(",")
     ),
     "tuple[tuple[int, float], ...]": _parse_schedule,
-}
-
-# [weapon:NAME] keys whose field has another name.
-_WEAPON_KEYS = {
-    "damage": "damage_per_hit",
-    "interval": "fire_interval",
-    "speed": "projectile_speed",
-    "splash": "splash_radius",
 }
 
 
@@ -156,10 +146,10 @@ def _build(parser: configparser.ConfigParser) -> SimConfig:
     for section in parser.sections():
         kind, _, name = section.partition(":")
         if kind == "weapon" and name:
-            armory[name] = _read(WeaponSpec, parser[section], _WEAPON_KEYS, name=name)
+            armory[name] = _read(WeaponSpec, parser[section], name=name)
         elif kind == "opponent" and name:
             level = int(name)
-            profiles[level] = _read(OpponentProfile, parser[section], level=level)
+            profiles[level] = _read(OpponentProfile, parser[section])
         elif section not in _SECTIONS:
             raise ValueError(f"unknown section [{section}]")
     priority = _read(PriorityTables, parser["priority"])
@@ -181,16 +171,11 @@ def _build(parser: configparser.ConfigParser) -> SimConfig:
     )
 
 
-def _bundled_parser() -> configparser.ConfigParser:
+def load_config(path: str | os.PathLike | None = None) -> SimConfig:
+    """Bundled defaults, optionally overridden by the INI file at `path`."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     defaults = resources.files("sarsa_arena").joinpath("data/default.cfg")
     parser.read_string(defaults.read_text(encoding="ascii"))
-    return parser
-
-
-def load_config(path: str | os.PathLike | None = None) -> SimConfig:
-    """Bundled defaults, optionally overridden by the INI file at `path`."""
-    parser = _bundled_parser()
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -205,8 +190,3 @@ def load_config(path: str | os.PathLike | None = None) -> SimConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid configuration: {exc}") from exc
-
-
-def default_config() -> SimConfig:
-    """The bundled defaults."""
-    return _build(_bundled_parser())

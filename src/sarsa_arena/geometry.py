@@ -125,10 +125,6 @@ def ray_cylinder_t(
     return best
 
 
-def point_in_circle(p: Vec2, center: Vec2, radius: float) -> bool:
-    return (p[0] - center[0]) ** 2 + (p[1] - center[1]) ** 2 <= radius * radius
-
-
 def bearing_deg(from_pos: Vec2, to_pos: Vec2) -> float:
     """World-frame heading (degrees in [-180, 180)) from one point to another."""
     # World.nearest_visible inlines this function: keep the two alike.

@@ -153,8 +153,8 @@ def run_campaign(sim: SimConfig, settings: CampaignSettings) -> Campaign:
     return campaign
 
 
-# Criterion 7 caps each evaluation life at 30 simulated seconds of 30 Hz ticks.
-EVAL_MAX_TICKS = 30 * 30
+# Criterion 7 caps each evaluation life at 30 simulated seconds.
+EVAL_MAX_S = 30.0
 
 
 def evaluate_policy(
@@ -164,9 +164,14 @@ def evaluate_policy(
 
     Every life gets its own `random.Random(seed)`, a copy of the policy's Q
     values and a fresh World against level-1 opponents, so it starts at tick
-    0; a life still running after EVAL_MAX_TICKS ticks ends there, as
-    "game-end", and keeps its reward so far.
+    0; a life still running after EVAL_MAX_S simulated seconds ends there,
+    as "game-end", and keeps its reward so far.
     """
+    ticks = EVAL_MAX_S * sim.physics.tick_hz
+    if ticks == math.inf:
+        raise ValueError(
+            f"a life of {EVAL_MAX_S:g} s at {sim.physics.tick_hz} Hz has too many ticks to count"
+        )
     lives = []
     for seed in seeds:
         rng = random.Random(seed)
@@ -178,7 +183,7 @@ def evaluate_policy(
             controller_cls(tset, sim.armory, sim.priority, rng), rng,
             n_opponents=sim.harness.opponents,
         )
-        lives.append(next(world.play(EVAL_MAX_TICKS)))
+        lives.append(next(world.play(round(ticks))))
     return lives
 
 

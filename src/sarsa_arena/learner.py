@@ -63,9 +63,11 @@ def epsilon_for_lives(schedule: ExplorationSchedule, lives: int) -> float:
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    alpha: float = 0.7
-    gamma: float = 0.5
-    lam: float = 0.9
+    # [learner] holds alpha, gamma and lambda; the schedule's default serves
+    # a restored snapshot, which stores none.
+    alpha: float
+    gamma: float
+    lam: float
     schedule: ExplorationSchedule = field(default_factory=ExplorationSchedule)
 
     def __post_init__(self) -> None:
@@ -87,9 +89,6 @@ class QTable:
 
     def value(self, state: int, action: int) -> float:
         return self.q.get((state, action), 0.0)
-
-    def trace(self, state: int, action: int) -> float:
-        return self.traces.get((state, action), 0.0)
 
     def visits(self, state: int, action: int) -> int:
         return self.visit_counts.get((state, action), 0)

@@ -86,14 +86,15 @@ def check_params(params, at_least=None, above=None, may_be_inf=(), at_most=None)
 
 @dataclass(frozen=True)
 class WeaponSpec:
-    # The fields with defaults are the keys a [weapon:NAME] section may omit.
+    # Each field but `name` is read from the [weapon:NAME] key of its name;
+    # the fields with defaults are the keys a section may omit.
     name: str
     category: WeaponCategory
-    damage_per_hit: float
-    fire_interval: float
+    damage: float
+    interval: float
     instant_hit: bool = False
-    projectile_speed: float = math.inf
-    splash_radius: float = 0.0
+    speed: float = math.inf
+    splash: float = 0.0
     self_damage: bool = False
     aim_skew: float = 80.0
     above_step: float = 120.0
@@ -109,15 +110,11 @@ class WeaponSpec:
         # Above below the opponent's feet.
         check_params(
             self,
-            at_least={"splash_radius": 0, "spread_deg": 0, "melee_range": 0,
+            at_least={"splash": 0, "spread_deg": 0, "melee_range": 0,
                       "aim_skew": 0, "above_step": 0, "pellets": 1},
-            above={"damage_per_hit": 0, "fire_interval": 0, "projectile_speed": 0},
-            may_be_inf=("projectile_speed",),
+            above={"damage": 0, "interval": 0, "speed": 0},
+            may_be_inf=("speed",),
         )
-
-    @property
-    def is_hitscan(self) -> bool:
-        return self.projectile_speed == math.inf
 
 
 ASSAULT_RIFLE = "assault_rifle"

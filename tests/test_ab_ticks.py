@@ -62,7 +62,7 @@ def test_path_that_is_not_a_checkout_is_a_usage_error(flag, missing, tmp_path, c
 
 def test_level5_unit_writes_events_as_train_l5_does(monkeypatch):
     from sarsa_arena import harness
-    from sarsa_arena.config import default_config
+    from sarsa_arena.config import load_config
 
     logged = []
     real_run_campaign = harness.run_campaign
@@ -75,7 +75,7 @@ def test_level5_unit_writes_events_as_train_l5_does(monkeypatch):
         return result
 
     monkeypatch.setattr(harness, "run_campaign", recording)
-    assert ab_ticks._level5_game(default_config(), 1)
+    assert ab_ticks._level5_game(load_config(), 1)
     [(record_events, size, snapshot_every, snapshots)] = logged
     assert record_events and size > 0
     assert snapshot_every == 5 and "snap_5_5.rlsq" in snapshots

@@ -15,7 +15,7 @@ import pytest
 
 from sarsa_arena.arena import GreedyController, RandomController
 from sarsa_arena.cli import main as cli_main
-from sarsa_arena.config import default_config
+from sarsa_arena.config import load_config
 from sarsa_arena.encoder import (
     DirectionClass,
     DistanceBand,
@@ -50,7 +50,7 @@ from sarsa_arena.weapons import CATEGORY_ORDER
 
 from test_learner import run_chain_sarsa, value_iteration_chain
 
-CFG = default_config()
+CFG = load_config()
 
 
 # -- criterion 1: the update rule against an independent reference ----------
@@ -246,7 +246,7 @@ def test_criterion_7_frozen_greedy_policy_beats_random(tmp_path):
         out_dir=tmp_path / "train", snapshot_every=0,
     ))
     seeds = list(range(1_000, 1_500))  # 500 matched lives per policy
-    # Each life is capped at 30 simulated seconds (EVAL_MAX_TICKS).
+    # Each life is capped at 30 simulated seconds (EVAL_MAX_S).
     greedy = np.asarray([life.reward for life in evaluate_policy(
         CFG, trained.tset, GreedyController, seeds)])
     rand = np.asarray([life.reward for life in evaluate_policy(

@@ -35,7 +35,7 @@ from sarsa_arena.arena import (
     format_event,
     unit_towards,
 )
-from sarsa_arena.config import default_config
+from sarsa_arena.config import load_config
 from sarsa_arena.encoder import N_STATES, CombatObservation, encode
 from sarsa_arena.harness import evaluate_policy
 from sarsa_arena.learner import N_ACTIONS
@@ -49,7 +49,7 @@ from sarsa_arena.weapons import (
 
 
 def make_world(seed=1, level=1, tset=None, cfg=None, controller_cls=RlShooterController):
-    cfg = cfg or default_config()
+    cfg = cfg or load_config()
     rng = random.Random(seed)
     tset = tset or new_table_set(cfg.learner)
     ctrl = controller_cls(tset, cfg.armory, cfg.priority, rng)
@@ -249,7 +249,7 @@ class TestGameBoundary:
     def test_play_yields_every_life_and_leaves_the_controller_idle(
         self, controller_cls, seed, alive
     ):
-        cfg = default_config()
+        cfg = load_config()
         tset = new_table_set(cfg.learner) if controller_cls.learns else fixed_policy(cfg)
         world, ctrl, _ = make_world(
             seed=seed, level=5, tset=tset, cfg=cfg, controller_cls=controller_cls,
@@ -296,20 +296,22 @@ class TestPhysics:
     def test_agents_never_cross_walls_or_leave_arena(self):
         world, _, _ = make_world(seed=13, level=5)
         import sarsa_arena.geometry as geo
-        prev = {a.id: a.pos for a in world.agents}
+        prev = {a.id: (a.x, a.y) for a in world.agents}
         for _ in range(GAME_TICKS * 2):
             respawned = {
                 e.agent for e in world.tick() if isinstance(e, SpawnEvent)
             }
             for a in world.agents:
                 if not a.alive or a.id in respawned:
-                    prev[a.id] = a.pos
+                    prev[a.id] = (a.x, a.y)
                     continue
                 assert 0 <= a.x <= world.arena.size
                 assert 0 <= a.y <= world.arena.size
-                for wall in world.arena.walls:
-                    assert not geo.segments_intersect(prev[a.id], a.pos, wall.a, wall.b)
-                prev[a.id] = a.pos
+                for w in world.arena.walls:
+                    assert not geo.segments_intersect(
+                        prev[a.id], (a.x, a.y), (w.x1, w.y1), (w.x2, w.y2)
+                    )
+                prev[a.id] = (a.x, a.y)
 
     def test_speed_never_exceeds_base_speed(self):
         world, _, _ = make_world(seed=13, level=5)
@@ -352,6 +354,22 @@ class TestShooting:
         hit = world._hitscan(shooter, weapon, (1200.0, 1000.0, 19.5), records)
         assert hit
         assert records == [(0, 1, 7, ASSAULT_RIFLE, False)]
+
+    # A speed of inf casts a ray at once; any finite one launches a rocket.
+    @pytest.mark.parametrize("speed,flying", [(math.inf, 0), (1e308, 1)])
+    def test_infinite_speed_is_hitscan(self, speed, flying):
+        world, _, _ = make_world(seed=1)
+        shooter, target = world.agents[0], world.agents[1]
+        shooter.x, shooter.y = 1000.0, 1000.0
+        target.x, target.y = 1200.0, 1000.0
+        world.armory["shock_rifle"] = replace(
+            world.armory["shock_rifle"], speed=speed, spread_deg=0.0
+        )
+        shooter.inventory["shock_rifle"] = 1
+        records = []
+        world._discharge(shooter, FireCommand("shock_rifle", (1200.0, 1000.0, 19.5), 1), records)
+        assert len(world.projectiles) == flying
+        assert [r[1] for r in records] == [1] * (1 - flying)
 
     def test_wall_blocks_hitscan(self):
         world, _, _ = make_world(seed=1)
@@ -533,7 +551,7 @@ STATE = encode(OBS)
 
 
 def make_controller():
-    cfg = default_config()
+    cfg = load_config()
     tset = new_table_set(cfg.learner)
     ctrl = RlShooterController(tset, cfg.armory, cfg.priority, random.Random(0))
     agent = AgentState(0)
@@ -666,11 +684,11 @@ class TestArenaValidation:
     ])
     def test_pit_needs_a_bounded_centre_and_radius_at_least_zero(self, pit):
         with pytest.raises(ValueError, match="pit"):
-            replace(default_config().arena, size=20000.0, pits=(pit,))
+            replace(load_config().arena, size=20000.0, pits=(pit,))
 
     @pytest.mark.parametrize("change", AT_THE_BOUNDS, ids=lambda change: next(iter(change)))
     def test_geometry_at_its_bounds_accepted(self, change):
-        cell, _ = replace(default_config().arena, **change).proximity
+        cell, _ = replace(load_config().arena, **change).proximity
         assert cell == change.get("size", 4000.0) / INDEX_CELLS
 
     def test_widest_arena_plays_with_its_farthest_pit(self):
@@ -693,18 +711,18 @@ class TestArenaValidation:
 
     def test_far_pickup_spot_rejected(self):
         with pytest.raises(ValueError, match="pickup"):
-            replace(default_config().arena, pickups=(PickupSpot("ammo", None, 1e18, 600.0),))
+            replace(load_config().arena, pickups=(PickupSpot("ammo", None, 1e18, 600.0),))
 
     @pytest.mark.parametrize("x,y", [
         (math.nan, 600.0), (600.0, math.inf), (-math.inf, 600.0), (-PAST_M, 600.0), (600.0, PAST_M),
     ])
     def test_pickup_spot_must_lie_within_the_bound(self, x, y):
         with pytest.raises(ValueError, match="pickup"):
-            replace(default_config().arena, pickups=(PickupSpot("ammo", None, x, y),))
+            replace(load_config().arena, pickups=(PickupSpot("ammo", None, x, y),))
 
     def test_zero_radius_pit_and_arena_edge_features_accepted(self):
         arena = replace(
-            default_config().arena,
+            load_config().arena,
             pits=(Pit(2000.0, 2000.0, 0.0), Pit(-5000.0, 2000.0, 5100.0)),
             pickups=(PickupSpot("ammo", None, 0.0, 4000.0),),
         )
@@ -713,7 +731,7 @@ class TestArenaValidation:
     @pytest.mark.parametrize("field", ["tick_hz", "decision_every"])
     def test_physics_rates_below_one_rejected(self, field):
         with pytest.raises(ValueError, match=field):
-            replace(default_config().physics, **{field: 0})
+            replace(load_config().physics, **{field: 0})
 
     @pytest.mark.parametrize("field", [
         f.name for f in fields(PhysicsParams) if f.type == "float"
@@ -721,7 +739,7 @@ class TestArenaValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_physics_floats_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            replace(default_config().physics, **{field: value})
+            replace(load_config().physics, **{field: value})
 
     @pytest.mark.parametrize("field", [
         "dodge_radius", "waypoint_radius", "pit_avoid_margin",
@@ -730,7 +748,7 @@ class TestArenaValidation:
     @pytest.mark.parametrize("value", [-1.0, math.nan])
     def test_negative_margins_radii_and_ranges_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            replace(default_config().behavior, **{field: value})
+            replace(load_config().behavior, **{field: value})
 
     # Once a run gone quietly wrong: an infinite strafe period never ran
     # out, and a nan jump probability never let the bot jump.
@@ -738,7 +756,7 @@ class TestArenaValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_behavior_floats_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
-            replace(default_config().behavior, **{field: value})
+            replace(load_config().behavior, **{field: value})
 
     # A nan wall once blocked nothing; World.line_of_sight relies on walls
     # lying in [0, size].
@@ -751,18 +769,18 @@ class TestArenaValidation:
     ])
     def test_wall_must_lie_in_the_arena(self, wall):
         with pytest.raises(ValueError, match="walls: Wall"):
-            replace(default_config().arena, walls=(wall,))
+            replace(load_config().arena, walls=(wall,))
 
     @pytest.mark.parametrize("lo,hi", [(1.6, 1.5), (math.nan, 1.5), (0.5, math.nan)])
     def test_strafe_flip_min_above_max_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="strafe_flip_min_s"):
-            replace(default_config().behavior, strafe_flip_min_s=lo, strafe_flip_max_s=hi)
+            replace(load_config().behavior, strafe_flip_min_s=lo, strafe_flip_max_s=hi)
 
     @pytest.mark.parametrize("field", ["fov_deg", "turn_rate_deg_s", "speed_fraction"])
     @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
     def test_profile_angles_and_speed_must_be_finite_and_non_negative(self, field, value):
         with pytest.raises(ValueError, match=field):
-            replace(default_config().profiles[1], **{field: value})
+            replace(load_config().profiles[1], **{field: value})
 
     # Once a run gone quietly wrong: with a nan aim error or an infinite aim
     # lag the opponents never hit the bot.
@@ -772,7 +790,7 @@ class TestArenaValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_profile_floats_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
-            replace(default_config().profiles[1], **{field: value})
+            replace(load_config().profiles[1], **{field: value})
 
     # Once a run gone quietly wrong: the bot spawned with no ammo, or an
     # ammo pickup took ammo away.
@@ -780,7 +798,7 @@ class TestArenaValidation:
         "spawn_assault_ammo", "weapon_pickup_ammo", "ammo_pickup_amount",
     ])
     def test_physics_ammo_counts_must_not_be_negative(self, field):
-        physics = default_config().physics
+        physics = load_config().physics
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -5"):
             replace(physics, **{field: -5})
         assert getattr(replace(physics, **{field: 0}), field) == 0
@@ -789,17 +807,17 @@ class TestArenaValidation:
     # saw no opponent and never fired, and a negative speed ran it backwards.
     @pytest.mark.parametrize("field", ["base_speed", "rl_fov_deg", "rl_turn_rate_deg_s"])
     def test_bot_speed_fov_and_turn_rate_must_not_be_negative(self, field):
-        physics = default_config().physics
+        physics = load_config().physics
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -5.0"):
             replace(physics, **{field: -5.0})
         assert getattr(replace(physics, **{field: 0.0}), field) == 0.0
 
     def test_default_arena_is_valid(self):
-        arena = default_config().arena
-        assert len(arena.blocking_segments) == len(arena.walls) + 4
+        world, _, _ = make_world()
+        assert len(world.segments) == len(world.arena.walls) + 4
 
     def test_default_profiles_cover_levels(self):
-        assert set(default_config().profiles) == {1, 3, 5}
+        assert set(load_config().profiles) == {1, 3, 5}
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +838,7 @@ DIAGONAL_ARENA = Arena(
 
 
 def world_in(arena):
-    cfg = default_config()
+    cfg = load_config()
     rng = random.Random(0)
     ctrl = RlShooterController(new_table_set(cfg.learner), cfg.armory, cfg.priority, rng)
     return World(arena, cfg.armory, cfg.physics, cfg.behavior, cfg.profiles[1], ctrl, rng)
@@ -854,11 +872,11 @@ def scaled_arena(arena, k):
 
 
 WORLDS = {
-    "default": world_in(default_config().arena),
+    "default": world_in(load_config().arena),
     "diagonal": world_in(DIAGONAL_ARENA),
     "vertical": world_in(VERTICAL_ARENA),
     # Near the widest arena accepted: 4000 * 256 = 1,024,000 uu.
-    "scaled": world_in(scaled_arena(default_config().arena, 256)),
+    "scaled": world_in(scaled_arena(load_config().arena, 256)),
 }
 
 
@@ -888,7 +906,7 @@ def inside_points(draw, arena):
         t = draw(st.floats(-2.0, 3.0))
         x, y = w.x1 + t * (w.x2 - w.x1), w.y1 + t * (w.y2 - w.y1)
     else:
-        x, y = draw(st.sampled_from([w.a, w.b]))
+        x, y = draw(st.sampled_from([(w.x1, w.y1), (w.x2, w.y2)]))
         if kind == "near-end":
             for _ in range(draw(st.integers(0, 3))):
                 x = math.nextafter(x, draw(st.sampled_from([0.0, size])))
@@ -908,7 +926,7 @@ def assert_matches_reference(world, p, q):
     for a, b in ((p, q), (q, p)):
         expected = not any(
             geo.segments_intersect(a, b, s1, s2)
-            for s1, s2 in world.arena.blocking_segments
+            for s1, s2 in world.segments
         )
         assert world.line_of_sight(a[0], a[1], b[0], b[1]) is expected
 
@@ -1148,6 +1166,25 @@ class TestHitscanDistanceTest:
         assert filtered == unfiltered
         assert world.rng.getstate() == after
 
+    def test_a_tangent_shot_across_the_widest_arena_needs_the_margin(self):
+        # A level shot about 9e5 uu long passes the victim's centre at
+        # cross**2 - R**2 of about 1.9e-5 uu**2, under the 27u*C**2 (about
+        # 3e-3) by which ray_cylinder_t's discriminant rounds, and that
+        # rounding finds a hit.  A test against R**2 alone would skip it.
+        world = open_world(MAX_ARENA_SIZE)
+        spots = [(25983.64469764539, 471327.26005571306), (913793.677759731, 763090.407949654),
+                 (100.0, 100.0), (100.0, 200.0)]
+        for agent, (x, y) in zip(world.agents, spots):
+            agent.x, agent.y, agent.z = x, y, 0.0
+        aim = (955932.1825806746, 776919.7425219431, 30.0)  # level: the eye is 30 uu up
+        d = hitscan_direction((*spots[0], 30.0), aim, 0.0)
+        cross = d[0] * (spots[1][1] - spots[0][1]) - d[1] * (spots[1][0] - spots[0][0])
+        assert cross * cross > CYLINDER_RADIUS ** 2
+        rifle = replace(world.armory["shock_rifle"], spread_deg=0.0)
+        records = []
+        assert world._hitscan(world.agents[0], rifle, aim, records)
+        assert [r[1] for r in records] == [1]
+
     def test_a_nearly_vertical_shot_skips_nothing(self):
         # Nearly straight up, from inside the victim: dx is about 3.4e-162,
         # and ray_cylinder_t hits at t = 0, so the distance test must skip
@@ -1227,7 +1264,7 @@ class TestMoveFastPaths:
         (CYLINDER_RADIUS, 1000.0, -300.0, True),  # pushing against the boundary
     ])
     def test_zero_step_skips_line_of_sight_with_the_same_outcome(self, x, y, vx, clear):
-        world = world_in(default_config().arena)
+        world = world_in(load_config().arena)
         agent = world.agents[RL_AGENT_ID]
         agent.x, agent.y, agent.vx, agent.vy = x, y, vx, 0.0
         # Either answer of the old line-of-sight test left the position as it
@@ -1266,7 +1303,7 @@ STRADDLE_ARENA = Arena(
         PickupSpot("ammo", None, 3970.1, 100.0),
     ),
 )
-INDEX_ARENAS = {"default": default_config().arena, "straddle": STRADDLE_ARENA}
+INDEX_ARENAS = {"default": load_config().arena, "straddle": STRADDLE_ARENA}
 # A pit whose bounding box rounds by far more than a cell; Arena rejects it.
 FAR_PIT = Pit(-1e20, 2000.0, 1e20)
 
@@ -1463,10 +1500,10 @@ class TestProximityIndex:
         assert (x - FAR_PIT.x) ** 2 + (2000.0 - FAR_PIT.y) ** 2 <= FAR_PIT.radius ** 2
 
     def test_index_is_built_once_and_leaves_repr_and_equality_alone(self):
-        arena = replace(default_config().arena)
+        arena = replace(load_config().arena)
         assert arena.proximity is arena.proximity
-        assert arena == default_config().arena
-        assert repr(arena) == repr(default_config().arena)
+        assert arena == load_config().arena
+        assert repr(arena) == repr(load_config().arena)
 
 
 # ---------------------------------------------------------------------------
@@ -1530,7 +1567,7 @@ def fixed_policy(cfg):
 def frozen_lives(controller_cls, seeds, max_ticks=900):
     """Lives of a frozen policy as criterion 7 plays them: one fresh level-1
     World per life seed, capped at `max_ticks`."""
-    cfg = default_config()
+    cfg = load_config()
     policy = fixed_policy(cfg)
     lives = []
     for seed in seeds:
@@ -1574,7 +1611,7 @@ def test_each_controller_defines_its_own_decide():
 
 @pytest.mark.parametrize("controller_cls", [GreedyController, RandomController])
 def test_frozen_play_writes_no_table_state(controller_cls):
-    cfg = default_config()
+    cfg = load_config()
     tset = fixed_policy(cfg)
     for table in tset.tables.values():
         table.traces[(0, 0)] = 0.5
@@ -1598,7 +1635,7 @@ def test_frozen_play_writes_no_table_state(controller_cls):
 
 
 def test_evaluate_policy_plays_the_pinned_loop():
-    cfg = default_config()
+    cfg = load_config()
     for controller_cls in (GreedyController, RandomController):
         policy = fixed_policy(cfg)
         lives = evaluate_policy(cfg, policy, controller_cls, FROZEN_SEEDS)

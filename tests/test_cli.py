@@ -11,14 +11,14 @@ import pytest
 
 from sarsa_arena.arena import MAX_ARENA_SIZE
 from sarsa_arena.cli import main
-from sarsa_arena.config import default_config
+from sarsa_arena.config import load_config
 from sarsa_arena.harness import GameRecord, _header
 from sarsa_arena.snapshots import read_snapshot
 
 # The narrowest arena size that is too wide.
 PAST_M = math.nextafter(MAX_ARENA_SIZE, math.inf)
 # games.csv columns: the GameRecord fields, shoot_s spread over the armory.
-GAMES_COLUMNS = len(_header(GameRecord, default_config().armory))
+GAMES_COLUMNS = len(_header(GameRecord, load_config().armory))
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +56,34 @@ class TestTrain:
 
     def test_invalid_level_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--level", "2"])
+            main(["train", "--level", "two"])
         assert exc.value.code == 2
+
+    def test_level_without_a_section_is_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--level", "2", "--out", str(out), "--no-plots"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: level 2 has no [opponent:2] section; the known levels are 1, 3, 5\n"
+        )
+        assert not out.exists()
+
+    def test_all_trains_every_level_of_the_config(self, tmp_path, capsys):
+        cfg = tmp_path / "levels.cfg"
+        cfg.write_text(
+            "[opponent:2]\nspeed_fraction = 0.7\nstrafes = no\ndodges = no\n"
+            "closes_distance = no\nmax_aim_error_deg = 2.0\nfov_deg = 40\n"
+            "turn_rate_deg_s = 200\naim_lag_s = 0.1\ncombat_jump_prob_s = 0.0\n"
+        )
+        out = tmp_path / "out"
+        assert main([
+            "train", "--level", "all", "--games", "1", "--minutes", "0.05",
+            "--config", str(cfg), "--out", str(out), "--no-plots",
+        ]) == 0
+        trained = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                   if " games -> " in line]
+        assert trained == ["level 1", "level 2", "level 3", "level 5"]
+        assert sorted(p.name for p in out.iterdir()) == ["level1", "level2", "level3", "level5"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main([

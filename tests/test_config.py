@@ -6,13 +6,13 @@ import re
 import pytest
 
 from sarsa_arena.arena import RlShooterController, World
-from sarsa_arena.config import MAX_OPPONENTS, ConfigError, default_config, load_config
-from sarsa_arena.learner import LearnerConfig
+from sarsa_arena.config import MAX_OPPONENTS, ConfigError, load_config
+from sarsa_arena.learner import ExplorationSchedule
 from sarsa_arena.weapons import WeaponCategory, WeaponSpec, new_table_set
 
 # The bundled defaults as built, pinned: the INI file is their only source,
 # so a change to how it is read must leave every value and type as it was.
-DEFAULT_CONFIG_REPR_SHA256 = "643c2740878b35cdb08710e05f96561d49e284025751159a4c269498d7723bf8"
+DEFAULT_CONFIG_REPR_SHA256 = "ddb68dfcd0d7f28bd98f4b7e17863dc7956feaa5195e3a6c2af5122a0937ab05"
 
 
 def load(tmp_path, text):
@@ -22,22 +22,20 @@ def load(tmp_path, text):
 
 
 def test_default_config_repr_is_pinned():
-    text = repr(default_config())
+    text = repr(load_config())
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CONFIG_REPR_SHA256
 
 
-def test_load_config_without_overrides_equals_default_config():
-    assert load_config() == default_config()
-
-
-# Library defaults that repeat a value of default.cfg must stay in step with it.
+# Library defaults that repeat a value of default.cfg must stay in step with
+# it.  Two are left: World's n_opponents, as the benchmark builds a World
+# without it, and the schedule's bands, as a restored snapshot stores none.
 def test_world_opponents_default_matches_harness_opponents():
     n_opponents = inspect.signature(World).parameters["n_opponents"].default
-    assert n_opponents == default_config().harness.opponents
+    assert n_opponents == load_config().harness.opponents
 
 
-def test_learner_config_defaults_match_learner_and_schedule_sections():
-    assert LearnerConfig() == default_config().learner
+def test_schedule_default_matches_schedule_section():
+    assert ExplorationSchedule() == load_config().learner.schedule
 
 
 def test_new_weapon_takes_optional_values_from_weapon_spec(tmp_path):
@@ -47,10 +45,10 @@ def test_new_weapon_takes_optional_values_from_weapon_spec(tmp_path):
 
 def test_override_reaches_only_its_field(tmp_path):
     sim = load(tmp_path, "[weapon:rocket_launcher]\nsplash = 200\n[physics]\ntick_hz = 60\n")
-    base = default_config()
+    base = load_config()
     rocket = sim.armory["rocket_launcher"]
-    assert rocket.splash_radius == 200.0
-    assert rocket.projectile_speed == base.armory["rocket_launcher"].projectile_speed
+    assert rocket.splash == 200.0
+    assert rocket.speed == base.armory["rocket_launcher"].speed
     assert sim.physics.tick_hz == 60
     assert sim.physics.decision_every == base.physics.decision_every
 
@@ -64,12 +62,24 @@ def test_override_reaches_only_its_field(tmp_path):
     ("[priority]\nnear = shock_rifle\n", "near"),
     ("[arena]\nsizes = 100\n", "sizes"),
     ("[opponent:1]\nlevel = 3\n", "level"),  # taken from the section name
-    ("[weapon:shock_rifle]\ndamage_per_hit = 5\n", "damage_per_hit"),
+    ("[weapon:shock_rifle]\ndamage_per_hit = 5\n", "damage_per_hit"),  # the key is damage
     ("[weapon:shock_rifle]\nname = other\n", "name"),
 ])
 def test_key_no_field_reads_is_rejected(tmp_path, text, key):
     with pytest.raises(ConfigError, match=f"invalid configuration: .*unknown key '{key}'"):
         load(tmp_path, text)
+
+
+# A range error names the key that the file sets.
+@pytest.mark.parametrize("key,value,message", [
+    ("damage", "0", "damage must be > 0, got 0.0"),
+    ("interval", "0", "interval must be > 0, got 0.0"),
+    ("speed", "0", "speed must be > 0, got 0.0"),
+    ("splash", "-1", "splash must be >= 0, got -1.0"),
+])
+def test_weapon_range_error_names_its_key(tmp_path, key, value, message):
+    with pytest.raises(ConfigError, match=f"^invalid configuration: {message}$"):
+        load(tmp_path, f"[weapon:rocket_launcher]\n{key} = {value}\n")
 
 
 def test_config_not_utf8_is_rejected(tmp_path):

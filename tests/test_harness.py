@@ -1,25 +1,28 @@
 import copy
 import filecmp
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from sarsa_arena import harness
-from sarsa_arena.arena import RL_AGENT_ID, format_event
-from sarsa_arena.config import ConfigError, default_config, load_config
+from sarsa_arena.arena import RL_AGENT_ID, GreedyController, format_event
+from sarsa_arena.config import ConfigError, load_config
 from sarsa_arena.harness import (
     Campaign,
     CampaignSettings,
     format_report,
     load_games_csv,
+    evaluate_policy,
     load_lives_csv,
     run_campaign,
     summarize_level,
 )
 from sarsa_arena.snapshots import read_snapshot
+from sarsa_arena.weapons import new_table_set
 
-CFG = default_config()
+CFG = load_config()
 
 
 def settings(tmp_path, **overrides) -> CampaignSettings:
@@ -317,6 +320,25 @@ class TestSettingsRanges:
         assert [(r.death_cause, r.duration_s) for r in result.lives] == [
             ("game-end", CFG.physics.dt)
         ]
+
+
+class TestEvaluationCap:
+    def at_hz(self, tick_hz):
+        return CFG._replace(physics=replace(CFG.physics, tick_hz=tick_hz))
+
+    # At 60 Hz, a cap of 900 ticks ended every life by 15 simulated seconds.
+    def test_a_life_ends_at_thirty_seconds_whatever_the_tick_rate(self):
+        sim = self.at_hz(60)
+        killed, capped = evaluate_policy(
+            sim, new_table_set(sim.learner), GreedyController, [0, 12]
+        )
+        assert killed.cause == "killed" and 15.0 < killed.duration_s < 30.0
+        assert (capped.cause, capped.duration_s) == ("game-end", 30.0)
+
+    def test_cap_too_large_to_count_raises(self):
+        sim = self.at_hz(10 ** 308)
+        with pytest.raises(ValueError, match="^a life of 30 s at 1000* Hz has too many ticks"):
+            evaluate_policy(sim, new_table_set(sim.learner), GreedyController, [0])
 
 
 class TestReport:

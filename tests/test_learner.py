@@ -1,8 +1,10 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from sarsa_arena.config import load_config
 from sarsa_arena.learner import (
     ExplorationSchedule,
     LearnerConfig,
@@ -14,11 +16,12 @@ from sarsa_arena.learner import (
     terminal_update,
 )
 
+# The paper's alpha, gamma and lambda, which the bundled [learner] holds.
+CFG = LearnerConfig(alpha=0.7, gamma=0.5, lam=0.9)
+
 
 def test_default_config_matches_reference_parameters():
-    cfg = LearnerConfig()
-    assert (cfg.alpha, cfg.gamma, cfg.lam) == (0.7, 0.5, 0.9)
-    assert cfg == LearnerConfig(alpha=0.7, gamma=0.5, lam=0.9)
+    assert load_config().learner == CFG
 
 
 @pytest.mark.parametrize(
@@ -27,7 +30,7 @@ def test_default_config_matches_reference_parameters():
 )
 def test_config_rejects_out_of_range_parameters(kwargs):
     with pytest.raises(ValueError):
-        LearnerConfig(**kwargs)
+        replace(CFG, **kwargs)
 
 
 class TestExplorationSchedule:
@@ -148,21 +151,21 @@ class TestSelectAction:
 class TestSarsaUpdate:
     def test_single_step_hand_trace(self):
         table = QTable()
-        cfg = LearnerConfig()
+        cfg = CFG
         delta = sarsa_update(table, 0, 0, 10.0, 1, 1, cfg)
         assert delta == pytest.approx(10.0)
         assert table.value(0, 0) == pytest.approx(7.0)
-        assert table.trace(0, 0) == pytest.approx(0.45)
+        assert table.traces[(0, 0)] == pytest.approx(0.45)
 
     def test_miss_penalty_step(self):
         table = QTable()
-        delta = sarsa_update(table, 0, 0, -1.0, 1, 1, LearnerConfig())
+        delta = sarsa_update(table, 0, 0, -1.0, 1, 1, CFG)
         assert delta == pytest.approx(-1.0)
         assert table.value(0, 0) == pytest.approx(-0.7)
 
     def test_trace_mediated_credit_over_two_steps(self):
         table = QTable()
-        cfg = LearnerConfig()
+        cfg = CFG
         sarsa_update(table, 0, 0, 10.0, 1, 1, cfg)
         delta = sarsa_update(table, 1, 1, 4.0, 2, 2, cfg)
         assert delta == pytest.approx(4.0)
@@ -173,31 +176,31 @@ class TestSarsaUpdate:
         table = QTable()
         table.q[(2, 3)] = 4.0
         table.q[(5, 1)] = 6.0
-        cfg = LearnerConfig()
+        cfg = CFG
         delta = sarsa_update(table, 2, 3, 1.0, 5, 1, cfg)
         assert delta == pytest.approx(1.0 + 0.5 * 6.0 - 4.0)
 
     def test_zero_step_leaves_table_unchanged(self):
         table = QTable()
-        sarsa_update(table, 0, 0, 0.0, 1, 1, LearnerConfig())
+        sarsa_update(table, 0, 0, 0.0, 1, 1, CFG)
         assert all(v == 0.0 for v in table.q.values())
 
     def test_rejects_non_finite_reward(self):
         table = QTable()
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
-                sarsa_update(table, 0, 0, bad, 1, 1, LearnerConfig())
+                sarsa_update(table, 0, 0, bad, 1, 1, CFG)
 
     def test_rejects_out_of_range_pairs(self):
         table = QTable()
         with pytest.raises(ValueError):
-            sarsa_update(table, 1296, 0, 1.0, 0, 0, LearnerConfig())
+            sarsa_update(table, 1296, 0, 1.0, 0, 0, CFG)
         with pytest.raises(ValueError):
-            sarsa_update(table, 0, 5, 1.0, 0, 0, LearnerConfig())
+            sarsa_update(table, 0, 5, 1.0, 0, 0, CFG)
 
     def test_traces_stay_in_unit_interval_and_decay_geometrically(self):
         table = QTable()
-        cfg = LearnerConfig()
+        cfg = CFG
         rng = random.Random(5)
         for _ in range(500):
             s, a = rng.randrange(20), rng.randrange(5)
@@ -207,14 +210,14 @@ class TestSarsaUpdate:
         table = QTable()
         sarsa_update(table, 0, 0, 0.0, 1, 1, cfg)
         for k in range(1, 10):
-            assert table.trace(0, 0) == pytest.approx(0.45 ** k, rel=1e-12)
+            assert table.traces[(0, 0)] == pytest.approx(0.45 ** k, rel=1e-12)
             sarsa_update(table, 1, 1, 0.0, 1, 1, cfg)
 
 
 class TestBeginLife:
     def test_resets_traces_only(self):
         table = QTable()
-        cfg = LearnerConfig()
+        cfg = CFG
         sarsa_update(table, 3, 2, 8.0, 4, 1, cfg)
         select_action(table, 3, 0.0, random.Random(0))
         q_before = dict(table.q)
@@ -230,7 +233,7 @@ class TestBeginLife:
         assert table.q == {} and table.traces == {}
 
     def test_update_after_reset_matches_fresh_table(self):
-        cfg = LearnerConfig()
+        cfg = CFG
         dirty = QTable()
         sarsa_update(dirty, 9, 4, 3.0, 10, 2, cfg)
         begin_life(dirty)
@@ -240,7 +243,7 @@ class TestBeginLife:
         d2 = sarsa_update(dirty, 0, 0, 10.0, 1, 1, cfg)
         assert d1 == d2 == pytest.approx(10.0)
         assert dirty.value(0, 0) == fresh.value(0, 0) == pytest.approx(7.0)
-        assert dirty.trace(0, 0) == fresh.trace(0, 0) == pytest.approx(0.45)
+        assert dirty.traces[(0, 0)] == fresh.traces[(0, 0)] == pytest.approx(0.45)
 
 
 def value_iteration_chain(gamma: float) -> dict[tuple[int, int], float]:
@@ -275,7 +278,7 @@ def value_iteration_chain(gamma: float) -> dict[tuple[int, int], float]:
 
 def run_chain_sarsa(episodes: int = 5000, seed: int = 0) -> QTable:
     """Exploring-starts Sarsa(lambda) on the chain, epsilon annealed to 0."""
-    cfg = LearnerConfig()
+    cfg = CFG
     table = QTable()
     rng = random.Random(seed)
 

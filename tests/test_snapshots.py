@@ -13,9 +13,11 @@ from sarsa_arena.snapshots import (
 )
 from sarsa_arena.weapons import CATEGORY_ORDER, WeaponCategory, new_table_set
 
+CFG = LearnerConfig(alpha=0.7, gamma=0.5, lam=0.9)
+
 
 def test_empty_tables_round_trip():
-    tset = new_table_set(LearnerConfig())
+    tset = new_table_set(CFG)
     doc = snapshot(tset)
     lines = doc.splitlines()
     assert lines[0] == "RLSQ 1"
@@ -29,7 +31,7 @@ def test_empty_tables_round_trip():
 
 
 def test_single_entry_round_trip():
-    tset = new_table_set(LearnerConfig())
+    tset = new_table_set(CFG)
     tset.lives = 42
     tset.tables[WeaponCategory.INSTANT_HIT].q[(701, 3)] = 8.26
     doc = snapshot(tset)
@@ -43,7 +45,7 @@ def test_single_entry_round_trip():
 
 def test_bit_exact_round_trip_on_random_tables():
     rng = random.Random(123)
-    tset = new_table_set(LearnerConfig())
+    tset = new_table_set(CFG)
     tset.lives = 60_000
     for cat in CATEGORY_ORDER:
         table = tset.tables[cat]
@@ -67,7 +69,7 @@ def test_params_round_trip():
 
 
 def test_file_round_trip(tmp_path):
-    tset = new_table_set(LearnerConfig())
+    tset = new_table_set(CFG)
     tset.tables[WeaponCategory.OTHER].q[(5, 0)] = -0.7
     path = tmp_path / "snap.rlsq"
     write_snapshot(tset, path)
@@ -169,7 +171,7 @@ class TestRejections:
 
 class TestAtomicWrite:
     def tset(self, value):
-        tset = new_table_set(LearnerConfig())
+        tset = new_table_set(CFG)
         tset.tables[WeaponCategory.OTHER].q[(5, 0)] = value
         return tset
 

@@ -66,11 +66,11 @@ def test_each_controller_counts_its_own_decisions():
     # bind it in their own class bodies, so the tracer counts each class's
     # decisions once, under its own name.
     from sarsa_arena.arena import GreedyController, RandomController
-    from sarsa_arena.config import default_config
+    from sarsa_arena.config import load_config
     from sarsa_arena.harness import evaluate_policy
     from sarsa_arena.weapons import new_table_set
 
-    sim = default_config()
+    sim = load_config()
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -88,7 +88,7 @@ def test_the_train_command_counts_every_traced_layer(tmp_path):
     # train-l5's per-layer numbers come from these wrappers: a call site that
     # bound tick or write_snapshot around its module attribute would read 0.
     from sarsa_arena import cli
-    from sarsa_arena.config import default_config
+    from sarsa_arena.config import load_config
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -103,6 +103,6 @@ def test_the_train_command_counts_every_traced_layer(tmp_path):
     assert code == 0
     calls = {name: stats.calls for name, stats in tracer.stats.items()}
     assert calls["harness.run_campaign"] == calls["arena.World"] == calls["config.load_config"] == 1
-    assert calls["arena.tick"] == round(0.05 * 60 * default_config().physics.tick_hz)
+    assert calls["arena.tick"] == round(0.05 * 60 * load_config().physics.tick_hz)
     # The final snapshot is always written.
     assert calls["snapshots.write_snapshot"] >= 1

@@ -7,10 +7,9 @@ from pathlib import Path
 import pytest
 
 from sarsa_arena.arena import BehaviorParams, OpponentProfile, PhysicsParams
-from sarsa_arena.config import HarnessParams, default_config
+from sarsa_arena.config import HarnessParams, load_config
 from sarsa_arena.encoder import DistanceBand, N_STATES
 from sarsa_arena.harness import CampaignSettings
-from sarsa_arena.learner import LearnerConfig
 from sarsa_arena.weapons import (
     ACTION_LABELS,
     AIM_POINTS,
@@ -28,7 +27,7 @@ from sarsa_arena.weapons import (
 
 ORIGIN = (0.0, 0.0)
 OPP = (100.0, 200.0, 0.0)
-CFG = default_config()
+CFG = load_config()
 
 
 class TestActions:
@@ -232,7 +231,7 @@ class TestArmory:
         assert ASSAULT_RIFLE in armory and SHIELD_GUN in armory
 
     def test_table_set_has_six_fresh_tables(self):
-        tset = new_table_set(LearnerConfig())
+        tset = new_table_set(CFG.learner)
         assert list(tset.tables) == list(CATEGORY_ORDER)
         assert tset.lives == 0
         assert all(not t.q for t in tset.tables.values())
@@ -243,14 +242,14 @@ class TestArmory:
         with pytest.raises(ValueError):
             WeaponSpec("bad", WeaponCategory.OTHER, 5, 0)
         with pytest.raises(ValueError):
-            WeaponSpec("bad", WeaponCategory.OTHER, 5, 0.5, splash_radius=-1)
+            WeaponSpec("bad", WeaponCategory.OTHER, 5, 0.5, splash=-1)
 
     # A speed of 0 left rockets in flight forever, a negative one flew them
     # backwards; inf is hitscan.
     @pytest.mark.parametrize("speed", [0.0, -0.0, -900.0, -math.inf, math.nan])
     def test_projectile_speed_must_be_above_zero(self, speed):
-        with pytest.raises(ValueError, match="projectile_speed must be > 0"):
-            spec_for(WeaponCategory.PROJECTILE, projectile_speed=speed)
+        with pytest.raises(ValueError, match="speed must be > 0"):
+            spec_for(WeaponCategory.PROJECTILE, speed=speed)
 
     # Once a run gone quietly wrong: an assault rifle of 0 pellets spent
     # ammo and counted misses but cast no ray.
@@ -262,18 +261,14 @@ class TestArmory:
     # Once a run gone quietly wrong: a negative spread removed the scatter, a
     # negative melee range fired the shield gun as a hitscan weapon, and a
     # negative skew swapped the points Left and Right aim at.
-    @pytest.mark.parametrize("field", ["splash_radius", "spread_deg", "melee_range", "aim_skew"])
+    @pytest.mark.parametrize("field", ["splash", "spread_deg", "melee_range", "aim_skew"])
     def test_radii_spread_and_skew_must_not_be_negative(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -2.5"):
             replace(spec_for(WeaponCategory.OTHER), **{field: -2.5})
         assert getattr(replace(spec_for(WeaponCategory.OTHER), **{field: 0.0}), field) == 0.0
 
-    def test_infinite_speed_is_hitscan(self):
-        assert spec_for(WeaponCategory.INSTANT_HIT).is_hitscan
-        assert not spec_for(WeaponCategory.PROJECTILE, projectile_speed=1e308).is_hitscan
-
     @pytest.mark.parametrize("field", [
-        f.name for f in fields(WeaponSpec) if f.type == "float" and f.name != "projectile_speed"
+        f.name for f in fields(WeaponSpec) if f.type == "float" and f.name != "speed"
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_other_floats_must_be_finite(self, field, value):
@@ -313,10 +308,10 @@ def parent_accepts(cls, v) -> bool:
         )
     if cls is WeaponSpec:
         return (
-            v["projectile_speed"] > 0.0 and finite("projectile_speed")
-            and not v["damage_per_hit"] <= 0 and not v["fire_interval"] <= 0
+            v["speed"] > 0.0 and finite("speed")
+            and not v["damage"] <= 0 and not v["interval"] <= 0
             and not any(
-                v[name] < 0 for name in ("splash_radius", "spread_deg", "melee_range", "aim_skew")
+                v[name] < 0 for name in ("splash", "spread_deg", "melee_range", "aim_skew")
             )
             and not v["pellets"] < 1
         )

@@ -5,7 +5,8 @@
 
 Hands two checkouts the same small units of work: single ``frozen-eval``
 lives (one seed of ``harness.evaluate_policy``: a stored level-1 policy
-played greedily or at random in a fresh World, capped at 900 ticks) and
+played greedily or at random in a fresh World, capped at 30 simulated
+seconds, 900 ticks at the bundled 30 Hz) and
 single one-minute level-5 games (a one-game campaign that writes its
 events.log and a snapshot every 5 lives, as the benchmark's train-l5
 workload does).  Each side runs them in a warm worker process that imports
