@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import geometry as geo
@@ -77,15 +76,14 @@ class PickupSpot(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class Arena:
+class Arena(NamedTuple):
     size: float
     walls: tuple[Wall, ...]
     pits: tuple[Pit, ...]
     spawn_points: tuple[tuple[float, float], ...]
     pickups: tuple[PickupSpot, ...]
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         # Movement clamps agents to [r, World.walk_max], strictly inside the
         # boundary, which World.line_of_sight relies on.
         if not 2 * CYLINDER_RADIUS < self.size <= MAX_ARENA_SIZE:
@@ -119,7 +117,10 @@ class Arena:
                 if (sx - pit.x) ** 2 + (sy - pit.y) ** 2 <= pit.radius * pit.radius:
                     raise ValueError("spawn point inside a pit")
 
-    @cached_property
+    # Keyed on the arena's value, so every World on an equal arena shares
+    # one index; a run plays one arena, the tests a handful.
+    @property
+    @lru_cache(maxsize=8)
     def proximity(self) -> tuple[float, dict]:
         """(cell, index): `index` maps the cell `(x // cell, y // cell)` of a
         point to `(pits, pickups)`, the pits as `(x, y, radius ** 2)` and the
@@ -130,7 +131,7 @@ class Arena:
         Each feature is entered in every cell that its bounding box touches,
         grown by one whole cell, so no point that the distance tests accept,
         rounding included, lies in a cell without it: at |centre| + reach <=
-        2**21 + 60 (__post_init__) one rounding step is at most 2**-31 uu, far
+        2**21 + 60 (check) one rounding step is at most 2**-31 uu, far
         under 1/16 of the smallest cell (2 * CYLINDER_RADIUS / INDEX_CELLS /
         16, about 0.053 uu).
         Only cells that agents can stand in are kept: [0, INDEX_CELLS] on
@@ -157,8 +158,7 @@ class Arena:
         return cell, {key: (tuple(p), tuple(q)) for key, (p, q) in index.items()}
 
 
-@dataclass(frozen=True)
-class OpponentProfile:
+class OpponentProfile(NamedTuple):
     speed_fraction: float
     strafes: bool
     dodges: bool
@@ -169,14 +169,13 @@ class OpponentProfile:
     aim_lag_s: float
     combat_jump_prob_s: float
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         check_params(self, at_least={
             "fov_deg": 0, "turn_rate_deg_s": 0, "speed_fraction": 0, "aim_lag_s": 0,
         })
 
 
-@dataclass(frozen=True)
-class PhysicsParams:
+class PhysicsParams(NamedTuple):
     tick_hz: int
     decision_every: int
     base_speed: float
@@ -192,7 +191,7 @@ class PhysicsParams:
     rl_turn_rate_deg_s: float
     aim_lag_s: float
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         # Above the largest float, `dt` and a game's tick count overflow.
         check_params(self, at_least={
             "tick_hz": 1, "decision_every": 1, "spawn_assault_ammo": 0,
@@ -206,8 +205,7 @@ class PhysicsParams:
         return 1.0 / self.tick_hz
 
 
-@dataclass(frozen=True)
-class BehaviorParams:
+class BehaviorParams(NamedTuple):
     strafe_flip_min_s: float
     strafe_flip_max_s: float
     jump_prob_per_s: float
@@ -218,7 +216,7 @@ class BehaviorParams:
     engage_range: float
     scripted_stop_range: float
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.strafe_flip_min_s <= self.strafe_flip_max_s:
             raise ValueError(
                 f"strafe_flip_min_s ({self.strafe_flip_min_s}) must not exceed "
@@ -354,29 +352,42 @@ class PickupState:
 # The learning shooter's controller
 
 
-@dataclass
 class LifeStats:
-    hits: int = 0
-    misses: int = 0
-    reward: float = 0.0
-    duration_s: float = 0.0
-    cause: str = "game-end"
+    """The learning bot's counts for one life, and how it ended."""
+
+    __slots__ = ("hits", "misses", "reward", "duration_s", "cause")
+
+    def __init__(self, hits: int = 0, misses: int = 0, reward: float = 0.0,
+                 duration_s: float = 0.0, cause: str = "game-end") -> None:
+        self.hits = hits
+        self.misses = misses
+        self.reward = reward
+        self.duration_s = duration_s
+        self.cause = cause
+
+    def __repr__(self) -> str:
+        return f"LifeStats({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
 
 
-@dataclass(slots=True)
 class GameStats:
     """The learning bot's counts for one game: the fields of
     harness.GameRecord past its run id, game and level."""
 
-    shoot_s: dict[str, float]
-    kills: int = 0
-    deaths_by_others: int = 0
-    suicides: int = 0
-    max_kill_streak: int = 0
-    weapons_collected: int = 0
-    ammo_collected: int = 0
-    time_moving_s: float = 0.0
-    distance_uu: float = 0.0
+    __slots__ = (
+        "shoot_s", "kills", "deaths_by_others", "suicides", "max_kill_streak",
+        "weapons_collected", "ammo_collected", "time_moving_s", "distance_uu",
+    )
+
+    def __init__(self, shoot_s: dict[str, float]) -> None:
+        self.shoot_s = shoot_s
+        self.kills = 0
+        self.deaths_by_others = 0
+        self.suicides = 0
+        self.max_kill_streak = 0
+        self.weapons_collected = 0
+        self.ammo_collected = 0
+        self.time_moving_s = 0.0
+        self.distance_uu = 0.0
 
 
 class RlShooterController:
@@ -579,9 +590,20 @@ class World:
         segments += [((0.0, 0.0), (s, 0.0)), ((s, 0.0), (s, s)),
                      ((s, s), (0.0, s)), ((0.0, s), (0.0, 0.0))]
         self.segments = tuple(segments)
-        # The most the opponents and the bot turn in one tick.
-        self.scripted_turn = profile.turn_rate_deg_s * self.dt
-        self.rl_turn = physics.rl_turn_rate_deg_s * self.dt
+        # What each controller reads every tick, bound once as a plain tuple
+        # that it unpacks: faster than reading the NamedTuples' fields.  The
+        # turns are the most an agent turns in one tick.
+        dt = self.dt
+        self.scripted = (
+            profile.fov_deg, profile.turn_rate_deg_s * dt,
+            physics.base_speed * profile.speed_fraction, profile.closes_distance,
+            profile.strafes, profile.dodges, profile.combat_jump_prob_s,
+            behavior.fire_align_tolerance_deg, behavior.scripted_stop_range,
+        )
+        self.rl = (
+            physics.rl_fov_deg, physics.rl_turn_rate_deg_s * dt, physics.base_speed,
+            physics.decision_every, behavior.jump_prob_per_s, behavior.engage_range,
+        )
         self.waypoints = tuple(
             [(p.x, p.y) for p in arena.pickups] + list(arena.spawn_points)
         )
@@ -858,9 +880,9 @@ class World:
         return events
 
     def _life_stats(self, reward: float, cause: str) -> LifeStats:
-        return replace(
-            self.life, reward=reward,
-            duration_s=(self.tick_count - self.life_start_tick) * self.dt, cause=cause,
+        return LifeStats(
+            self.life.hits, self.life.misses, reward,
+            (self.tick_count - self.life_start_tick) * self.dt, cause,
         )
 
     def _finalize_life(self, death: KillEvent | SuicideEvent) -> None:
@@ -956,14 +978,15 @@ class World:
     # -- controllers -------------------------------------------------------
 
     def _control_rl(self, agent: AgentState, dt: float) -> None:
-        decision_tick = self.tick_count % self.physics.decision_every == 0
-        seen = self.nearest_visible(agent, self.physics.rl_fov_deg)
+        fov, turn, speed, decision_every, jump_prob, engage_range = self.rl
+        decision_tick = self.tick_count % decision_every == 0
+        seen = self.nearest_visible(agent, fov)
         target, dist, bearing = seen or (None, 0.0, 0.0)
 
         if decision_tick and target is not None:
             agent.fire_command = command = self.controller.decide(agent, target, dist)
             agent.current_weapon = command.weapon
-            jump = self.behavior.jump_prob_per_s * dt * self.physics.decision_every
+            jump = jump_prob * dt * decision_every
             if self.rng.random() < jump and agent.jump_t < 0.0:
                 agent.jump_t = 0.0
 
@@ -974,68 +997,66 @@ class World:
                 ux, uy = 1.0, 0.0
             else:
                 ux, uy = (target.x - agent.x) / dist, (target.y - agent.y) / dist
-            self._approach(agent, ux, uy, dist, dt, 1.0, self.behavior.engage_range)
-            agent.yaw = geo.turn_towards(agent.yaw, bearing, self.rl_turn)
+            self._approach(agent, ux, uy, dist, dt, speed, engage_range)
+            agent.yaw = geo.turn_towards(agent.yaw, bearing, turn)
         else:
             agent.fire_command = None
-            self._patrol(agent, 1.0)
+            self._patrol(agent, speed)
 
     def _control_scripted(self, agent: AgentState, dt: float) -> None:
-        profile = self.profile
-        seen = self.nearest_visible(agent, profile.fov_deg)
+        (fov, turn, speed, closes_distance, strafes, dodges, combat_jump_prob_s,
+         fire_align_tolerance_deg, stop_range) = self.scripted
+        seen = self.nearest_visible(agent, fov)
         if seen is None:
             agent.fire_command = None
             if agent.alert_timer > 0.0:
                 # Taking fire from outside the view cone: turn and close in.
                 agent.alert_timer -= dt
                 bearing = geo.bearing_deg((agent.x, agent.y), agent.alert_pos)
-                agent.yaw = geo.turn_towards(agent.yaw, bearing, self.scripted_turn)
+                agent.yaw = geo.turn_towards(agent.yaw, bearing, turn)
                 ux, uy = geo.normalize2(
                     (agent.alert_pos[0] - agent.x, agent.alert_pos[1] - agent.y)
                 )
-                speed = self.physics.base_speed * profile.speed_fraction
                 agent.vx = ux * speed
                 agent.vy = uy * speed
             else:
-                self._patrol(agent, profile.speed_fraction)
+                self._patrol(agent, speed)
             return
         agent.alert_timer = 0.0
 
         target, dist, bearing = seen
-        agent.yaw = geo.turn_towards(agent.yaw, bearing, self.scripted_turn)
+        agent.yaw = geo.turn_towards(agent.yaw, bearing, turn)
 
         # Movement while engaged.
-        if profile.closes_distance:
+        if closes_distance:
             ux, uy = unit_towards(agent, target, dist)
-            self._approach(agent, ux, uy, dist, dt, profile.speed_fraction,
-                           self.behavior.scripted_stop_range)
-        elif profile.strafes:
+            self._approach(agent, ux, uy, dist, dt, speed, stop_range)
+        elif strafes:
             ux, uy = unit_towards(agent, target, dist)
-            self._combat_strafe(agent, ux, uy, dt, profile.speed_fraction)
+            self._combat_strafe(agent, ux, uy, dt, speed)
         else:
             agent.vx = agent.vy = 0.0  # static during combat
 
-        if profile.dodges and self.projectiles:
+        if dodges and self.projectiles:
             self._dodge_projectiles(agent)
-        if profile.combat_jump_prob_s > 0.0 and agent.jump_t < 0.0:
-            if self.rng.random() < profile.combat_jump_prob_s * dt:
+        if combat_jump_prob_s > 0.0 and agent.jump_t < 0.0:
+            if self.rng.random() < combat_jump_prob_s * dt:
                 agent.jump_t = 0.0
 
         # abs(normalize_angle(bearing - yaw)), with its fast path inlined.
         a = bearing - agent.yaw + 180.0
         off = a - 180.0 if 0.0 <= a < 360.0 else geo.normalize_angle(bearing - agent.yaw)
-        if abs(off) <= self.behavior.fire_align_tolerance_deg:
+        if abs(off) <= fire_align_tolerance_deg:
             agent.fire_command = self.lock_on[target.id]
         else:
             agent.fire_command = None
 
-    def _patrol(self, agent: AgentState, speed_fraction: float) -> None:
+    def _patrol(self, agent: AgentState, speed: float) -> None:
         wp = agent.waypoint
         if math.hypot(wp[0] - agent.x, wp[1] - agent.y) < self.behavior.waypoint_radius:
             agent.waypoint = wp = self.rng.choice(self.waypoints)
         dx, dy = wp[0] - agent.x, wp[1] - agent.y
         ux, uy = self._veer_around_pits(agent, *geo.normalize2((dx, dy)))
-        speed = self.physics.base_speed * speed_fraction
         agent.vx = ux * speed
         agent.vy = uy * speed
         agent.yaw = geo.bearing_deg((0.0, 0.0), (ux, uy))
@@ -1064,11 +1085,10 @@ class World:
         return agent.strafe_dir
 
     def _combat_strafe(
-        self, agent: AgentState, ux: float, uy: float, dt: float, speed_fraction: float
+        self, agent: AgentState, ux: float, uy: float, dt: float, speed: float
     ) -> None:
         """Strafe across (ux, uy), the unit vector towards the target."""
         side = self._strafe_dir(agent, dt)
-        speed = self.physics.base_speed * speed_fraction
         agent.vx = -uy * side * speed
         agent.vy = ux * side * speed
 
@@ -1079,12 +1099,11 @@ class World:
         uy: float,
         dist: float,
         dt: float,
-        speed_fraction: float,
+        speed: float,
         stop_range: float,
     ) -> None:
         """Close in along (ux, uy), the unit vector towards a target `dist`
         away, down to `stop_range`, then strafe."""
-        speed = self.physics.base_speed * speed_fraction
         if dist > stop_range:
             # Advance with a diagonal strafe component.
             side = self._strafe_dir(agent, dt)
@@ -1097,7 +1116,7 @@ class World:
             agent.vx = mx * speed
             agent.vy = my * speed
         else:
-            self._combat_strafe(agent, ux, uy, dt, speed_fraction)
+            self._combat_strafe(agent, ux, uy, dt, speed)
 
     def _dodge_projectiles(self, agent: AgentState) -> None:
         radius_sq = self.behavior.dodge_radius ** 2

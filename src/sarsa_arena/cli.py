@@ -73,7 +73,8 @@ def cmd_train(args) -> int:
     try:
         sim = load_config(args.config)
         levels = sorted(sim.profiles) if args.level == "all" else [args.level]
-        # The flags override their [harness] keys; CampaignSettings checks them.
+        # The flags override their [harness] keys; Campaign checks them
+        # before it writes anything.
         flags = {"games": args.games, "minutes": args.minutes,
                  "snapshot_every": args.snapshot_every}
         given = {k: getattr(sim.harness, k) if v is None else v for k, v in flags.items()}

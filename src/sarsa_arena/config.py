@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from typing import NamedTuple
 
@@ -18,7 +17,7 @@ from .arena import (
     Wall,
 )
 from .learner import ExplorationSchedule, LearnerConfig
-from .weapons import PriorityTables, WeaponCategory, WeaponSpec, check_params
+from .weapons import PriorityTables, WeaponCategory, WeaponSpec, check_params, field_types
 
 
 class ConfigError(ValueError):
@@ -30,14 +29,13 @@ class ConfigError(ValueError):
 MAX_OPPONENTS = 64
 
 
-@dataclass(frozen=True)
-class HarnessParams:
+class HarnessParams(NamedTuple):
     snapshot_every: int
     games: int
     minutes: float
     opponents: int
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         check_params(
             self, at_least={"games": 1, "snapshot_every": 0, "opponents": 1},
             above={"minutes": 0}, at_most={"opponents": MAX_OPPONENTS},
@@ -66,8 +64,8 @@ def _parse_schedule(section: configparser.SectionProxy, key: str) -> tuple:
     return tuple(bands)
 
 
-# How a field is read from its INI key, by the field's annotation (every
-# module here uses postponed annotations, so these are strings).
+# How a field is read from its INI key, by the field's annotation as written
+# (see field_types).
 _READERS = {
     "int": lambda section, key: section.getint(key),
     "float": lambda section, key: section.getfloat(key),
@@ -81,25 +79,34 @@ _READERS = {
 
 
 def _read(cls, section: configparser.SectionProxy, keys: dict[str, str] | None = None, **given):
-    """Build the dataclass `cls` from the keys `section` sets.
+    """Build the NamedTuple `cls` from the keys `section` sets, and check it.
 
     Each key fills the field `keys` maps it to, or else the field of its own
     name; `given` supplies the fields that no key sets.  A key that no field
-    reads, or a field without a default that no key sets, is an error.
+    reads, or a field without a default that no key sets, is an error, and
+    so is a record that `cls.check` rejects.
     """
     to_key = {name: key for key, name in (keys or {}).items()}
-    by_key = {to_key.get(f.name, f.name): f for f in fields(cls) if f.name not in given}
+    by_key = {
+        to_key.get(name, name): (name, kind)
+        for name, kind in field_types(cls).items() if name not in given
+    }
     _check_keys(section, by_key)
     values = dict(given)
-    for key, f in by_key.items():
+    for key, (name, kind) in by_key.items():
         if key in section:
             try:
-                values[f.name] = _READERS[f.type](section, key)
+                values[name] = _READERS[kind](section, key)
             except ValueError as exc:
                 raise ValueError(f"[{section.name}] {key}: {exc}") from exc
-        elif f.default is MISSING and f.default_factory is MISSING:
+        elif name not in cls._field_defaults:
             raise ValueError(f"[{section.name}] lacks key {key!r}")
-    return cls(**values)
+    record = cls(**values)
+    try:
+        record.check()
+    except ValueError as exc:
+        raise ValueError(f"[{section.name}] {exc}") from exc
+    return record
 
 
 def _check_keys(section: configparser.SectionProxy, known) -> None:
@@ -118,6 +125,7 @@ def _numbers(section: configparser.SectionProxy, key: str) -> list[list[float]]:
 
 
 def _parse_arena(section: configparser.SectionProxy) -> Arena:
+    """The checked Arena that `section` describes."""
     _check_keys(section, _ARENA_KEYS)
     walls = [Wall(x1, y1, x2, y2) for x1, y1, x2, y2 in _numbers(section, "walls")]
     pits = [Pit(x, y, r) for x, y, r in _numbers(section, "pits")]
@@ -128,13 +136,28 @@ def _parse_arena(section: configparser.SectionProxy) -> Arena:
             name, xs, ys = item.split()
             pickups.append(PickupSpot("weapon", name, float(xs), float(ys)))
     pickups += [PickupSpot("ammo", None, x, y) for x, y in _numbers(section, "ammo_pickups")]
-    return Arena(
+    arena = Arena(
         size=section.getfloat("size"),
         walls=tuple(walls),
         pits=tuple(pits),
         spawn_points=tuple(spawns),
         pickups=tuple(pickups),
     )
+    # No [arena] prefix: each message names the arena or its key at fault.
+    arena.check()
+    return arena
+
+
+def _level(section: str, name: str) -> int:
+    """The level of the section `[opponent:NAME]`.  NAME must be an int as
+    `str` writes it: `[opponent:01]` would otherwise replace the bundled
+    `[opponent:1]` whole, where `[opponent:1]` overrides it key by key."""
+    try:
+        if str(int(name)) == name:
+            return int(name)
+    except ValueError:
+        pass
+    raise ValueError(f"[{section}] must name its level as an integer, such as [opponent:1]")
 
 
 _SECTIONS = {"learner", "schedule", "physics", "behavior", "arena", "priority", "harness"}
@@ -148,8 +171,7 @@ def _build(parser: configparser.ConfigParser) -> SimConfig:
         if kind == "weapon" and name:
             armory[name] = _read(WeaponSpec, parser[section], name=name)
         elif kind == "opponent" and name:
-            level = int(name)
-            profiles[level] = _read(OpponentProfile, parser[section])
+            profiles[_level(section, name)] = _read(OpponentProfile, parser[section])
         elif section not in _SECTIONS:
             raise ValueError(f"unknown section [{section}]")
     priority = _read(PriorityTables, parser["priority"])

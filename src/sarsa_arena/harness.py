@@ -11,7 +11,6 @@ import contextlib
 import csv
 import math
 import random
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,10 +19,10 @@ from .config import SimConfig
 from .learner import QTableSet
 from .metrics import FieldSummary, hit_percentage, kd_ratio, summarize_field
 from .snapshots import write_snapshot
-from .weapons import check_params, new_table_set
+from .weapons import check_params, field_types, new_table_set
 
-@dataclass(frozen=True)
-class LifeRecord:
+
+class LifeRecord(NamedTuple):
     run_id: str
     game: int
     life: int
@@ -35,8 +34,7 @@ class LifeRecord:
     death_cause: str  # killed | suicide-pit | suicide-self-splash | game-end
 
 
-@dataclass(frozen=True)
-class GameRecord:
+class GameRecord(NamedTuple):
     run_id: str
     game: int
     level: int
@@ -55,8 +53,7 @@ class GameRecord:
         return self.deaths_by_others + self.suicides
 
 
-@dataclass(frozen=True)
-class CampaignSettings:
+class CampaignSettings(NamedTuple):
     level: int
     games: int
     minutes: float
@@ -65,7 +62,7 @@ class CampaignSettings:
     snapshot_every: int
     record_events: bool = False
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         check_params(self, at_least={"games": 1, "snapshot_every": 0}, above={"minutes": 0})
 
     @property
@@ -79,6 +76,7 @@ class Campaign:
     `with campaign.files:`, which closes them."""
 
     def __init__(self, sim: SimConfig, settings: CampaignSettings) -> None:
+        settings.check()
         if settings.level not in sim.profiles:
             raise ValueError(
                 f"level {settings.level} has no [opponent:{settings.level}] section; "
@@ -136,9 +134,8 @@ class Campaign:
             if (settings.snapshot_every > 0 and stats.cause != "game-end"
                     and tset.lives % settings.snapshot_every == 0):
                 write_snapshot(tset, self.out / f"snap_{settings.level}_{tset.lives}.rlsq")
-        record = GameRecord(
-            run_id=settings.run_id, game=game, level=settings.level, **asdict(world.game)
-        )
+        record = GameRecord(settings.run_id, game, settings.level,
+                            *(getattr(world.game, name) for name in GameRecord._fields[3:]))
         self.games.append(record)
         self.games_w.writerow(_row(record, self.weapon_names))
 
@@ -195,11 +192,11 @@ def evaluate_policy(
 
 def _header(cls, weapon_names=()) -> list[str]:
     header = []
-    for f in fields(cls):
-        if f.name == "shoot_s":
+    for name in cls._fields:
+        if name == "shoot_s":
             header += ["shoot_s_total", *(f"shoot_s_{n}" for n in weapon_names)]
         else:
-            header.append(f.name)
+            header.append(name)
     return header
 
 
@@ -209,9 +206,8 @@ def _fmt(value) -> str:
 
 def _row(record, weapon_names=()) -> list[str]:
     row = []
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if f.name == "shoot_s":
+    for name, value in zip(record._fields, record):
+        if name == "shoot_s":
             row.append(_fmt(sum(value.values())))
             row += [_fmt(value.get(n, 0.0)) for n in weapon_names]
         else:
@@ -248,15 +244,15 @@ def _load(path: Path | str, cls) -> list:
                 )
             row = dict(zip(header, cells))
             values = {}
-            for f in fields(cls):
-                if f.name == "shoot_s":
-                    values[f.name] = {
+            for name, kind in field_types(cls).items():
+                if name == "shoot_s":
+                    values[name] = {
                         key[len("shoot_s_"):]: float(cell)
                         for key, cell in row.items()
                         if key.startswith("shoot_s_") and key != "shoot_s_total"
                     }
                 else:
-                    values[f.name] = _PARSERS[f.type](row[f.name])
+                    values[name] = _PARSERS[kind](row[name])
             records.append(cls(**values))
     return records
 

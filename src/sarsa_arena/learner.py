@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .encoder import N_STATES
 
@@ -29,13 +28,12 @@ DEFAULT_BANDS = (
 )
 
 
-@dataclass(frozen=True)
-class ExplorationSchedule:
+class ExplorationSchedule(NamedTuple):
     """Step schedule mapping completed lives to an exploration rate."""
 
     bands: tuple[tuple[int, float], ...] = DEFAULT_BANDS
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.bands:
             raise ValueError("schedule needs at least one band")
         if self.bands[0][0] != 0:
@@ -61,16 +59,15 @@ def epsilon_for_lives(schedule: ExplorationSchedule, lives: int) -> float:
     return eps
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
+class LearnerConfig(NamedTuple):
     # [learner] holds alpha, gamma and lambda; the schedule's default serves
     # a restored snapshot, which stores none.
     alpha: float
     gamma: float
     lam: float
-    schedule: ExplorationSchedule = field(default_factory=ExplorationSchedule)
+    schedule: ExplorationSchedule = ExplorationSchedule()
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside (0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
@@ -197,13 +194,15 @@ def begin_life(table: QTable) -> None:
     table.traces.clear()
 
 
-@dataclass
 class QTableSet:
     """All per-category Q-tables of one learning run, plus the lives counter."""
 
-    tables: dict[Any, QTable]
-    cfg: LearnerConfig
-    lives: int = 0
+    __slots__ = ("tables", "cfg", "lives")
+
+    def __init__(self, tables: dict[Any, QTable], cfg: LearnerConfig, lives: int = 0) -> None:
+        self.tables = tables
+        self.cfg = cfg
+        self.lives = lives
 
     def begin_life(self) -> None:
         for table in self.tables.values():

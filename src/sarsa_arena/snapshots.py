@@ -68,8 +68,9 @@ def restore(text: str) -> QTableSet:
     if lives < 0:
         raise SnapshotError(f"line 2: negative lives count {lives}")
     alpha, gamma, lam = _header_values(lines, 2, "params", float, float, float)
+    cfg = LearnerConfig(alpha=alpha, gamma=gamma, lam=lam)
     try:
-        cfg = LearnerConfig(alpha=alpha, gamma=gamma, lam=lam)
+        cfg.check()
     except ValueError as exc:
         raise SnapshotError(f"line 3: {exc}") from exc
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .encoder import DistanceBand
 from .learner import LearnerConfig, QTable, QTableSet
@@ -58,18 +58,27 @@ AIM_POINTS: dict[str, tuple[float, int, float] | None] = {
 }
 
 
+def field_types(cls) -> dict[str, str]:
+    """Each field of the NamedTuple class `cls`, in order, by its annotation
+    as written: under postponed annotations NamedTuple keeps "float" as
+    ForwardRef('float')."""
+    return {
+        name: getattr(ref, "__forward_arg__", ref) for name, ref in cls.__annotations__.items()
+    }
+
+
 def check_params(params, at_least=None, above=None, may_be_inf=(), at_most=None) -> None:
-    """Reject a field of the dataclass `params` that is out of range.
+    """Reject a field of the NamedTuple `params` that is out of range.
 
     Every float field must be finite, bar those `may_be_inf` names, which
     only their bounds test.  Each field `at_least` names must be >= its
     bound, each that `above` names must be > it and each that `at_most`
     names must be <= it; nan fails every test.
     """
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if f.type == "float" and f.name not in may_be_inf and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+    for name, kind in field_types(type(params)).items():
+        value = getattr(params, name)
+        if kind == "float" and name not in may_be_inf and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     for name, lo in (at_least or {}).items():
         value = getattr(params, name)
         if not value >= lo:
@@ -84,8 +93,7 @@ def check_params(params, at_least=None, above=None, may_be_inf=(), at_most=None)
             raise ValueError(f"{name} must be <= {hi}, got {value}")
 
 
-@dataclass(frozen=True)
-class WeaponSpec:
+class WeaponSpec(NamedTuple):
     # Each field but `name` is read from the [weapon:NAME] key of its name;
     # the fields with defaults are the keys a section may omit.
     name: str
@@ -102,7 +110,7 @@ class WeaponSpec:
     spread_deg: float = 0.0
     melee_range: float = 0.0
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         # A speed of inf means hitscan; 0 would leave a rocket in flight
         # forever, and a negative one would fly it backwards.  Below 0, the
         # spread would drop the scatter, the melee range would fire as
@@ -121,15 +129,14 @@ ASSAULT_RIFLE = "assault_rifle"
 SHIELD_GUN = "shield_gun"
 
 
-@dataclass(frozen=True)
-class PriorityTables:
+class PriorityTables(NamedTuple):
     """Weapon preference per distance band, most preferred first."""
 
     close: tuple[str, ...]
     medium: tuple[str, ...]
     far: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         for band in (self.close, self.medium, self.far):
             if not band:
                 raise ValueError("priority lists must be non-empty")

@@ -12,16 +12,26 @@ spec.loader.exec_module(ab_ticks)
 
 def test_a_checkout_against_itself(capsys):
     assert ab_ticks.main(["--base", str(ROOT), "--change", str(ROOT),
-                          "--lives", "3", "--games", "1"]) == 0
+                          "--lives", "3", "--games", "1", "--setups", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" base/change")[0] for line in lines] == [
         "frozen-eval: 3 pairs, cpu_s", "frozen-eval: 3 pairs, wall_s",
         "level-5 game: 1 pairs, cpu_s", "level-5 game: 1 pairs, wall_s",
+        "frozen-eval start-up: 3 pairs, cpu_s", "frozen-eval start-up: 3 pairs, wall_s",
+    ]
+
+
+def test_start_ups_alone_against_itself(capsys):
+    assert ab_ticks.main(["--base", str(ROOT), "--change", str(ROOT),
+                          "--lives", "0", "--games", "0", "--setups", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" base/change")[0] for line in lines] == [
+        "frozen-eval start-up: 2 pairs, cpu_s", "frozen-eval start-up: 2 pairs, wall_s",
     ]
 
 
 # Once a run that compared nothing, printed nothing and exited 0.
-@pytest.mark.parametrize("flag", ["--lives", "--games"])
+@pytest.mark.parametrize("flag", ["--lives", "--games", "--setups"])
 def test_negative_count_is_a_usage_error(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         ab_ticks.main(["--base", str(ROOT), "--change", str(ROOT), flag, "-3"])
@@ -33,10 +43,13 @@ def test_negative_count_is_a_usage_error(flag, capsys):
 # Once a run that started both workers, compared nothing and exited 0.
 def test_no_units_at_all_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        ab_ticks.main(["--base", str(ROOT), "--change", str(ROOT), "--lives", "0", "--games", "0"])
+        ab_ticks.main(["--base", str(ROOT), "--change", str(ROOT),
+                       "--lives", "0", "--games", "0", "--setups", "0"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and "error: --lives and --games are both 0: nothing to compare" in err
+    assert out == "" and (
+        "error: --lives, --games and --setups are all 0: nothing to compare" in err
+    )
 
 
 # Once a FileNotFoundError traceback from Popen, or a worker's ImportError
@@ -92,7 +105,7 @@ class FakeSide:
         log.append(("start", name))
 
     def run(self, unit):
-        self.log.append((self.name, unit["seed"]))
+        self.log.append((self.name, unit.get("seed", unit.get("run"))))
         seconds = self.SECONDS[self.name]
         return {"cpu_s": seconds, "wall_s": seconds, "lines": self.lines}
 
@@ -108,6 +121,16 @@ def test_sides_alternate_abba_and_ratios_are_base_over_change():
     timed = log[2 + 2 * ab_ticks.WARMUP_UNITS:-2]
     assert "".join(name for name, _ in timed) == "ABBAABBA"
     assert [seed for _, seed in timed] == [u["seed"] for u in units for _ in "AB"]
+
+
+def test_start_ups_run_abba_as_the_other_kinds_do():
+    log = []
+    units = ab_ticks.units(0, 0, 4)["frozen-eval start-up"]
+    assert [u["run"] for u in units] == [0, 1, 2, 3]
+    ratios = ab_ticks.compare("A", "B", units, start=lambda name: FakeSide(name, log))
+    assert ratios == {"cpu_s": [[2.0] * 4], "wall_s": [[2.0] * 4]}
+    timed = log[2 + 2 * ab_ticks.WARMUP_UNITS:-2]
+    assert "".join(name for name, _ in timed) == "ABBAABBA"
 
 
 def test_each_block_gets_fresh_workers_and_the_lead_alternates(monkeypatch):

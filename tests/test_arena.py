@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 import struct
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +43,7 @@ from sarsa_arena.weapons import (
     CYLINDER_HEIGHT,
     CYLINDER_RADIUS,
     WeaponCategory,
+    field_types,
     new_table_set,
 )
 
@@ -362,8 +362,8 @@ class TestShooting:
         shooter, target = world.agents[0], world.agents[1]
         shooter.x, shooter.y = 1000.0, 1000.0
         target.x, target.y = 1200.0, 1000.0
-        world.armory["shock_rifle"] = replace(
-            world.armory["shock_rifle"], speed=speed, spread_deg=0.0
+        world.armory["shock_rifle"] = world.armory["shock_rifle"]._replace(
+            speed=speed, spread_deg=0.0
         )
         shooter.inventory["shock_rifle"] = 1
         records = []
@@ -402,8 +402,8 @@ class TestShooting:
         # weapon's spread only when it is above 0.  Either way one shot uses
         # at most one draw of the world's stream.
         world, _, _ = make_world(seed=1)
-        world.profile = replace(world.profile, max_aim_error_deg=0.0)
-        shock = replace(world.armory["shock_rifle"], spread_deg=0.0)
+        world.profile = world.profile._replace(max_aim_error_deg=0.0)
+        shock = world.armory["shock_rifle"]._replace(spread_deg=0.0)
         aim = (2000.0, 400.0, 19.5)
         state = world.rng.getstate()
         world._hitscan(world.agents[0], shock, aim, [])
@@ -413,7 +413,7 @@ class TestShooting:
         probe.setstate(state)
         probe.random()
         assert world.rng.getstate() == probe.getstate()
-        world._hitscan(world.agents[0], replace(shock, spread_deg=1.0), aim, [])
+        world._hitscan(world.agents[0], shock._replace(spread_deg=1.0), aim, [])
         probe.random()
         assert world.rng.getstate() == probe.getstate()
 
@@ -453,7 +453,7 @@ class TestShooting:
         for agent, (x, y) in zip(world.agents, spots):
             agent.x, agent.y = x, y
         world.rng = self.FixedDraw(u)
-        shock = replace(world.armory["shock_rifle"], spread_deg=90.0)
+        shock = world.armory["shock_rifle"]._replace(spread_deg=90.0)
         records = []
         assert world._hitscan(world.agents[0], shock, (1500.0, 1000.0, 19.5), records)
         assert [r[1] for r in records] == [victim]
@@ -650,11 +650,11 @@ class TestArenaValidation:
                 pits=(Pit(100, 100, 60),),
                 spawn_points=((100, 100), (900, 100), (100, 900), (900, 900)),
                 pickups=(),
-            )
+            ).check()
 
     def test_too_few_spawns_rejected(self):
         with pytest.raises(ValueError):
-            Arena(size=1000.0, walls=(), pits=(), spawn_points=((1, 1),), pickups=())
+            Arena(size=1000.0, walls=(), pits=(), spawn_points=((1, 1),), pickups=()).check()
 
     # A 1e200-wide arena once ended in an OverflowError traceback from the
     # spawn-in-pit test.
@@ -666,7 +666,7 @@ class TestArenaValidation:
             Arena(
                 size=size, walls=(), pits=(),
                 spawn_points=((10, 10), (20, 10), (10, 20), (20, 20)), pickups=(),
-            )
+            ).check()
 
     @pytest.mark.parametrize("pit", [
         Pit(math.nan, 2000.0, 200.0),
@@ -684,11 +684,13 @@ class TestArenaValidation:
     ])
     def test_pit_needs_a_bounded_centre_and_radius_at_least_zero(self, pit):
         with pytest.raises(ValueError, match="pit"):
-            replace(load_config().arena, size=20000.0, pits=(pit,))
+            load_config().arena._replace(size=20000.0, pits=(pit,)).check()
 
     @pytest.mark.parametrize("change", AT_THE_BOUNDS, ids=lambda change: next(iter(change)))
     def test_geometry_at_its_bounds_accepted(self, change):
-        cell, _ = replace(load_config().arena, **change).proximity
+        arena = load_config().arena._replace(**change)
+        arena.check()
+        cell, _ = arena.proximity
         assert cell == change.get("size", 4000.0) / INDEX_CELLS
 
     def test_widest_arena_plays_with_its_farthest_pit(self):
@@ -702,44 +704,44 @@ class TestArenaValidation:
                           (0.1 * m, 0.9 * m), (0.9 * m, 0.9 * m)),
             pickups=(),
         )
+        world = world_in(arena)  # which checks the arena
         cell, index = arena.proximity
         assert index[(0.0, (m / 2) // cell)][0] == ((-m, m / 2, m * m),)
-        world = world_in(arena)
         for _ in range(60):
             world.tick()
         assert all(agent.alive for agent in world.agents)
 
     def test_far_pickup_spot_rejected(self):
         with pytest.raises(ValueError, match="pickup"):
-            replace(load_config().arena, pickups=(PickupSpot("ammo", None, 1e18, 600.0),))
+            load_config().arena._replace(pickups=(PickupSpot("ammo", None, 1e18, 600.0),)).check()
 
     @pytest.mark.parametrize("x,y", [
         (math.nan, 600.0), (600.0, math.inf), (-math.inf, 600.0), (-PAST_M, 600.0), (600.0, PAST_M),
     ])
     def test_pickup_spot_must_lie_within_the_bound(self, x, y):
         with pytest.raises(ValueError, match="pickup"):
-            replace(load_config().arena, pickups=(PickupSpot("ammo", None, x, y),))
+            load_config().arena._replace(pickups=(PickupSpot("ammo", None, x, y),)).check()
 
     def test_zero_radius_pit_and_arena_edge_features_accepted(self):
-        arena = replace(
-            load_config().arena,
+        arena = load_config().arena._replace(
             pits=(Pit(2000.0, 2000.0, 0.0), Pit(-5000.0, 2000.0, 5100.0)),
             pickups=(PickupSpot("ammo", None, 0.0, 4000.0),),
         )
+        arena.check()
         assert arena.proximity[1]
 
     @pytest.mark.parametrize("field", ["tick_hz", "decision_every"])
     def test_physics_rates_below_one_rejected(self, field):
         with pytest.raises(ValueError, match=field):
-            replace(load_config().physics, **{field: 0})
+            load_config().physics._replace(**{field: 0}).check()
 
     @pytest.mark.parametrize("field", [
-        f.name for f in fields(PhysicsParams) if f.type == "float"
+        name for name, kind in field_types(PhysicsParams).items() if kind == "float"
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_physics_floats_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            replace(load_config().physics, **{field: value})
+            load_config().physics._replace(**{field: value}).check()
 
     @pytest.mark.parametrize("field", [
         "dodge_radius", "waypoint_radius", "pit_avoid_margin",
@@ -748,15 +750,15 @@ class TestArenaValidation:
     @pytest.mark.parametrize("value", [-1.0, math.nan])
     def test_negative_margins_radii_and_ranges_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            replace(load_config().behavior, **{field: value})
+            load_config().behavior._replace(**{field: value}).check()
 
     # Once a run gone quietly wrong: an infinite strafe period never ran
     # out, and a nan jump probability never let the bot jump.
-    @pytest.mark.parametrize("field", [f.name for f in fields(BehaviorParams)])
+    @pytest.mark.parametrize("field", BehaviorParams._fields)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_behavior_floats_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
-            replace(load_config().behavior, **{field: value})
+            load_config().behavior._replace(**{field: value}).check()
 
     # A nan wall once blocked nothing; World.line_of_sight relies on walls
     # lying in [0, size].
@@ -769,28 +771,28 @@ class TestArenaValidation:
     ])
     def test_wall_must_lie_in_the_arena(self, wall):
         with pytest.raises(ValueError, match="walls: Wall"):
-            replace(load_config().arena, walls=(wall,))
+            load_config().arena._replace(walls=(wall,)).check()
 
     @pytest.mark.parametrize("lo,hi", [(1.6, 1.5), (math.nan, 1.5), (0.5, math.nan)])
     def test_strafe_flip_min_above_max_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="strafe_flip_min_s"):
-            replace(load_config().behavior, strafe_flip_min_s=lo, strafe_flip_max_s=hi)
+            load_config().behavior._replace(strafe_flip_min_s=lo, strafe_flip_max_s=hi).check()
 
     @pytest.mark.parametrize("field", ["fov_deg", "turn_rate_deg_s", "speed_fraction"])
     @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
     def test_profile_angles_and_speed_must_be_finite_and_non_negative(self, field, value):
         with pytest.raises(ValueError, match=field):
-            replace(load_config().profiles[1], **{field: value})
+            load_config().profiles[1]._replace(**{field: value}).check()
 
     # Once a run gone quietly wrong: with a nan aim error or an infinite aim
     # lag the opponents never hit the bot.
     @pytest.mark.parametrize("field", [
-        f.name for f in fields(OpponentProfile) if f.type == "float"
+        name for name, kind in field_types(OpponentProfile).items() if kind == "float"
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_profile_floats_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
-            replace(load_config().profiles[1], **{field: value})
+            load_config().profiles[1]._replace(**{field: value}).check()
 
     # Once a run gone quietly wrong: the bot spawned with no ammo, or an
     # ammo pickup took ammo away.
@@ -800,8 +802,8 @@ class TestArenaValidation:
     def test_physics_ammo_counts_must_not_be_negative(self, field):
         physics = load_config().physics
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -5"):
-            replace(physics, **{field: -5})
-        assert getattr(replace(physics, **{field: 0}), field) == 0
+            physics._replace(**{field: -5}).check()
+        physics._replace(**{field: 0}).check()
 
     # Once a run gone quietly wrong: with a negative field of view the bot
     # saw no opponent and never fired, and a negative speed ran it backwards.
@@ -809,8 +811,8 @@ class TestArenaValidation:
     def test_bot_speed_fov_and_turn_rate_must_not_be_negative(self, field):
         physics = load_config().physics
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -5.0"):
-            replace(physics, **{field: -5.0})
-        assert getattr(replace(physics, **{field: 0.0}), field) == 0.0
+            physics._replace(**{field: -5.0}).check()
+        physics._replace(**{field: 0.0}).check()
 
     def test_default_arena_is_valid(self):
         world, _, _ = make_world()
@@ -838,6 +840,7 @@ DIAGONAL_ARENA = Arena(
 
 
 def world_in(arena):
+    arena.check()
     cfg = load_config()
     rng = random.Random(0)
     ctrl = RlShooterController(new_table_set(cfg.learner), cfg.armory, cfg.priority, rng)
@@ -1150,8 +1153,8 @@ class TestHitscanDistanceTest:
                 other.x, other.y = shooter.x, shooter.y
             else:
                 other.x, other.y = data.draw(coord), data.draw(coord)
-        weapon = replace(world.armory["shock_rifle"],
-                         spread_deg=data.draw(st.sampled_from([0.0, 3.0])))
+        weapon = world.armory["shock_rifle"]._replace(
+            spread_deg=data.draw(st.sampled_from([0.0, 3.0])))
         state = world.rng.getstate()
         filtered = []
         hit = world._hitscan(shooter, weapon, aim, filtered)
@@ -1180,7 +1183,7 @@ class TestHitscanDistanceTest:
         d = hitscan_direction((*spots[0], 30.0), aim, 0.0)
         cross = d[0] * (spots[1][1] - spots[0][1]) - d[1] * (spots[1][0] - spots[0][0])
         assert cross * cross > CYLINDER_RADIUS ** 2
-        rifle = replace(world.armory["shock_rifle"], spread_deg=0.0)
+        rifle = world.armory["shock_rifle"]._replace(spread_deg=0.0)
         records = []
         assert world._hitscan(world.agents[0], rifle, aim, records)
         assert [r[1] for r in records] == [1]
@@ -1193,7 +1196,7 @@ class TestHitscanDistanceTest:
         spots = [(1000.0, 1000.0), (1000.0, 1016.9), (3000.0, 3000.0), (3000.0, 1000.0)]
         for agent, (x, y) in zip(world.agents, spots):
             agent.x, agent.y, agent.z = x, y, 0.0
-        rifle = replace(world.armory["shock_rifle"], spread_deg=0.0)
+        rifle = world.armory["shock_rifle"]._replace(spread_deg=0.0)
         records = []
         aim = (1000.0 + 3.4e-12, 1000.0, 1e150)
         assert world._hitscan(world.agents[0], rifle, aim, records)
@@ -1215,7 +1218,7 @@ class TestHitscanDistanceTest:
         for agent, (x, y) in zip(world.agents, spots):
             agent.x, agent.y = x, y
         records = []
-        rifle = replace(world.armory["shock_rifle"], spread_deg=0.0)
+        rifle = world.armory["shock_rifle"]._replace(spread_deg=0.0)
         assert world._hitscan(world.agents[0], rifle, (3000.0, 1000.0, 19.5), records)
         assert tested == [(3000.0, 1000.0), (2000.0, 1016.5)]
         assert [r[1] for r in records] == [2]
@@ -1500,8 +1503,11 @@ class TestProximityIndex:
         assert (x - FAR_PIT.x) ** 2 + (2000.0 - FAR_PIT.y) ** 2 <= FAR_PIT.radius ** 2
 
     def test_index_is_built_once_and_leaves_repr_and_equality_alone(self):
-        arena = replace(load_config().arena)
+        arena = load_config().arena._replace()
         assert arena.proximity is arena.proximity
+        # Keyed on the arena's value: each load_config() builds its own
+        # Arena, and all of them share one index.
+        assert arena.proximity is load_config().arena.proximity
         assert arena == load_config().arena
         assert repr(arena) == repr(load_config().arena)
 

@@ -263,6 +263,15 @@ class TestTrain:
         assert err.startswith(f"error: {message}") and "Traceback" not in err
         assert not out.exists()
 
+    # The default --level all: the first campaign's check stops the run
+    # before any level's directory is made.
+    def test_games_zero_at_every_level_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--games", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: games must be >= 1, got 0\n" and captured.out == ""
+        assert not out.exists()
+
     def test_out_naming_a_file_is_error(self, tmp_path, capsys):
         out = tmp_path / "afile"
         out.write_text("not a directory\n")

@@ -109,6 +109,24 @@ def test_frozen_eval_setup_loads_only_what_it_uses():
     assert csv_loaded == "False"
 
 
+# `dataclasses` cost a cold start about a third of its time: importing it
+# loads `inspect`, `dis`, `ast` and `tokenize`, and each class it builds
+# compiles generated code.  The package's records are NamedTuples and plain
+# classes with __slots__ instead.
+HEAVY = """
+import sys
+print(" ".join(name for name in ("dataclasses", "inspect") if name in sys.modules))
+"""
+
+
+def test_frozen_eval_setup_loads_neither_dataclasses_nor_inspect():
+    assert run_fresh(FROZEN_EVAL_SETUP + HEAVY, POLICY) == "\n"
+
+
+def test_cold_paths_load_neither_dataclasses_nor_inspect(tmp_path):
+    assert run_fresh(COLD_PATHS + HEAVY, tmp_path).splitlines()[-1] == ""
+
+
 NAMESPACE = """
 import importlib
 import sys

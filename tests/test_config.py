@@ -70,7 +70,7 @@ def test_key_no_field_reads_is_rejected(tmp_path, text, key):
         load(tmp_path, text)
 
 
-# A range error names the key that the file sets.
+# A range error names the section and the key that the file sets.
 @pytest.mark.parametrize("key,value,message", [
     ("damage", "0", "damage must be > 0, got 0.0"),
     ("interval", "0", "interval must be > 0, got 0.0"),
@@ -78,8 +78,64 @@ def test_key_no_field_reads_is_rejected(tmp_path, text, key):
     ("splash", "-1", "splash must be >= 0, got -1.0"),
 ])
 def test_weapon_range_error_names_its_key(tmp_path, key, value, message):
-    with pytest.raises(ConfigError, match=f"^invalid configuration: {message}$"):
+    with pytest.raises(
+        ConfigError, match=f"^invalid configuration: \\[weapon:rocket_launcher\\] {message}$"
+    ):
         load(tmp_path, f"[weapon:rocket_launcher]\n{key} = {value}\n")
+
+
+# Once "invalid configuration: damage must be > 0, got 0.0", which did not
+# say which of the 13 weapons was wrong.  Every section read into a checked
+# record names itself; [arena]'s messages name its keys instead.
+@pytest.mark.parametrize("text,message", [
+    ("[weapon:link_gun]\ndamage = 0\n", "[weapon:link_gun] damage must be > 0, got 0.0"),
+    ("[opponent:3]\nfov_deg = -1\n", "[opponent:3] fov_deg must be >= 0, got -1.0"),
+    ("[physics]\ntick_hz = 0\n", "[physics] tick_hz must be >= 1, got 0"),
+    ("[behavior]\nstrafe_flip_min_s = 9\n",
+     "[behavior] strafe_flip_min_s (9.0) must not exceed strafe_flip_max_s (1.5)"),
+    ("[harness]\ngames = 0\n", "[harness] games must be >= 1, got 0"),
+    ("[learner]\nalpha = 0\n", "[learner] alpha 0.0 outside (0, 1]"),
+    ("[schedule]\nbands = 5:0.5\n", "[schedule] first band must start at 0 lives"),
+])
+def test_range_error_names_its_section(tmp_path, text, message):
+    with pytest.raises(ConfigError) as exc:
+        load(tmp_path, text)
+    assert str(exc.value) == f"invalid configuration: {message}"
+
+
+# Every key of an opponent section, so that only the section's name can be
+# at fault: the bundled [opponent:1] but for speed_fraction.
+WHOLE_OPPONENT = """speed_fraction = 0.1
+strafes = no
+dodges = no
+closes_distance = no
+max_aim_error_deg = 2.6
+fov_deg = 35
+turn_rate_deg_s = 180
+aim_lag_s = 0.1
+combat_jump_prob_s = 0.0
+"""
+
+
+# Once "invalid literal for int() with base 10: 'two'", naming no section,
+# and [opponent:01] replaced the bundled [opponent:1] whole.
+@pytest.mark.parametrize("name", ["two", "01", "+1", " 1", "1.0", "None", "-"])
+def test_opponent_section_must_name_its_level_as_written(tmp_path, name):
+    with pytest.raises(ConfigError) as exc:
+        load(tmp_path, f"[opponent:{name}]\n{WHOLE_OPPONENT}")
+    assert str(exc.value) == (
+        f"invalid configuration: [opponent:{name}] must name its level as an integer, "
+        "such as [opponent:1]"
+    )
+
+
+def test_opponent_section_overrides_its_level_key_by_key(tmp_path):
+    base = load_config().profiles[1]
+    sim = load(tmp_path, "[opponent:1]\nspeed_fraction = 0.1\n")
+    assert sorted(sim.profiles) == [1, 3, 5]
+    assert sim.profiles[1] == base._replace(speed_fraction=0.1)
+    # The whole section gives the same profile.
+    assert load(tmp_path, f"[opponent:1]\n{WHOLE_OPPONENT}").profiles[1] == sim.profiles[1]
 
 
 def test_config_not_utf8_is_rejected(tmp_path):

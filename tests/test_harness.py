@@ -1,7 +1,6 @@
 import copy
 import filecmp
 import io
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -289,6 +288,14 @@ class TestSettingsRanges:
             run_campaign(CFG, settings(out, **{key: value}))
         assert not out.exists()
 
+    # CampaignSettings is a plain record: Campaign checks it before it makes
+    # the output directory.
+    def test_campaign_checks_its_settings_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^games must be >= 1, got 0$"):
+            Campaign(CFG, settings(out, games=0))
+        assert not out.exists()
+
     def test_unknown_level_raises_before_writing(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="the known levels are 1, 3, 5$"):
@@ -324,7 +331,7 @@ class TestSettingsRanges:
 
 class TestEvaluationCap:
     def at_hz(self, tick_hz):
-        return CFG._replace(physics=replace(CFG.physics, tick_hz=tick_hz))
+        return CFG._replace(physics=CFG.physics._replace(tick_hz=tick_hz))
 
     # At 60 Hz, a cap of 900 ticks ended every life by 15 simulated seconds.
     def test_a_life_ends_at_thirty_seconds_whatever_the_tick_rate(self):

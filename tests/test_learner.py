@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -30,7 +29,7 @@ def test_default_config_matches_reference_parameters():
 )
 def test_config_rejects_out_of_range_parameters(kwargs):
     with pytest.raises(ValueError):
-        replace(CFG, **kwargs)
+        CFG._replace(**kwargs).check()
 
 
 class TestExplorationSchedule:
@@ -67,9 +66,9 @@ class TestExplorationSchedule:
 
     def test_rejects_unordered_bands(self):
         with pytest.raises(ValueError):
-            ExplorationSchedule(bands=((0, 0.5), (100, 0.4), (100, 0.3)))
+            ExplorationSchedule(bands=((0, 0.5), (100, 0.4), (100, 0.3))).check()
         with pytest.raises(ValueError):
-            ExplorationSchedule(bands=((5, 0.5),))
+            ExplorationSchedule(bands=((5, 0.5),)).check()
 
 
 class TestSelectAction:

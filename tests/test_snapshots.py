@@ -113,6 +113,18 @@ class TestRejections:
         with pytest.raises(SnapshotError, match="line 3"):
             restore("RLSQ 1\nlives 0\n")
 
+    # LearnerConfig is a plain record: restore checks it where the document
+    # becomes one.
+    @pytest.mark.parametrize("params,message", [
+        ("0 0.5 0.9", "alpha 0.0 outside (0, 1]"),
+        ("0.7 1.5 0.9", "gamma 1.5 outside [0, 1]"),
+        ("0.7 0.5 nan", "lambda nan outside [0, 1]"),
+    ])
+    def test_out_of_range_params_are_an_error_on_line_3(self, params, message):
+        with pytest.raises(SnapshotError) as exc:
+            restore(f"RLSQ 1\nlives 0\nparams {params}\n")
+        assert str(exc.value) == f"line 3: {message}"
+
     def test_q_before_category(self):
         doc = VALID_HEAD + "q 0 0 1.0\n"
         with pytest.raises(SnapshotError, match="before any category"):

@@ -1,8 +1,8 @@
 import math
 import random
 import struct
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -19,6 +19,7 @@ from sarsa_arena.weapons import (
     WeaponCategory,
     WeaponSpec,
     check_params,
+    field_types,
     new_table_set,
     resolve_aim,
     reward_for,
@@ -111,6 +112,7 @@ class TestResolveAim:
         spec_for(WeaponCategory.OTHER, aim_skew=33.3, above_step=0.1),
     ])
     def test_every_label_matches_the_parsing_reference_bit_for_bit(self, weapon):
+        weapon.check()
         rng = random.Random(11)
         positions = [
             ((0.0, 0.0), (0.0, 0.0, 0.0)),  # the same point: norm == 0
@@ -238,25 +240,25 @@ class TestArmory:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            WeaponSpec("bad", WeaponCategory.OTHER, 0, 0.5)
+            WeaponSpec("bad", WeaponCategory.OTHER, 0, 0.5).check()
         with pytest.raises(ValueError):
-            WeaponSpec("bad", WeaponCategory.OTHER, 5, 0)
+            WeaponSpec("bad", WeaponCategory.OTHER, 5, 0).check()
         with pytest.raises(ValueError):
-            WeaponSpec("bad", WeaponCategory.OTHER, 5, 0.5, splash=-1)
+            WeaponSpec("bad", WeaponCategory.OTHER, 5, 0.5, splash=-1).check()
 
     # A speed of 0 left rockets in flight forever, a negative one flew them
     # backwards; inf is hitscan.
     @pytest.mark.parametrize("speed", [0.0, -0.0, -900.0, -math.inf, math.nan])
     def test_projectile_speed_must_be_above_zero(self, speed):
         with pytest.raises(ValueError, match="speed must be > 0"):
-            spec_for(WeaponCategory.PROJECTILE, speed=speed)
+            spec_for(WeaponCategory.PROJECTILE, speed=speed).check()
 
     # Once a run gone quietly wrong: an assault rifle of 0 pellets spent
     # ammo and counted misses but cast no ray.
     @pytest.mark.parametrize("pellets", [0, -1])
     def test_pellets_must_be_at_least_one(self, pellets):
         with pytest.raises(ValueError, match=f"pellets must be >= 1, got {pellets}"):
-            replace(spec_for(WeaponCategory.INSTANT_HIT), pellets=pellets)
+            spec_for(WeaponCategory.INSTANT_HIT)._replace(pellets=pellets).check()
 
     # Once a run gone quietly wrong: a negative spread removed the scatter, a
     # negative melee range fired the shield gun as a hitscan weapon, and a
@@ -264,16 +266,17 @@ class TestArmory:
     @pytest.mark.parametrize("field", ["splash", "spread_deg", "melee_range", "aim_skew"])
     def test_radii_spread_and_skew_must_not_be_negative(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -2.5"):
-            replace(spec_for(WeaponCategory.OTHER), **{field: -2.5})
-        assert getattr(replace(spec_for(WeaponCategory.OTHER), **{field: 0.0}), field) == 0.0
+            spec_for(WeaponCategory.OTHER)._replace(**{field: -2.5}).check()
+        spec_for(WeaponCategory.OTHER)._replace(**{field: 0.0}).check()
 
     @pytest.mark.parametrize("field", [
-        f.name for f in fields(WeaponSpec) if f.type == "float" and f.name != "speed"
+        name for name, kind in field_types(WeaponSpec).items()
+        if kind == "float" and name != "speed"
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_other_floats_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
-            replace(spec_for(WeaponCategory.OTHER), **{field: value})
+            spec_for(WeaponCategory.OTHER)._replace(**{field: value}).check()
 
 
 def parent_accepts(cls, v) -> bool:
@@ -281,8 +284,8 @@ def parent_accepts(cls, v) -> bool:
     as the reference for it: whether the field values `v` pass them."""
     def finite(*skip):
         return all(
-            math.isfinite(v[f.name])
-            for f in fields(cls) if f.type == "float" and f.name not in skip
+            math.isfinite(v[name])
+            for name, kind in field_types(cls).items() if kind == "float" and name not in skip
         )
 
     def campaign_ranges():
@@ -373,26 +376,26 @@ class TestCheckParams:
     def test_accepts_and_rejects_what_the_parent_checks_did(self, base):
         cls = type(base)
         changed_nan, changed_large, changed_negative = set(), set(), set()
-        for f in fields(cls):
-            if f.type not in ("int", "float"):
+        for name, kind in field_types(cls).items():
+            if kind not in ("int", "float"):
                 continue
             for value in SWEEP_VALUES:
-                v = {g.name: getattr(base, g.name) for g in fields(cls)}
-                v[f.name] = value
+                v = base._asdict()
+                v[name] = value
                 try:
-                    replace(base, **{f.name: value})
+                    base._replace(**{name: value}).check()
                     accepted = True
                 except ValueError:
                     accepted = False
                 if accepted != parent_accepts(cls, v):
-                    assert not accepted, (f.name, value)
-                    if f.type == "int" and math.isnan(value):
-                        changed_nan.add(f.name)
-                    elif f.type == "int" and value >= 1e308:
-                        changed_large.add((f.name, value))
+                    assert not accepted, (name, value)
+                    if kind == "int" and math.isnan(value):
+                        changed_nan.add(name)
+                    elif kind == "int" and value >= 1e308:
+                        changed_large.add((name, value))
                     else:
-                        assert f.type == "float" and value < 0, (f.name, value)
-                        changed_negative.add((f.name, value))
+                        assert kind == "float" and value < 0, (name, value)
+                        changed_negative.add((name, value))
         assert changed_nan == NEWLY_REJECTED_NAN.get(cls.__name__, set())
         assert changed_large == NEWLY_REJECTED_LARGE.get(cls.__name__, set())
         negatives = [value for value in SWEEP_VALUES if -math.inf < value < 0]
@@ -403,8 +406,7 @@ class TestCheckParams:
 
     def test_messages(self):
         # Quoted, as the package's postponed annotations are.
-        @dataclass
-        class Params:
+        class Params(NamedTuple):
             count: "int"
             size: "float"
             speed: "float"

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Drift-cancelling A/B comparison of two checkouts' tick rates.
+"""Drift-cancelling A/B comparison of two checkouts' tick rates and start-up.
 
     python3 tools/ab_ticks.py --base PARENT_CHECKOUT --change CHECKOUT
 
 Hands two checkouts the same small units of work: single ``frozen-eval``
 lives (one seed of ``harness.evaluate_policy``: a stored level-1 policy
 played greedily or at random in a fresh World, capped at 30 simulated
-seconds, 900 ticks at the bundled 30 Hz) and
+seconds, 900 ticks at the bundled 30 Hz),
 single one-minute level-5 games (a one-game campaign that writes its
 events.log and a snapshot every 5 lives, as the benchmark's train-l5
-workload does).  Each side runs them in a warm worker process that imports
-``sarsa_arena`` from its checkout's ``src/``.
+workload does) and single ``frozen-eval`` start-ups (one run of
+``perfbench/setup_probe.py frozen-eval POLICY`` in a fresh interpreter; its
+wall time is the seconds the probe reports, the benchmark's setup_s, and
+its CPU time that of the whole interpreter).  Each side runs them in a warm
+worker process that imports ``sarsa_arena`` from its checkout's ``src/``.
 
 Every worker process runs at a speed of its own, a few percent off its
 twin's, so the units run in blocks of BLOCK_UNITS, each block on a fresh
@@ -20,11 +23,12 @@ runs on both sides back to back, the side that goes first alternating from
 unit to unit (ABBA), so that the host's drift, which moves in phases of
 seconds to minutes, meets both sides alike.  Both sides must report
 identical lives (every LifeStats of a frozen-eval life, every LifeRecord of
-a game) for every unit, or the comparison stops with exit code 1.  Unit
-seeds and the bootstrap's stream derive from SEED.
+a game) for every unit, or the comparison stops with exit code 1; a
+start-up has no output to compare.  Unit seeds and the bootstrap's stream
+derive from SEED.
 
 For each kind of unit it prints the median over units of base time over
-change time (above 1 means the change ticks faster), with a 95% percentile
+change time (above 1 means the change is faster), with a 95% percentile
 bootstrap interval of that median, in process CPU time and in wall time.
 The bootstrap resamples whole blocks, then units within each drawn block,
 so the interval covers the spread between worker processes as well as
@@ -37,7 +41,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,8 +59,9 @@ WARMUP_UNITS = 2
 BOOTSTRAP_RESAMPLES = 2000
 SEED = 1
 POLICY = "perfbench/data/policy-l1-s7.rlsq"
+SETUP_PROBE = "perfbench/setup_probe.py"
 # What a worker loads from its checkout.
-CHECKOUT_FILES = ("src/sarsa_arena/__init__.py", POLICY)
+CHECKOUT_FILES = ("src/sarsa_arena/__init__.py", POLICY, SETUP_PROBE)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +79,20 @@ def _level5_game(sim, seed: int) -> list[str]:
     return [repr(life) for life in result.lives]
 
 
+def _start_up(checkout: Path) -> tuple[float, float]:
+    """One frozen-eval start-up in a fresh interpreter: (the interpreter's
+    CPU seconds, the seconds setup_probe.py reports)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(
+        [sys.executable, SETUP_PROBE, "frozen-eval", POLICY],
+        cwd=checkout, env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return cpu, float(done.stdout.split()[-1])
+
+
 def worker(checkout: Path) -> int:
     sys.path.insert(0, str(checkout / "src"))
     from sarsa_arena import arena, config, harness, snapshots
@@ -81,14 +102,18 @@ def worker(checkout: Path) -> int:
     policy = snapshots.read_snapshot(checkout / POLICY)
     for request in sys.stdin:
         unit = json.loads(request)
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        if unit["kind"] == "frozen-eval":
-            controller_cls = getattr(arena, unit["controller"])
-            lives = harness.evaluate_policy(sim, policy, controller_cls, [unit["seed"]])
-            lines = [repr(life) for life in lives]
+        if unit["kind"] == "frozen-eval start-up":
+            cpu, wall = _start_up(checkout)
+            lines = []
         else:
-            lines = _level5_game(sim, unit["seed"])
-        cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
+            wall0, cpu0 = time.perf_counter(), time.process_time()
+            if unit["kind"] == "frozen-eval":
+                controller_cls = getattr(arena, unit["controller"])
+                lives = harness.evaluate_policy(sim, policy, controller_cls, [unit["seed"]])
+                lines = [repr(life) for life in lives]
+            else:
+                lines = _level5_game(sim, unit["seed"])
+            cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
         print(json.dumps({"cpu_s": cpu, "wall_s": wall, "lines": lines}), flush=True)
     return 0
 
@@ -145,8 +170,9 @@ def bootstrap_median_ci(blocks: list[list[float]], rng: random.Random) -> tuple[
             medians[int(0.975 * BOOTSTRAP_RESAMPLES) - 1])
 
 
-def units(lives: int, games: int) -> dict[str, list[dict]]:
-    """The units of each kind: lives alternate greedy and random play."""
+def units(lives: int, games: int, setups: int = 0) -> dict[str, list[dict]]:
+    """The units of each kind: lives alternate greedy and random play, and
+    start-ups are numbered."""
     controllers = ("GreedyController", "RandomController")
     return {
         "frozen-eval": [
@@ -154,6 +180,7 @@ def units(lives: int, games: int) -> dict[str, list[dict]]:
             for i in range(lives)
         ],
         "level-5 game": [{"kind": "level-5 game", "seed": SEED + i} for i in range(games)],
+        "frozen-eval start-up": [{"kind": "frozen-eval start-up", "run": i} for i in range(setups)],
     }
 
 
@@ -201,6 +228,8 @@ def parse_args(argv):
                         help="frozen-eval lives compared (default 200)")
     parser.add_argument("--games", type=int, default=40,
                         help="level-5 games compared (default 40)")
+    parser.add_argument("--setups", type=int, default=40,
+                        help="frozen-eval start-ups compared (default 40)")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is None and (args.base is None or args.change is None):
@@ -209,11 +238,12 @@ def parse_args(argv):
         for needed in CHECKOUT_FILES:
             if checkout is not None and not (checkout / needed).is_file():
                 parser.error(f"{flag} {checkout} is not a checkout: it lacks {needed}")
-    for flag, count in (("--lives", args.lives), ("--games", args.games)):
+    for flag, count in (("--lives", args.lives), ("--games", args.games),
+                        ("--setups", args.setups)):
         if count < 0:
             parser.error(f"{flag} must be >= 0, got {count}")
-    if args.lives == 0 and args.games == 0:
-        parser.error("--lives and --games are both 0: nothing to compare")
+    if args.lives == 0 and args.games == 0 and args.setups == 0:
+        parser.error("--lives, --games and --setups are all 0: nothing to compare")
     return args
 
 
@@ -222,7 +252,7 @@ def main(argv=None) -> int:
     if args.worker is not None:
         return worker(args.worker.resolve())
     rng = random.Random(SEED)
-    for kind, unit_list in units(args.lives, args.games).items():
+    for kind, unit_list in units(args.lives, args.games, args.setups).items():
         if not unit_list:
             continue
         ratios = compare(args.base.resolve(), args.change.resolve(), unit_list, Side)
