@@ -42,6 +42,8 @@ from .weapons import (
 from .weapons import CYLINDER_HEIGHT, CYLINDER_RADIUS
 
 RL_AGENT_ID = 0
+# The scripted opponents in every game, agents 1..OPPONENTS.
+OPPONENTS = 3
 # An agent collects a pickup whose spot is within this distance.
 PICKUP_RADIUS = 60.0
 # The proximity index cuts the arena into this many cells along each axis.
@@ -108,8 +110,8 @@ class Arena(NamedTuple):
         for spot in self.pickups:
             if not (abs(spot.x) <= m and abs(spot.y) <= m):
                 raise ValueError(f"pickups: {spot} needs |x| and |y| of at most {m:.0f}")
-        if len(self.spawn_points) < 4:
-            raise ValueError("arena needs at least 4 spawn points")
+        if len(self.spawn_points) < OPPONENTS + 1:
+            raise ValueError(f"arena needs at least {OPPONENTS + 1} spawn points")
         for sx, sy in self.spawn_points:
             if not (0 < sx < self.size and 0 < sy < self.size):
                 raise ValueError("spawn point outside the walkable region")
@@ -553,7 +555,6 @@ class World:
         profile: OpponentProfile,
         controller: RlShooterController,
         rng: random.Random,
-        n_opponents: int = 3,
     ) -> None:
         self.arena = arena
         self.armory = armory
@@ -608,7 +609,7 @@ class World:
             [(p.x, p.y) for p in arena.pickups] + list(arena.spawn_points)
         )
 
-        self.agents = [AgentState(i) for i in range(n_opponents + 1)]
+        self.agents = [AgentState(i) for i in range(OPPONENTS + 1)]
         # Each agent's lock-on command, shared by every opponent firing at it.
         self.lock_on = tuple(FireCommand(ASSAULT_RIFLE, None, a.id) for a in self.agents)
         self.projectiles: list[Projectile] = []
@@ -635,8 +636,8 @@ class World:
         self.game = GameStats(shoot_s={name: 0.0 for name in armory})
         self.kill_streak = 0
 
-        for i, agent in enumerate(self.agents):
-            self._spawn(agent, self.arena.spawn_points[i % len(self.arena.spawn_points)])
+        for agent, point in zip(self.agents, self.arena.spawn_points):
+            self._spawn(agent, point)
 
     # -- spawning ----------------------------------------------------------
 

@@ -24,22 +24,13 @@ class ConfigError(ValueError):
     pass
 
 
-# The most scripted opponents a game may have: World builds one agent per
-# opponent, and each tick every agent looks for every other.
-MAX_OPPONENTS = 64
-
-
 class HarnessParams(NamedTuple):
     snapshot_every: int
     games: int
     minutes: float
-    opponents: int
 
     def check(self) -> None:
-        check_params(
-            self, at_least={"games": 1, "snapshot_every": 0, "opponents": 1},
-            above={"minutes": 0}, at_most={"opponents": MAX_OPPONENTS},
-        )
+        check_params(self, at_least={"games": 1, "snapshot_every": 0}, above={"minutes": 0})
 
 
 class SimConfig(NamedTuple):
@@ -72,7 +63,7 @@ _READERS = {
     "bool": lambda section, key: section.getboolean(key),
     "WeaponCategory": lambda section, key: WeaponCategory(section[key]),
     "tuple[str, ...]": lambda section, key: tuple(
-        w.strip() for w in section[key].split(",")
+        w.strip() for w in section[key].split(",") if w.strip()
     ),
     "tuple[tuple[int, float], ...]": _parse_schedule,
 }

@@ -120,7 +120,6 @@ class Campaign:
         world = World(
             sim.arena, sim.armory, sim.physics, sim.behavior,
             sim.profiles[settings.level], self.controller, self.rng,
-            n_opponents=sim.harness.opponents,
         )
         for stats in world.play(self.ticks_per_game, self.events_file):
             record = LifeRecord(
@@ -178,7 +177,6 @@ def evaluate_policy(
         world = World(
             sim.arena, sim.armory, sim.physics, sim.behavior, sim.profiles[1],
             controller_cls(tset, sim.armory, sim.priority, rng), rng,
-            n_opponents=sim.harness.opponents,
         )
         lives.append(next(world.play(round(ticks))))
     return lives
@@ -230,6 +228,7 @@ def _rows(reader, path: Path | str):
 
 def _load(path: Path | str, cls) -> list:
     records = []
+    kinds = field_types(cls)
     with Path(path).open(newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         rows = _rows(reader, path)
@@ -244,7 +243,7 @@ def _load(path: Path | str, cls) -> list:
                 )
             row = dict(zip(header, cells))
             values = {}
-            for name, kind in field_types(cls).items():
+            for name, kind in kinds.items():
                 if name == "shoot_s":
                     values[name] = {
                         key[len("shoot_s_"):]: float(cell)

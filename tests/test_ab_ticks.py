@@ -172,6 +172,15 @@ def test_blocks_of_the_default_size():
     ]
 
 
+# Once 40 start-ups in two blocks, so that the interval rested on two pairs
+# of workers.
+def test_default_start_ups_span_at_least_four_blocks():
+    setups = ab_ticks.parse_args(["--base", str(ROOT), "--change", str(ROOT)]).setups
+    units = ab_ticks.units(0, 0, setups)["frozen-eval start-up"]
+    ratios = ab_ticks.compare("A", "B", units, start=lambda name: FakeSide(name, []))
+    assert len(ratios["cpu_s"]) >= 4
+
+
 def test_differing_life_lines_stop_the_comparison():
     log = []
 

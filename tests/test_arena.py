@@ -18,6 +18,7 @@ from sarsa_arena.arena import (
     INDEX_CELLS,
     KillEvent,
     MAX_ARENA_SIZE,
+    OPPONENTS,
     OpponentProfile,
     PICKUP_RADIUS,
     PhysicsParams,
@@ -280,6 +281,15 @@ def test_scripted_fire_shares_one_frozen_lock_on_per_target():
     assert RL_AGENT_ID in fired
     with pytest.raises(AttributeError):
         world.lock_on[RL_AGENT_ID].target_id = 1
+
+
+# make_world calls World as the benchmark does, with no roster argument.
+def test_world_builds_the_bot_and_every_opponent_at_its_own_spawn():
+    world, _, _ = make_world()
+    assert [agent.id for agent in world.agents] == list(range(OPPONENTS + 1))
+    assert [(agent.x, agent.y) for agent in world.agents] == list(
+        world.arena.spawn_points[:OPPONENTS + 1]
+    )
 
 
 def test_world_has_fewer_than_30_instance_attributes():
@@ -652,9 +662,13 @@ class TestArenaValidation:
                 pickups=(),
             ).check()
 
+    # One spawn point for the bot and one for each opponent.
     def test_too_few_spawns_rejected(self):
-        with pytest.raises(ValueError):
-            Arena(size=1000.0, walls=(), pits=(), spawn_points=((1, 1),), pickups=()).check()
+        points = tuple((100.0 * (i + 1), 100.0) for i in range(OPPONENTS + 1))
+        Arena(size=1000.0, walls=(), pits=(), spawn_points=points, pickups=()).check()
+        for few in (points[1:], ((1, 1),)):
+            with pytest.raises(ValueError, match="^arena needs at least 4 spawn points$"):
+                Arena(size=1000.0, walls=(), pits=(), spawn_points=few, pickups=()).check()
 
     # A 1e200-wide arena once ended in an OverflowError traceback from the
     # spawn-in-pit test.

@@ -127,9 +127,6 @@ class TestTrain:
         ("behavior", "pit_avoid_margin", "-1"),
         ("behavior", "strafe_flip_min_s", "2.0"),
         ("opponent:1", "fov_deg", "nan"),
-        ("harness", "opponents", "0"),
-        # Once one agent per opponent, built before any check could stop it.
-        ("harness", "opponents", "100000000"),
         ("harness", "games", "0"),
         ("harness", "minutes", "nan"),
         ("harness", "minutes", "-1"),
@@ -184,6 +181,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration:") and key in err
         assert "Traceback" not in err
+
+    # The roster is arena.OPPONENTS; a file written for the old
+    # `[harness] opponents` key stops before anything is written.
+    def test_opponents_key_is_config_error(self, tmp_path, capsys):
+        assert train_with_config(tmp_path, "[harness]\nopponents = 3\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: invalid configuration: [harness] has unknown key 'opponents'"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value,message", [
         ("pits = 2000 2000 -200", "pits: Pit(x=2000.0, y=2000.0, radius=-200.0)"),

@@ -1,18 +1,15 @@
 import hashlib
-import inspect
-import random
 import re
 
 import pytest
 
-from sarsa_arena.arena import RlShooterController, World
-from sarsa_arena.config import MAX_OPPONENTS, ConfigError, load_config
+from sarsa_arena.config import ConfigError, load_config
 from sarsa_arena.learner import ExplorationSchedule
-from sarsa_arena.weapons import WeaponCategory, WeaponSpec, new_table_set
+from sarsa_arena.weapons import WeaponCategory, WeaponSpec
 
 # The bundled defaults as built, pinned: the INI file is their only source,
 # so a change to how it is read must leave every value and type as it was.
-DEFAULT_CONFIG_REPR_SHA256 = "ddb68dfcd0d7f28bd98f4b7e17863dc7956feaa5195e3a6c2af5122a0937ab05"
+DEFAULT_CONFIG_REPR_SHA256 = "ac7b83331324b7d11195a474bd45dac5c9a65cd3a4c39e497cb5d397c7234f1f"
 
 
 def load(tmp_path, text):
@@ -26,14 +23,9 @@ def test_default_config_repr_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CONFIG_REPR_SHA256
 
 
-# Library defaults that repeat a value of default.cfg must stay in step with
-# it.  Two are left: World's n_opponents, as the benchmark builds a World
-# without it, and the schedule's bands, as a restored snapshot stores none.
-def test_world_opponents_default_matches_harness_opponents():
-    n_opponents = inspect.signature(World).parameters["n_opponents"].default
-    assert n_opponents == load_config().harness.opponents
-
-
+# A library default that repeats a value of default.cfg must stay in step
+# with it.  One is left: the schedule's bands, as a restored snapshot stores
+# none.
 def test_schedule_default_matches_schedule_section():
     assert ExplorationSchedule() == load_config().learner.schedule
 
@@ -57,6 +49,8 @@ def test_override_reaches_only_its_field(tmp_path):
     ("[physics]\ntick_hzz = 60\n", "tick_hzz"),
     ("[behavior]\ndodge = 1\n", "dodge"),
     ("[harness]\ngame = 3\n", "game"),
+    # The roster is arena.OPPONENTS; a file that still sets its old key fails.
+    ("[harness]\nopponents = 3\n", "opponents"),
     ("[learner]\nlam = 0.9\n", "lam"),  # the INI key is `lambda`
     ("[schedule]\nband = 0:0.5\n", "band"),
     ("[priority]\nnear = shock_rifle\n", "near"),
@@ -194,17 +188,17 @@ def test_campaign_range_edges_are_accepted(tmp_path):
     assert (harness.games, harness.minutes, harness.snapshot_every) == (1, 0.01, 0)
 
 
-def test_opponents_are_accepted_up_to_their_bound(tmp_path):
-    sim = load(tmp_path, f"[harness]\nopponents = {MAX_OPPONENTS}\n")
-    assert sim.harness.opponents == MAX_OPPONENTS
+# An empty name was once read as the weapon '', and an empty band as ('',),
+# reported as an unknown weapon; empty names are dropped, as empty schedule
+# bands are.
+def test_empty_priority_band_is_rejected_as_empty(tmp_path):
     with pytest.raises(
-        ConfigError, match=f"opponents must be <= {MAX_OPPONENTS}, got {MAX_OPPONENTS + 1}"
+        ConfigError,
+        match=re.escape("invalid configuration: [priority] priority lists must be non-empty"),
     ):
-        load(tmp_path, f"[harness]\nopponents = {MAX_OPPONENTS + 1}\n")
-    rng = random.Random(1)
-    controller = RlShooterController(new_table_set(sim.learner), sim.armory, sim.priority, rng)
-    world = World(sim.arena, sim.armory, sim.physics, sim.behavior, sim.profiles[1],
-                  controller, rng, n_opponents=MAX_OPPONENTS)
-    for _ in range(30):
-        world.tick()
-    assert len(world.agents) == MAX_OPPONENTS + 1
+        load(tmp_path, "[priority]\nclose =\n")
+
+
+def test_empty_priority_names_are_dropped(tmp_path):
+    sim = load(tmp_path, "[priority]\nclose = flak_cannon, , shield_gun\n")
+    assert sim.priority.close == ("flak_cannon", "shield_gun")

@@ -7,7 +7,7 @@ import pytest
 
 from sarsa_arena import harness
 from sarsa_arena.arena import RL_AGENT_ID, GreedyController, format_event
-from sarsa_arena.config import ConfigError, load_config
+from sarsa_arena.config import load_config
 from sarsa_arena.harness import (
     Campaign,
     CampaignSettings,
@@ -202,31 +202,6 @@ class TestCarriedState:
         assert snapshots == {
             p.name: p.read_bytes() for p in whole.out.glob("snap_*") if "final" not in p.name
         }
-
-
-class TestOpponents:
-    def test_config_opponents_reach_the_world(self, tmp_path, monkeypatch):
-        cfg_file = tmp_path / "one.cfg"
-        cfg_file.write_text("[harness]\nopponents = 1\n")
-        sim = load_config(cfg_file)
-        worlds = []
-        real_init = harness.World.__init__
-
-        def recording_init(world, *args, **kwargs):
-            real_init(world, *args, **kwargs)
-            worlds.append(world)
-
-        monkeypatch.setattr(harness.World, "__init__", recording_init)
-        result = run_campaign(sim, settings(tmp_path / "out", games=1, minutes=0.2))
-        assert len(worlds) == 1
-        assert [agent.id for agent in worlds[0].agents] == [RL_AGENT_ID, 1]
-        assert result.lives
-
-    def test_fewer_than_one_opponent_rejected(self, tmp_path):
-        cfg_file = tmp_path / "none.cfg"
-        cfg_file.write_text("[harness]\nopponents = 0\n")
-        with pytest.raises(ConfigError, match="opponents must be >= 1"):
-            load_config(cfg_file)
 
 
 class TestWhistle:

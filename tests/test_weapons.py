@@ -318,9 +318,7 @@ def parent_accepts(cls, v) -> bool:
             )
             and not v["pellets"] < 1
         )
-    if cls is HarnessParams:
-        return campaign_ranges() and not v["opponents"] < 1
-    if cls is CampaignSettings:
+    if cls in (HarnessParams, CampaignSettings):
         return campaign_ranges()
     raise AssertionError(cls)
 
@@ -338,17 +336,15 @@ NEWLY_REJECTED_NAN = {
         "ammo_pickup_amount",
     },
     "WeaponSpec": {"pellets"},
-    "HarnessParams": {"games", "snapshot_every", "opponents"},
+    "HarnessParams": {"games", "snapshot_every"},
     "CampaignSettings": {"games", "snapshot_every"},
 }
 
 # The int fields with an upper bound, and the values above it: inf met
 # tick_hz's lower bound before, for a tick of 0 s, and fails its bound of
-# sys.float_info.max now; an opponent count above MAX_OPPONENTS built one
-# agent each before.
+# sys.float_info.max now.
 NEWLY_REJECTED_LARGE = {
     "PhysicsParams": {("tick_hz", math.inf)},
-    "HarnessParams": {("opponents", 1e308), ("opponents", math.inf)},
 }
 
 # The float fields that were only required to be finite and must now be

@@ -228,8 +228,8 @@ def parse_args(argv):
                         help="frozen-eval lives compared (default 200)")
     parser.add_argument("--games", type=int, default=40,
                         help="level-5 games compared (default 40)")
-    parser.add_argument("--setups", type=int, default=40,
-                        help="frozen-eval start-ups compared (default 40)")
+    parser.add_argument("--setups", type=int, default=100,
+                        help="frozen-eval start-ups compared (default 100)")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is None and (args.base is None or args.change is None):
