@@ -37,10 +37,12 @@ CYLINDER_HEIGHT = 39.0
 HEAD_Z = 39.0
 MID_Z = 19.5
 LEGS_Z = 4.0
+# How much higher each Above label aims than the one below it.
+ABOVE_STEP = 120.0
 
 
 # Where each aim label points, or None for a lock on the opponent: (height
-# above the opponent's feet, number of above_steps higher, signed multiple of
+# above the opponent's feet, number of ABOVE_STEPs higher, signed multiple of
 # aim_skew toward the shooter's right).
 AIM_POINTS: dict[str, tuple[float, int, float] | None] = {
     "Player": None,
@@ -105,7 +107,6 @@ class WeaponSpec(NamedTuple):
     splash: float = 0.0
     self_damage: bool = False
     aim_skew: float = 80.0
-    above_step: float = 120.0
     pellets: int = 1
     spread_deg: float = 0.0
     melee_range: float = 0.0
@@ -114,12 +115,11 @@ class WeaponSpec(NamedTuple):
         # A speed of inf means hitscan; 0 would leave a rocket in flight
         # forever, and a negative one would fly it backwards.  Below 0, the
         # spread would drop the scatter, the melee range would fire as
-        # hitscan, the skew would swap Left and Right, and the step would aim
-        # Above below the opponent's feet.
+        # hitscan and the skew would swap Left and Right.
         check_params(
             self,
             at_least={"splash": 0, "spread_deg": 0, "melee_range": 0,
-                      "aim_skew": 0, "above_step": 0, "pellets": 1},
+                      "aim_skew": 0, "pellets": 1},
             above={"damage": 0, "interval": 0, "speed": 0},
             may_be_inf=("speed",),
         )
@@ -187,7 +187,7 @@ def resolve_aim(
         return None
     dz, steps, skew = point
     ox, oy, oz = opponent_pos
-    z = oz + dz + steps * weapon.above_step
+    z = oz + dz + steps * ABOVE_STEP
     if not skew:
         return (ox, oy, z)
     dx = ox - shooter_pos[0]

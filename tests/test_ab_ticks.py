@@ -181,6 +181,14 @@ def test_default_start_ups_span_at_least_four_blocks():
     assert len(ratios["cpu_s"]) >= 4
 
 
+# Once 40 games in two blocks (25 and 15), as the start-ups were.
+def test_default_games_span_at_least_four_blocks():
+    games = ab_ticks.parse_args(["--base", str(ROOT), "--change", str(ROOT)]).games
+    units = ab_ticks.units(0, games)["level-5 game"]
+    ratios = ab_ticks.compare("A", "B", units, start=lambda name: FakeSide(name, []))
+    assert len(ratios["cpu_s"]) >= 4
+
+
 def test_differing_life_lines_stop_the_comparison():
     log = []
 

@@ -12,7 +12,7 @@ import pytest
 from sarsa_arena.arena import MAX_ARENA_SIZE
 from sarsa_arena.cli import main
 from sarsa_arena.config import load_config
-from sarsa_arena.harness import GameRecord, _header
+from sarsa_arena.harness import GameRecord, _header, load_games_csv
 from sarsa_arena.snapshots import read_snapshot
 
 # The narrowest arena size that is too wide.
@@ -165,14 +165,13 @@ class TestTrain:
         ("weapon:shield_gun", "melee_range", "-120"),
         ("weapon:shock_rifle", "aim_skew", "-60"),
         # Once a run gone quietly wrong: a reaction delay that leads a moving
-        # target, an instant respawn or pickup, a jump that never leaves the
-        # ground and Above aimed below the feet.
+        # target, an instant respawn or pickup and a jump that never leaves
+        # the ground.
         ("opponent:1", "aim_lag_s", "-0.5"),
         ("physics", "aim_lag_s", "-0.5"),
         ("physics", "respawn_delay_s", "-3"),
         ("physics", "pickup_respawn_s", "-1"),
         ("physics", "jump_duration_s", "-0.7"),
-        ("weapon:rocket_launcher", "above_step", "-50"),
         # Once an OverflowError traceback: no float holds the rate.
         pytest.param("physics", "tick_hz", "1" + "0" * 400, id="physics-tick_hz-1e400"),
     ])
@@ -182,13 +181,18 @@ class TestTrain:
         assert err.startswith("error: invalid configuration:") and key in err
         assert "Traceback" not in err
 
-    # The roster is arena.OPPONENTS; a file written for the old
-    # `[harness] opponents` key stops before anything is written.
-    def test_opponents_key_is_config_error(self, tmp_path, capsys):
-        assert train_with_config(tmp_path, "[harness]\nopponents = 3\n") == 1
+    # Keys that became constants: the roster is arena.OPPONENTS and the
+    # Above step weapons.ABOVE_STEP.  A file written for either stops before
+    # anything is written.
+    @pytest.mark.parametrize("section,key", [
+        ("harness", "opponents"),
+        ("weapon:rocket_launcher", "above_step"),
+    ])
+    def test_retired_key_is_config_error(self, section, key, tmp_path, capsys):
+        assert train_with_config(tmp_path, f"[{section}]\n{key} = 3\n") == 1
         err = capsys.readouterr().err
         assert err.startswith(
-            "error: invalid configuration: [harness] has unknown key 'opponents'"
+            f"error: invalid configuration: [{section}] has unknown key '{key}'"
         )
         assert not (tmp_path / "out").exists()
 
@@ -309,7 +313,7 @@ SHORT_RUN = [
     "train", "--level", "all", "--games", "1", "--minutes", "1", "--seed", "5",
     "--events", "--no-plots",
 ]
-SHORT_RUN_SHA256 = "e0e1438432a32b6ceee7570ca0e87101ffbf8caa3ff576b679e6f8090b27d775"
+SHORT_RUN_SHA256 = "3242ad41906a57678cb89a17e6c0a6bc901e738b89b12900cf2077be29c92b63"
 
 
 class TestByteIdentity:
@@ -383,6 +387,28 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    # games.csv had a shoot_s_<weapon> column for bio_rifle, sniper_rifle and
+    # flak_cannon_alt, weapons no game could hold, so always 0.0.  A run
+    # written then still reads, and reports as it did.
+    def test_report_reads_a_run_with_the_old_weapon_columns(self, trained, tmp_path, capsys):
+        old = ["bio_rifle", "sniper_rifle", "flak_cannon_alt"]
+        level_dir = tmp_path / "level1"
+        shutil.copytree(trained / "level1", level_dir)
+        with (level_dir / "games.csv").open(newline="", encoding="ascii") as f:
+            rows = list(csv.reader(f))
+        rows = [rows[0] + [f"shoot_s_{n}" for n in old]] + [row + ["0.0"] * 3 for row in rows[1:]]
+        with (level_dir / "games.csv").open("w", newline="", encoding="ascii") as f:
+            csv.writer(f).writerows(rows)
+        # _load reads every shoot_s_* column into the dict.
+        games = load_games_csv(trained / "level1" / "games.csv")
+        assert games and load_games_csv(level_dir / "games.csv") == [
+            game._replace(shoot_s={**game.shoot_s, **dict.fromkeys(old, 0.0)}) for game in games
+        ]
+        assert main(["report", str(trained)]) == 0
+        today = capsys.readouterr().out
+        assert main(["report", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == today
 
     def test_report_without_games_csv_is_error(self, trained, tmp_path, capsys):
         level_dir = tmp_path / "level1"

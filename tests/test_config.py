@@ -1,15 +1,17 @@
+import configparser
 import hashlib
 import re
+from importlib import resources
 
 import pytest
 
 from sarsa_arena.config import ConfigError, load_config
 from sarsa_arena.learner import ExplorationSchedule
-from sarsa_arena.weapons import WeaponCategory, WeaponSpec
+from sarsa_arena.weapons import ASSAULT_RIFLE, SHIELD_GUN, WeaponCategory, WeaponSpec
 
 # The bundled defaults as built, pinned: the INI file is their only source,
 # so a change to how it is read must leave every value and type as it was.
-DEFAULT_CONFIG_REPR_SHA256 = "ac7b83331324b7d11195a474bd45dac5c9a65cd3a4c39e497cb5d397c7234f1f"
+DEFAULT_CONFIG_REPR_SHA256 = "e8d5c16fe1d94de7294136c136949c7b7dd77576f814c13e630168eecd1128db"
 
 
 def load(tmp_path, text):
@@ -28,6 +30,33 @@ def test_default_config_repr_is_pinned():
 # none.
 def test_schedule_default_matches_schedule_section():
     assert ExplorationSchedule() == load_config().learner.schedule
+
+
+# No unreachable content: an agent holds only the spawn weapons and what it
+# picks up, so a bundled weapon with neither is a dead section, and a
+# priority entry naming one is never chosen.
+def test_every_bundled_weapon_can_be_held():
+    sim = load_config()
+    holdable = {ASSAULT_RIFLE, SHIELD_GUN} | {
+        spot.weapon for spot in sim.arena.pickups if spot.kind == "weapon"
+    }
+    assert set(sim.armory) - holdable == set()
+    priority = sim.priority
+    assert set(priority.close + priority.medium + priority.far) - holdable == set()
+
+
+# A WeaponSpec default that no bundled section overrides is a constant in
+# disguise.  The record cannot tell a default from a set value, so this reads
+# the keys of the bundled INI.
+def test_every_optional_weapon_key_is_set_by_some_section():
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    bundled = resources.files("sarsa_arena").joinpath("data/default.cfg")
+    parser.read_string(bundled.read_text(encoding="ascii"))
+    set_keys = {
+        key for section in parser.sections() if section.startswith("weapon:")
+        for key in parser[section]
+    }
+    assert set(WeaponSpec._field_defaults) - set_keys == set()
 
 
 def test_new_weapon_takes_optional_values_from_weapon_spec(tmp_path):

@@ -85,7 +85,7 @@ def parsed_aim(label, shooter_pos, opponent_pos, weapon):
         return (ox, oy, oz + 4.0)
     if label.startswith("Above"):
         steps = {"Above": 1, "Above-2": 2, "Above-3": 3}[label]
-        return (ox, oy, oz + 19.5 + steps * weapon.above_step)
+        return (ox, oy, oz + 19.5 + steps * 120.0)
     if label.startswith(("Left", "Right")):
         factor = 2.0 if label.endswith("-2") else 1.0
         skew = factor * weapon.aim_skew
@@ -106,10 +106,10 @@ class TestResolveAim:
 
     @pytest.mark.parametrize("weapon", [
         spec_for(WeaponCategory.OTHER),
-        spec_for(WeaponCategory.OTHER, aim_skew=60.0, above_step=0.0),
-        spec_for(WeaponCategory.OTHER, aim_skew=0.0, above_step=-0.0),  # -0.0 passes the >= 0 bound
-        spec_for(WeaponCategory.OTHER, aim_skew=1e-300, above_step=1e300),
-        spec_for(WeaponCategory.OTHER, aim_skew=33.3, above_step=0.1),
+        spec_for(WeaponCategory.OTHER, aim_skew=60.0),
+        spec_for(WeaponCategory.OTHER, aim_skew=0.0),
+        spec_for(WeaponCategory.OTHER, aim_skew=1e-300),
+        spec_for(WeaponCategory.OTHER, aim_skew=33.3),
     ])
     def test_every_label_matches_the_parsing_reference_bit_for_bit(self, weapon):
         weapon.check()
@@ -167,7 +167,7 @@ class TestResolveAim:
             assert lp[2] == rp[2] == mid[2]
 
     def test_above_heights_increase(self):
-        weapon = spec_for(WeaponCategory.PROJECTILE, above_step=120.0)
+        weapon = spec_for(WeaponCategory.PROJECTILE)
         zs = [
             resolve_aim(label, ORIGIN, OPP, weapon)[2]
             for label in ACTION_LABELS[WeaponCategory.PROJECTILE]
@@ -349,13 +349,11 @@ NEWLY_REJECTED_LARGE = {
 
 # The float fields that were only required to be finite and must now be
 # >= 0, so every negative value is newly rejected.  A negative aim lag leads
-# a moving target (the handicap becomes foresight), a negative delay or
-# duration ends at once what it should hold for a while, and a negative
-# above_step aims Above below the opponent's feet.
+# a moving target (the handicap becomes foresight), and a negative delay or
+# duration ends at once what it should hold for a while.
 NEWLY_REJECTED_NEGATIVE = {
     "OpponentProfile": {"aim_lag_s"},
     "PhysicsParams": {"aim_lag_s", "respawn_delay_s", "pickup_respawn_s", "jump_duration_s"},
-    "WeaponSpec": {"above_step"},
 }
 
 

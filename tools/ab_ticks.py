@@ -226,8 +226,8 @@ def parse_args(argv):
     parser.add_argument("--change", type=Path, help="checkout of the change")
     parser.add_argument("--lives", type=int, default=200,
                         help="frozen-eval lives compared (default 200)")
-    parser.add_argument("--games", type=int, default=40,
-                        help="level-5 games compared (default 40)")
+    parser.add_argument("--games", type=int, default=100,
+                        help="level-5 games compared (default 100, four blocks)")
     parser.add_argument("--setups", type=int, default=100,
                         help="frozen-eval start-ups compared (default 100)")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
