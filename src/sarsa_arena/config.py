@@ -7,7 +7,8 @@ import os
 from importlib import resources
 from typing import NamedTuple
 
-from .arena import (
+from .learner import ExplorationSchedule, LearnerConfig
+from .records import (
     Arena,
     BehaviorParams,
     OpponentProfile,
@@ -16,7 +17,6 @@ from .arena import (
     Pit,
     Wall,
 )
-from .learner import ExplorationSchedule, LearnerConfig
 from .weapons import PriorityTables, WeaponCategory, WeaponSpec, check_params, field_types
 
 

@@ -14,10 +14,11 @@ import random
 from pathlib import Path
 from typing import NamedTuple
 
-from .arena import LifeStats, RlShooterController, World
+from .arena import RlShooterController, World
 from .config import SimConfig
 from .learner import QTableSet
 from .metrics import FieldSummary, hit_percentage, kd_ratio, summarize_field
+from .records import LifeStats
 from .snapshots import write_snapshot
 from .weapons import check_params, field_types, new_table_set
 

@@ -1,5 +1,8 @@
 import importlib.util
 import random
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ def test_a_checkout_against_itself(capsys):
         "frozen-eval: 3 pairs, cpu_s", "frozen-eval: 3 pairs, wall_s",
         "level-5 game: 1 pairs, cpu_s", "level-5 game: 1 pairs, wall_s",
         "frozen-eval start-up: 3 pairs, cpu_s", "frozen-eval start-up: 3 pairs, wall_s",
+        "frozen-eval start-up: 3 pairs, peak_rss_mb",
     ]
 
 
@@ -27,6 +31,7 @@ def test_start_ups_alone_against_itself(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" base/change")[0] for line in lines] == [
         "frozen-eval start-up: 2 pairs, cpu_s", "frozen-eval start-up: 2 pairs, wall_s",
+        "frozen-eval start-up: 2 pairs, peak_rss_mb",
     ]
 
 
@@ -131,6 +136,42 @@ def test_start_ups_run_abba_as_the_other_kinds_do():
     assert ratios == {"cpu_s": [[2.0] * 4], "wall_s": [[2.0] * 4]}
     timed = log[2 + 2 * ab_ticks.WARMUP_UNITS:-2]
     assert "".join(name for name, _ in timed) == "ABBAABBA"
+
+
+class FakeProbeSide(FakeSide):
+    """A FakeSide whose start-ups also report a peak RSS of `RSS[name]` MB."""
+
+    RSS = {"A": 17.0, "B": 15.0}
+
+    def run(self, unit):
+        return {**super().run(unit), "peak_rss_mb": self.RSS[self.name]}
+
+
+def test_start_ups_compare_peak_rss_as_base_over_change():
+    units = ab_ticks.units(0, 0, 4)["frozen-eval start-up"]
+    ratios = ab_ticks.compare("A", "B", units, start=lambda name: FakeProbeSide(name, []))
+    assert ratios == {
+        "cpu_s": [[2.0] * 4], "wall_s": [[2.0] * 4], "peak_rss_mb": [[17.0 / 15.0] * 4],
+    }
+
+
+# Once the peak RSS of RUSAGE_CHILDREN, which is the largest of every child
+# the worker had reaped, not the probe's own.
+def test_a_start_up_reads_its_own_peak_rss():
+    subprocess.run([sys.executable, "-c", "b = b'x' * (64 << 20)"], check=True)
+    children_peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    cpu, wall, rss = ab_ticks._start_up(ROOT)
+    assert children_peak_mb > 64.0
+    assert 0.0 < rss < 64.0 and cpu > 0.0 and wall > 0.0
+
+
+def test_a_failing_start_up_raises_with_its_output(tmp_path):
+    probe = tmp_path / ab_ticks.SETUP_PROBE
+    probe.parent.mkdir(parents=True)
+    probe.write_text("import sys\nsys.exit('probe failed')\n")
+    with pytest.raises(subprocess.CalledProcessError) as exc:
+        ab_ticks._start_up(tmp_path)
+    assert exc.value.returncode == 1 and "probe failed" in exc.value.output
 
 
 def test_each_block_gets_fresh_workers_and_the_lead_alternates(monkeypatch):

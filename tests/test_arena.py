@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarsa_arena import geometry as geo
-from sarsa_arena.arena import (
+from sarsa_arena.arena import GreedyController, RandomController, RlShooterController, World
+from sarsa_arena.config import load_config
+from sarsa_arena.encoder import N_STATES, CombatObservation, encode
+from sarsa_arena.harness import evaluate_policy
+from sarsa_arena.learner import N_ACTIONS
+from sarsa_arena.records import (
     Arena,
     AgentState,
     BehaviorParams,
     DamageEvent,
     FireCommand,
-    GreedyController,
     INDEX_CELLS,
     KillEvent,
     MAX_ARENA_SIZE,
@@ -26,19 +30,12 @@ from sarsa_arena.arena import (
     PickupSpot,
     Pit,
     RL_AGENT_ID,
-    RandomController,
-    RlShooterController,
     SpawnEvent,
     SuicideEvent,
     Wall,
-    World,
     format_event,
     unit_towards,
 )
-from sarsa_arena.config import load_config
-from sarsa_arena.encoder import N_STATES, CombatObservation, encode
-from sarsa_arena.harness import evaluate_policy
-from sarsa_arena.learner import N_ACTIONS
 from sarsa_arena.weapons import (
     ASSAULT_RIFLE,
     CYLINDER_HEIGHT,

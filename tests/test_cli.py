@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from sarsa_arena.arena import MAX_ARENA_SIZE
 from sarsa_arena.cli import main
 from sarsa_arena.config import load_config
 from sarsa_arena.harness import GameRecord, _header, load_games_csv
+from sarsa_arena.records import MAX_ARENA_SIZE
 from sarsa_arena.snapshots import read_snapshot
 
 # The narrowest arena size that is too wide.
@@ -181,7 +181,7 @@ class TestTrain:
         assert err.startswith("error: invalid configuration:") and key in err
         assert "Traceback" not in err
 
-    # Keys that became constants: the roster is arena.OPPONENTS and the
+    # Keys that became constants: the roster is records.OPPONENTS and the
     # Above step weapons.ABOVE_STEP.  A file written for either stops before
     # anything is written.
     @pytest.mark.parametrize("section,key", [

@@ -104,9 +104,39 @@ def test_frozen_eval_setup_loads_only_what_it_uses():
     modules, csv_loaded = run_fresh(FROZEN_EVAL_SETUP + LOADED, POLICY).splitlines()
     assert modules.split() == [
         f"sarsa_arena.{name}" for name in
-        ("arena", "config", "encoder", "geometry", "learner", "snapshots", "weapons")
+        ("arena", "config", "encoder", "firing", "geometry", "learner", "motion", "records",
+         "snapshots", "weapons")
     ]
     assert csv_loaded == "False"
+
+
+# The modules that make up World.  Reading a config needs only the records.
+WORLD_MODULES = {"sarsa_arena.arena", "sarsa_arena.motion", "sarsa_arena.firing"}
+
+
+def test_loading_the_config_loads_no_world_module():
+    script = "from sarsa_arena import config\nconfig.load_config()\n" + LOADED
+    modules = set(run_fresh(script).split())
+    assert "sarsa_arena.records" in modules
+    assert not modules & WORLD_MODULES
+
+
+# Without a bytecode cache every start compiles each module it loads, and
+# compiling a module takes memory that grows with its length: the largest
+# module's compile sets the process's peak RSS.  At 1,458 lines, arena.py's
+# compile raised the benchmark process's peak by about 3 MB, and no later
+# load raised it further.  700 lines keeps each compile small.
+MAX_MODULE_LINES = 700
+
+
+def test_no_module_is_long_enough_to_set_the_peak_memory():
+    lengths = {
+        path.name: len(path.read_text(encoding="utf-8").splitlines())
+        for path in (SRC / "sarsa_arena").glob("*.py")
+    }
+    assert lengths and max(lengths.values()) <= MAX_MODULE_LINES, sorted(
+        (n, name) for name, n in lengths.items() if n > MAX_MODULE_LINES
+    )
 
 
 # `dataclasses` cost a cold start about a third of its time: importing it

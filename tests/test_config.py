@@ -78,7 +78,7 @@ def test_override_reaches_only_its_field(tmp_path):
     ("[physics]\ntick_hzz = 60\n", "tick_hzz"),
     ("[behavior]\ndodge = 1\n", "dodge"),
     ("[harness]\ngame = 3\n", "game"),
-    # The roster is arena.OPPONENTS; a file that still sets its old key fails.
+    # The roster is records.OPPONENTS; a file that still sets its old key fails.
     ("[harness]\nopponents = 3\n", "opponents"),
     ("[learner]\nlam = 0.9\n", "lam"),  # the INI key is `lambda`
     ("[schedule]\nband = 0:0.5\n", "band"),

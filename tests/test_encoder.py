@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sarsa_arena.arena import AgentState, observation
+from sarsa_arena.arena import observation
 from sarsa_arena.encoder import (
     CombatObservation,
     DirectionClass,
@@ -22,6 +22,7 @@ from sarsa_arena.encoder import (
     encode,
     encode_parts,
 )
+from sarsa_arena.records import AgentState
 
 
 class TestDistance:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sarsa_arena import harness
-from sarsa_arena.arena import RL_AGENT_ID, GreedyController, format_event
+from sarsa_arena.arena import GreedyController
 from sarsa_arena.config import load_config
 from sarsa_arena.harness import (
     Campaign,
@@ -18,6 +18,7 @@ from sarsa_arena.harness import (
     run_campaign,
     summarize_level,
 )
+from sarsa_arena.records import RL_AGENT_ID, format_event
 from sarsa_arena.snapshots import read_snapshot
 from sarsa_arena.weapons import new_table_set
 

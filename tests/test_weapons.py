@@ -6,10 +6,10 @@ from typing import NamedTuple
 
 import pytest
 
-from sarsa_arena.arena import BehaviorParams, OpponentProfile, PhysicsParams
 from sarsa_arena.config import HarnessParams, load_config
 from sarsa_arena.encoder import DistanceBand, N_STATES
 from sarsa_arena.harness import CampaignSettings
+from sarsa_arena.records import BehaviorParams, OpponentProfile, PhysicsParams
 from sarsa_arena.weapons import (
     ACTION_LABELS,
     AIM_POINTS,

@@ -12,8 +12,9 @@ events.log and a snapshot every 5 lives, as the benchmark's train-l5
 workload does) and single ``frozen-eval`` start-ups (one run of
 ``perfbench/setup_probe.py frozen-eval POLICY`` in a fresh interpreter; its
 wall time is the seconds the probe reports, the benchmark's setup_s, and
-its CPU time that of the whole interpreter).  Each side runs them in a warm
-worker process that imports ``sarsa_arena`` from its checkout's ``src/``.
+its CPU time and peak RSS those of the whole interpreter, read from
+``os.wait4``).  Each side runs them in a warm worker process that imports
+``sarsa_arena`` from its checkout's ``src/``.
 
 Every worker process runs at a speed of its own, a few percent off its
 twin's, so the units run in blocks of BLOCK_UNITS, each block on a fresh
@@ -29,7 +30,9 @@ derive from SEED.
 
 For each kind of unit it prints the median over units of base time over
 change time (above 1 means the change is faster), with a 95% percentile
-bootstrap interval of that median, in process CPU time and in wall time.
+bootstrap interval of that median, in process CPU time and in wall time;
+for start-ups, the same for base over change peak RSS (above 1 means the
+change's start-up peaks lower).
 The bootstrap resamples whole blocks, then units within each drawn block,
 so the interval covers the spread between worker processes as well as
 between units.  This follows Kalibera and Jones, "Rigorous benchmarking in
@@ -43,7 +46,6 @@ import argparse
 import json
 import os
 import random
-import resource
 import statistics
 import subprocess
 import sys
@@ -57,6 +59,8 @@ BLOCK_UNITS = 25
 # block's workers.
 WARMUP_UNITS = 2
 BOOTSTRAP_RESAMPLES = 2000
+# What a worker's reply may measure, each compared as base over change.
+MEASURES = ("cpu_s", "wall_s", "peak_rss_mb")
 SEED = 1
 POLICY = "perfbench/data/policy-l1-s7.rlsq"
 SETUP_PROBE = "perfbench/setup_probe.py"
@@ -79,18 +83,23 @@ def _level5_game(sim, seed: int) -> list[str]:
     return [repr(life) for life in result.lives]
 
 
-def _start_up(checkout: Path) -> tuple[float, float]:
+def _start_up(checkout: Path) -> tuple[float, float, float]:
     """One frozen-eval start-up in a fresh interpreter: (the interpreter's
-    CPU seconds, the seconds setup_probe.py reports)."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    done = subprocess.run(
-        [sys.executable, SETUP_PROBE, "frozen-eval", POLICY],
-        cwd=checkout, env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return cpu, float(done.stdout.split()[-1])
+    CPU seconds, the seconds setup_probe.py reports, the interpreter's peak
+    RSS in MB).  The probe's own resource use comes from os.wait4: the
+    ru_maxrss of RUSAGE_CHILDREN is the largest of all reaped children's."""
+    cmd = [sys.executable, SETUP_PROBE, "frozen-eval", POLICY]
+    with subprocess.Popen(
+        cmd, cwd=checkout, env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    ) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, cmd, out)
+    cpu = usage.ru_utime + usage.ru_stime
+    return cpu, float(out.split()[-1]), usage.ru_maxrss / 1024.0
 
 
 def worker(checkout: Path) -> int:
@@ -103,8 +112,8 @@ def worker(checkout: Path) -> int:
     for request in sys.stdin:
         unit = json.loads(request)
         if unit["kind"] == "frozen-eval start-up":
-            cpu, wall = _start_up(checkout)
-            lines = []
+            cpu, wall, rss = _start_up(checkout)
+            reply = {"cpu_s": cpu, "wall_s": wall, "peak_rss_mb": rss, "lines": []}
         else:
             wall0, cpu0 = time.perf_counter(), time.process_time()
             if unit["kind"] == "frozen-eval":
@@ -114,7 +123,8 @@ def worker(checkout: Path) -> int:
             else:
                 lines = _level5_game(sim, unit["seed"])
             cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
-        print(json.dumps({"cpu_s": cpu, "wall_s": wall, "lines": lines}), flush=True)
+            reply = {"cpu_s": cpu, "wall_s": wall, "lines": lines}
+        print(json.dumps(reply), flush=True)
     return 0
 
 
@@ -185,12 +195,13 @@ def units(lives: int, games: int, setups: int = 0) -> dict[str, list[dict]]:
 
 
 def compare(base: Path, change: Path, unit_list: list[dict], start) -> dict:
-    """Base-over-change time ratios per unit, by block of BLOCK_UNITS units:
-    {clock: [[ratio per unit] per block]}.  Each block starts a fresh worker
+    """Base-over-change ratios per unit of each of MEASURES that the replies
+    carry (peak_rss_mb only a start-up's), by block of BLOCK_UNITS units:
+    {measure: [[ratio per unit] per block]}.  Each block starts a fresh worker
     per checkout with `start(checkout)`, the lead side's first, the change
     leading every other block; the side that runs a unit first alternates
     from unit to unit, starting with the lead (ABBA)."""
-    ratios: dict[str, list[list[float]]] = {"cpu_s": [], "wall_s": []}
+    ratios: dict[str, list[list[float]]] = {}
     for first in range(0, len(unit_list), BLOCK_UNITS):
         block = unit_list[first:first + BLOCK_UNITS]
         swap = first // BLOCK_UNITS % 2 == 1
@@ -202,8 +213,7 @@ def compare(base: Path, change: Path, unit_list: list[dict], start) -> dict:
             for unit in block[:WARMUP_UNITS]:
                 for side in sides:
                     side.run(unit)
-            for clock in ratios:
-                ratios[clock].append([])
+            block_ratios: dict[str, list[float]] = {}
             for i, unit in enumerate(block):
                 order = sides if i % 2 == 0 else sides[::-1]
                 replies = {side: side.run(unit) for side in order}
@@ -212,8 +222,11 @@ def compare(base: Path, change: Path, unit_list: list[dict], start) -> dict:
                     raise SystemExit(
                         f"outputs differ on {unit}:\n  base   {a['lines']}\n  change {b['lines']}"
                     )
-                for clock in ratios:
-                    ratios[clock][-1].append(a[clock] / b[clock])
+                for measure in MEASURES:
+                    if measure in a:
+                        block_ratios.setdefault(measure, []).append(a[measure] / b[measure])
+            for measure, values in block_ratios.items():
+                ratios.setdefault(measure, []).append(values)
         finally:
             for side in sides:
                 side.close()
@@ -256,11 +269,11 @@ def main(argv=None) -> int:
         if not unit_list:
             continue
         ratios = compare(args.base.resolve(), args.change.resolve(), unit_list, Side)
-        for clock, blocks in ratios.items():
+        for measure, blocks in ratios.items():
             values = [ratio for block in blocks for ratio in block]
             lo, hi = bootstrap_median_ci(blocks, rng)
             print(
-                f"{kind}: {len(values)} pairs, {clock} base/change median "
+                f"{kind}: {len(values)} pairs, {measure} base/change median "
                 f"{statistics.median(values):.4f} (95% CI {lo:.4f}-{hi:.4f}, "
                 f"{len(blocks)} blocks)"
             )
