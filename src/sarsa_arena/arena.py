@@ -51,7 +51,7 @@ from .records import (
     PICKUP_RADIUS,
     PhysicsParams,
     PickupEvent,
-    PickupState,
+    PickupSpot,
     Projectile,
     RL_AGENT_ID,
     SpawnEvent,
@@ -135,11 +135,14 @@ class RlShooterController:
         eps = epsilon_for_lives(self.tset.cfg.schedule, self.tset.lives)
         return select_action(table, state, eps, self.rng)[0]
 
-    def decide(self, agent: AgentState, target: AgentState, dist: float) -> FireCommand:
+    def decide(
+        self, agent: AgentState, target: AgentState, dist: float, lag: float
+    ) -> FireCommand:
         """One shooting decision against `target`, visible at distance `dist`
         (as nearest_visible measured it): pick the weapon, encode the state,
         choose an action, close the previous interval and open one for the
-        chosen pair.  Returns the bot's command."""
+        chosen pair.  Returns the bot's command, which trails a lock-on by
+        `lag` seconds and draws the weapon's spread only above 0."""
         weapon_name = select_weapon(agent.inventory, discretize_distance(dist), self.priority)
         weapon = self.armory[weapon_name]
         category = weapon.category
@@ -151,7 +154,8 @@ class RlShooterController:
             ACTION_LABELS[category][action_idx], (agent.x, agent.y),
             (target.x, target.y, target.z), weapon,
         )
-        return FireCommand(weapon_name, aim, target.id)
+        spread = weapon.spread_deg
+        return FireCommand(weapon_name, aim, target.id, lag, spread if spread > 0.0 else None)
 
     def on_shot(self) -> None:
         self.interval_shots += 1
@@ -236,7 +240,6 @@ class World(Motion, Firing):
         self.armory = armory
         self.physics = physics
         self.behavior = behavior
-        self.profile = profile
         self.controller = controller
         self.rng = rng
         self.dt = physics.dt
@@ -280,22 +283,28 @@ class World(Motion, Firing):
         self.rl = (
             physics.rl_fov_deg, physics.rl_turn_rate_deg_s * dt, physics.base_speed,
             physics.decision_every, behavior.jump_prob_per_s, behavior.engage_range,
+            physics.aim_lag_s,
         )
         self.waypoints = tuple(
             [(p.x, p.y) for p in arena.pickups] + list(arena.spawn_points)
         )
 
         self.agents = [AgentState(i) for i in range(OPPONENTS + 1)]
-        # Each agent's lock-on command, shared by every opponent firing at it.
-        self.lock_on = tuple(FireCommand(ASSAULT_RIFLE, None, a.id) for a in self.agents)
+        # Each agent's lock-on command, shared by every opponent firing at it,
+        # with the level's handicaps: its aim error is drawn even at 0.
+        self.lock_on = tuple(
+            FireCommand(ASSAULT_RIFLE, None, a.id, profile.aim_lag_s, profile.max_aim_error_deg)
+            for a in self.agents
+        )
         self.projectiles: list[Projectile] = []
         # Values the per-tick loops read, computed once: pickups as
-        # (state, x, y, is_weapon), the arena's proximity index and pit
-        # steering as (x, y, margin, look-ahead).
+        # (spot, x, y, is_weapon), the arena's proximity index and pit
+        # steering as (x, y, margin, look-ahead).  Each spot's timer, in
+        # pickup_timers, is available at <= 0.
         self.pickups = tuple(
-            (PickupState(spot), spot.x, spot.y, spot.kind == "weapon")
-            for spot in arena.pickups
+            (spot, spot.x, spot.y, spot.kind == "weapon") for spot in arena.pickups
         )
+        self.pickup_timers = [0.0] * len(self.pickups)
         self.cell, self.nearby = arena.proximity
         steering = []
         for pit in arena.pits:
@@ -608,30 +617,32 @@ class World(Motion, Firing):
         Only the spots that the proximity index lists for a living agent's
         cell (`near`, from _pit_deaths this tick) are tested."""
         spots = {i for agent, (_, s) in near if agent.alive for i in s}
+        timers = self.pickup_timers
         if not spots:
             # Most ticks (four in five in frozen-eval) no living agent is
             # near a spot, and only the timers move.
-            for pickup, _, _, _ in self.pickups:
-                if not pickup.timer <= 0.0:
-                    pickup.timer -= dt
+            for i, timer in enumerate(timers):
+                if not timer <= 0.0:
+                    timers[i] = timer - dt
             return
         living = [agent for agent in self.agents if agent.alive]
         rl_living = living[:1] if self.agents[RL_AGENT_ID].alive else []
-        for i, (pickup, sx, sy, weapon_spot) in enumerate(self.pickups):
-            if not pickup.timer <= 0.0:
-                pickup.timer -= dt
+        for i, (spot, sx, sy, weapon_spot) in enumerate(self.pickups):
+            timer = timers[i]
+            if not timer <= 0.0:
+                timers[i] = timer - dt
                 continue
             if i not in spots:
                 continue
             for agent in rl_living if weapon_spot else living:
                 if (agent.x - sx) ** 2 + (agent.y - sy) ** 2 <= PICKUP_RADIUS ** 2:
-                    self._collect(agent, pickup, events)
+                    self._collect(agent, spot, i, events)
                     break
 
     def _collect(
-        self, agent: AgentState, pickup: PickupState, events: list[Event]
+        self, agent: AgentState, spot: PickupSpot, i: int, events: list[Event]
     ) -> None:
-        spot = pickup.spot
+        """Hand `spot`, the pickup at position `i`, to `agent`."""
         if spot.kind == "weapon":
             agent.inventory[spot.weapon] = (
                 agent.inventory.get(spot.weapon, 0) + self.physics.weapon_pickup_ammo
@@ -649,5 +660,5 @@ class World(Motion, Firing):
             item = "ammo"
             if agent.id == RL_AGENT_ID:
                 self.game.ammo_collected += 1
-        pickup.timer = self.physics.pickup_respawn_s
+        self.pickup_timers[i] = self.physics.pickup_respawn_s
         events.append(PickupEvent(self.tick_count, agent.id, item))

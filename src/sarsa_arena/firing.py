@@ -26,19 +26,14 @@ class Firing:
             return None
         return (ox, oy, oz), (dx / norm, dy / norm, dz / norm), norm
 
-    def _lock_on_point(
-        self, agent: AgentState, cmd: FireCommand
-    ) -> tuple[float, float, float] | None:
+    def _lock_on_point(self, cmd: FireCommand) -> tuple[float, float, float] | None:
         """Where a lock-on command (cmd.aim is None) aims, or None when its
         target is dead."""
         target = self.agents[cmd.target_id]
         if not target.alive:
             return None
         # Tracking trails a moving target by the shooter's reaction lag.
-        if agent.id == RL_AGENT_ID:
-            lag = self.physics.aim_lag_s
-        else:
-            lag = self.profile.aim_lag_s
+        lag = cmd.lag
         return (target.x - target.vx * lag, target.y - target.vy * lag, MID_Z)
 
     def _discharge(
@@ -50,7 +45,7 @@ class Firing:
         weapon = self.armory[cmd.weapon]
         aim_point = cmd.aim
         if aim_point is None:
-            aim_point = self._lock_on_point(agent, cmd)
+            aim_point = self._lock_on_point(cmd)
             if aim_point is None:
                 return
         if cmd.weapon != SHIELD_GUN:
@@ -68,7 +63,7 @@ class Firing:
         elif weapon.speed == math.inf:  # hitscan
             hit = False
             for _ in range(weapon.pellets):
-                hit |= self._hitscan(agent, weapon, aim_point, damage_records)
+                hit |= self._hitscan(agent, weapon, aim_point, cmd.spread, damage_records)
         else:
             # A rocket is counted a miss at launch; _detonate may make it a hit.
             self._launch_projectile(agent, weapon, aim_point)
@@ -104,9 +99,10 @@ class Firing:
         )
         return True
 
-    def _hitscan(self, agent, weapon: WeaponSpec, aim_point, damage_records) -> bool:
-        """Fire one hitscan pellet: the first agent on the ray is hit unless a
-        wall comes first.
+    def _hitscan(self, agent, weapon: WeaponSpec, aim_point, spread, damage_records) -> bool:
+        """Fire one hitscan pellet, turned by a uniform yaw of up to `spread`
+        degrees (a FireCommand's; None draws nothing): the first agent on the
+        ray is hit unless a wall comes first.
 
         The distance test skips an agent whose centre lies too far from the
         shot's 2-D line for geo.ray_cylinder_t to return anything but None:
@@ -144,11 +140,7 @@ class Firing:
             return False
         dx, dy, dz = dx / norm, dy / norm, dz / norm
 
-        # Opponents miss by up to their profile's aim error, drawn even at 0;
-        # the bot's shots scatter by the weapon's spread.
-        is_rl = agent.id == RL_AGENT_ID
-        spread = weapon.spread_deg if is_rl else self.profile.max_aim_error_deg
-        if spread > 0.0 or not is_rl:
+        if spread is not None:
             # self.rng.uniform(-spread, spread), inlined as Random.uniform
             # computes it: a + (b - a) * random().
             spread_yaw = math.radians(-spread + (spread - -spread) * self.rng.random())

@@ -17,13 +17,13 @@ class Motion:
     World.line_of_sight."""
 
     def _control_rl(self, agent: AgentState, dt: float) -> None:
-        fov, turn, speed, decision_every, jump_prob, engage_range = self.rl
+        fov, turn, speed, decision_every, jump_prob, engage_range, lag = self.rl
         decision_tick = self.tick_count % decision_every == 0
         seen = self.nearest_visible(agent, fov)
         target, dist, bearing = seen or (None, 0.0, 0.0)
 
         if decision_tick and target is not None:
-            agent.fire_command = command = self.controller.decide(agent, target, dist)
+            agent.fire_command = command = self.controller.decide(agent, target, dist, lag)
             agent.current_weapon = command.weapon
             jump = jump_prob * dt * decision_every
             if self.rng.random() < jump and agent.jump_t < 0.0:

@@ -2,8 +2,8 @@
 
 The static world description that config.py reads (`Arena` and the
 parameter records), the constants that bound it, the events each tick
-returns, the mutable entities (agents, projectiles, pickup timers), the
-learning bot's counts for a life and a game, and `unit_towards`.
+returns, the mutable entities (agents and projectiles), the learning
+bot's counts for a life and a game, and `unit_towards`.
 """
 
 from __future__ import annotations
@@ -302,6 +302,10 @@ class FireCommand(NamedTuple):
     weapon: str
     aim: tuple[float, float, float] | None  # None: locked on the target
     target_id: int
+    # The shooter's aim handicaps: the seconds a lock-on trails its target,
+    # and the widest hitscan pellet turn in degrees (None: no draw).
+    lag: float
+    spread: float | None
 
 
 class Projectile:
@@ -313,15 +317,6 @@ class Projectile:
         self.x, self.y, self.z = pos
         self.vx, self.vy, self.vz = vel
         self.remaining = travel
-
-
-class PickupState:
-    __slots__ = ("spot", "timer")
-
-    def __init__(self, spot: PickupSpot) -> None:
-        self.spot = spot
-        self.timer = 0.0  # <= 0 means available
-
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,14 @@ def test_default_games_span_at_least_four_blocks():
     assert len(ratios["cpu_s"]) >= 4
 
 
+# A tick-path change is judged on at least 300 frozen-eval lives.
+def test_default_lives_are_twelve_full_blocks():
+    lives = ab_ticks.parse_args(["--base", str(ROOT), "--change", str(ROOT)]).lives
+    units = ab_ticks.units(lives, 0)["frozen-eval"]
+    ratios = ab_ticks.compare("A", "B", units, start=lambda name: FakeSide(name, []))
+    assert [len(block) for block in ratios["cpu_s"]] == [25] * 12
+
+
 def test_differing_life_lines_stop_the_comparison():
     log = []
 

@@ -59,6 +59,7 @@ def make_world(seed=1, level=1, tset=None, cfg=None, controller_cls=RlShooterCon
 
 
 GAME_TICKS = 30 * 60  # one simulated minute
+LAG = 0.1  # the bot's lock-on lag, [physics] aim_lag_s
 
 
 class TestDeterminism:
@@ -266,7 +267,11 @@ class TestGameBoundary:
 
 def test_scripted_fire_shares_one_frozen_lock_on_per_target():
     world, _, _ = make_world(seed=3, level=5)
-    assert world.lock_on == tuple(FireCommand(ASSAULT_RIFLE, None, a.id) for a in world.agents)
+    profile = load_config().profiles[5]
+    assert world.lock_on == tuple(
+        FireCommand(ASSAULT_RIFLE, None, a.id, profile.aim_lag_s, profile.max_aim_error_deg)
+        for a in world.agents
+    )
     fired = set()
     for _ in range(GAME_TICKS):
         world.tick()
@@ -278,6 +283,38 @@ def test_scripted_fire_shares_one_frozen_lock_on_per_target():
     assert RL_AGENT_ID in fired
     with pytest.raises(AttributeError):
         world.lock_on[RL_AGENT_ID].target_id = 1
+
+
+def test_fire_commands_carry_the_shooters_aim_handicaps():
+    # Opponents' lock-on commands carry their level's lag and aim error, 0.0
+    # included, which _hitscan draws.
+    cfg = load_config()
+    for profile in [*cfg.profiles.values(), cfg.profiles[1]._replace(
+            aim_lag_s=0.0, max_aim_error_deg=0.0)]:
+        world, _, _ = make_world(cfg=cfg._replace(profiles={1: profile}))
+        assert [(c.lag, c.spread) for c in world.lock_on] == (
+            [(profile.aim_lag_s, profile.max_aim_error_deg)] * (OPPONENTS + 1)
+        )
+    # The bot's commands carry the lag they are given and its weapon's
+    # spread, or None, no draw, for a weapon with none.
+    ctrl, _, agent = make_controller()
+    for weapon, spread in (("link_gun", None), ("shock_rifle", 1.5)):
+        assert ctrl.armory[weapon].spread_deg == (spread or 0.0)
+        agent.inventory = {weapon: 10}
+        command = ctrl.decide(agent, *still_target(agent), 0.25)
+        assert (command.weapon, command.lag, command.spread) == (weapon, 0.25, spread)
+    # A lock-on trails its moving target by the command's lag, whoever fires
+    # it: with 0.5 s the shot goes 100 uu behind the target, at the decoy.
+    world, _, _ = make_world()
+    world.agents[2].x, world.agents[2].y, world.agents[2].vy = 1500.0, 1000.0, 200.0
+    world.agents[3].x, world.agents[3].y = 1500.0, 900.0
+    for shooter, idle in ((1, RL_AGENT_ID), (RL_AGENT_ID, 1)):
+        world.agents[shooter].x, world.agents[shooter].y = 1000.0, 1000.0
+        world.agents[idle].x, world.agents[idle].y = 3000.0, 3000.0
+        records = []
+        command = world.lock_on[2]._replace(lag=0.5, spread=None)
+        world._discharge(world.agents[shooter], command, records)
+        assert [r[1] for r in records] == [3]
 
 
 # make_world calls World as the benchmark does, with no roster argument.
@@ -358,7 +395,7 @@ class TestShooting:
             ASSAULT_RIFLE, WeaponCategory.MACHINE_GUN, 7, 0.11, instant_hit=True,
         )
         records = []
-        hit = world._hitscan(shooter, weapon, (1200.0, 1000.0, 19.5), records)
+        hit = world._hitscan(shooter, weapon, (1200.0, 1000.0, 19.5), None, records)
         assert hit
         assert records == [(0, 1, 7, ASSAULT_RIFLE, False)]
 
@@ -369,12 +406,11 @@ class TestShooting:
         shooter, target = world.agents[0], world.agents[1]
         shooter.x, shooter.y = 1000.0, 1000.0
         target.x, target.y = 1200.0, 1000.0
-        world.armory["shock_rifle"] = world.armory["shock_rifle"]._replace(
-            speed=speed, spread_deg=0.0
-        )
+        world.armory["shock_rifle"] = world.armory["shock_rifle"]._replace(speed=speed)
         shooter.inventory["shock_rifle"] = 1
         records = []
-        world._discharge(shooter, FireCommand("shock_rifle", (1200.0, 1000.0, 19.5), 1), records)
+        command = FireCommand("shock_rifle", (1200.0, 1000.0, 19.5), 1, LAG, None)
+        world._discharge(shooter, command, records)
         assert len(world.projectiles) == flying
         assert [r[1] for r in records] == [1] * (1 - flying)
 
@@ -388,7 +424,7 @@ class TestShooting:
             "shock_rifle", WeaponCategory.INSTANT_HIT, 45, 0.6, instant_hit=True,
         )
         records = []
-        hit = world._hitscan(shooter, weapon, (1400.0, 2000.0, 19.5), records)
+        hit = world._hitscan(shooter, weapon, (1400.0, 2000.0, 19.5), None, records)
         assert not hit and not records
 
     def test_projectile_splash_damages_shooter(self):
@@ -405,22 +441,24 @@ class TestShooting:
         assert self_hits, "splash should reach the shooter"
 
     def test_hitscan_spread_draws(self):
-        # Opponents draw their aim error even when it is 0; the bot draws its
-        # weapon's spread only when it is above 0.  Either way one shot uses
-        # at most one draw of the world's stream.
-        world, _, _ = make_world(seed=1)
-        world.profile = world.profile._replace(max_aim_error_deg=0.0)
-        shock = world.armory["shock_rifle"]._replace(spread_deg=0.0)
+        # An opponent's lock-on command draws the level's aim error even when
+        # it is 0; the bot's command draws only a spread above 0.  Either way
+        # one shot uses at most one draw of the world's stream.
+        cfg = load_config()
+        cfg = cfg._replace(profiles={1: cfg.profiles[1]._replace(max_aim_error_deg=0.0)})
+        world, _, _ = make_world(seed=1, cfg=cfg)
+        bot, opponent = world.agents[0], world.agents[1]
+        bot.inventory["shock_rifle"] = 2
         aim = (2000.0, 400.0, 19.5)
         state = world.rng.getstate()
-        world._hitscan(world.agents[0], shock, aim, [])
+        world._discharge(bot, FireCommand("shock_rifle", aim, 1, LAG, None), [])
         assert world.rng.getstate() == state
-        world._hitscan(world.agents[1], shock, aim, [])
+        world._discharge(opponent, world.lock_on[RL_AGENT_ID], [])
         probe = random.Random()
         probe.setstate(state)
         probe.random()
         assert world.rng.getstate() == probe.getstate()
-        world._hitscan(world.agents[0], shock._replace(spread_deg=1.0), aim, [])
+        world._discharge(bot, FireCommand("shock_rifle", aim, 1, LAG, 1.0), [])
         probe.random()
         assert world.rng.getstate() == probe.getstate()
 
@@ -460,9 +498,9 @@ class TestShooting:
         for agent, (x, y) in zip(world.agents, spots):
             agent.x, agent.y = x, y
         world.rng = self.FixedDraw(u)
-        shock = world.armory["shock_rifle"]._replace(spread_deg=90.0)
+        shock = world.armory["shock_rifle"]
         records = []
-        assert world._hitscan(world.agents[0], shock, (1500.0, 1000.0, 19.5), records)
+        assert world._hitscan(world.agents[0], shock, (1500.0, 1000.0, 19.5), 90.0, records)
         assert [r[1] for r in records] == [victim]
 
     FAR = [(3600.0, 400.0), (400.0, 3600.0), (3600.0, 3600.0)]
@@ -543,7 +581,7 @@ class TestShooting:
         target.jump_t = 0.3
         weapon = world.armory[ASSAULT_RIFLE]
         records = []
-        hit = world._hitscan(shooter, weapon, (1500.0, 1000.0, 19.5), records)
+        hit = world._hitscan(shooter, weapon, (1500.0, 1000.0, 19.5), weapon.spread_deg, records)
         assert not hit  # the ray passes under the airborne cylinder
 
 
@@ -578,36 +616,36 @@ def still_target(agent, dist=800.0):
 class TestLearningPlumbing:
     def test_damage_reward_updates_q(self):
         ctrl, tset, agent = make_controller()
-        command = ctrl.decide(agent, *still_target(agent))
+        command = ctrl.decide(agent, *still_target(agent), LAG)
         cat, s, a = ctrl.pending
         assert cat is WeaponCategory.MACHINE_GUN and s == STATE
         assert (command.weapon, command.target_id) == (ASSAULT_RIFLE, 1)
         ctrl.on_shot()
         ctrl.on_damage_dealt(14.0)
-        ctrl.decide(agent, *still_target(agent))
+        ctrl.decide(agent, *still_target(agent), LAG)
         # Fresh table: delta = 14 + gamma*0 - 0, so Q(s,a) = alpha * 14.
         assert tset.tables[cat].value(s, a) == pytest.approx(0.7 * 14.0)
         assert ctrl.life_reward == pytest.approx(14.0)
 
     def test_zero_damage_shot_costs_one(self):
         ctrl, tset, agent = make_controller()
-        ctrl.decide(agent, *still_target(agent))
+        ctrl.decide(agent, *still_target(agent), LAG)
         cat, s, a = ctrl.pending
         ctrl.on_shot()
-        ctrl.decide(agent, *still_target(agent))
+        ctrl.decide(agent, *still_target(agent), LAG)
         assert tset.tables[cat].value(s, a) == pytest.approx(-0.7)
         assert ctrl.life_reward == pytest.approx(-1.0)
 
     def test_silent_interval_leaves_q_untouched(self):
         ctrl, tset, agent = make_controller()
-        ctrl.decide(agent, *still_target(agent))
-        ctrl.decide(agent, *still_target(agent))  # no shot fired between
+        ctrl.decide(agent, *still_target(agent), LAG)
+        ctrl.decide(agent, *still_target(agent), LAG)  # no shot fired between
         assert all(not t.q for t in tset.tables.values())
         assert ctrl.life_reward == 0.0
 
     def test_death_triggers_terminal_update_and_life_bookkeeping(self):
         ctrl, tset, agent = make_controller()
-        ctrl.decide(agent, *still_target(agent))
+        ctrl.decide(agent, *still_target(agent), LAG)
         cat, s, a = ctrl.pending
         ctrl.on_shot()
         ctrl.on_damage_dealt(30.0)
@@ -621,11 +659,11 @@ class TestLearningPlumbing:
     def test_cross_category_switch_resets_traces(self):
         ctrl, tset, agent = make_controller()
         agent.inventory["flak_cannon"] = 50
-        ctrl.decide(agent, *still_target(agent))  # medium: machine gun
+        ctrl.decide(agent, *still_target(agent), LAG)  # medium: machine gun
         mg_cat, s, a = ctrl.pending
         ctrl.on_shot()
         ctrl.on_damage_dealt(10.0)
-        ctrl.decide(agent, *still_target(agent, 300.0))  # close: flak cannon
+        ctrl.decide(agent, *still_target(agent, 300.0), LAG)  # close: flak cannon
         new_cat, _, _ = ctrl.pending
         assert mg_cat is WeaponCategory.MACHINE_GUN
         assert new_cat is WeaponCategory.CLOSE_RANGE
@@ -1164,17 +1202,17 @@ class TestHitscanDistanceTest:
                 other.x, other.y = shooter.x, shooter.y
             else:
                 other.x, other.y = data.draw(coord), data.draw(coord)
-        weapon = world.armory["shock_rifle"]._replace(
-            spread_deg=data.draw(st.sampled_from([0.0, 3.0])))
+        weapon = world.armory["shock_rifle"]
+        spread = data.draw(st.sampled_from([None, 0.0, 3.0]))
         state = world.rng.getstate()
         filtered = []
-        hit = world._hitscan(shooter, weapon, aim, filtered)
+        hit = world._hitscan(shooter, weapon, aim, spread, filtered)
         after = world.rng.getstate()
         world.rng.setstate(state)
         reach_sq, world.reach_sq = world.reach_sq, math.inf
         try:
             unfiltered = []
-            assert world._hitscan(shooter, weapon, aim, unfiltered) is hit
+            assert world._hitscan(shooter, weapon, aim, spread, unfiltered) is hit
         finally:
             world.reach_sq = reach_sq
         assert filtered == unfiltered
@@ -1194,9 +1232,9 @@ class TestHitscanDistanceTest:
         d = hitscan_direction((*spots[0], 30.0), aim, 0.0)
         cross = d[0] * (spots[1][1] - spots[0][1]) - d[1] * (spots[1][0] - spots[0][0])
         assert cross * cross > CYLINDER_RADIUS ** 2
-        rifle = world.armory["shock_rifle"]._replace(spread_deg=0.0)
+        rifle = world.armory["shock_rifle"]
         records = []
-        assert world._hitscan(world.agents[0], rifle, aim, records)
+        assert world._hitscan(world.agents[0], rifle, aim, None, records)
         assert [r[1] for r in records] == [1]
 
     def test_a_nearly_vertical_shot_skips_nothing(self):
@@ -1207,10 +1245,10 @@ class TestHitscanDistanceTest:
         spots = [(1000.0, 1000.0), (1000.0, 1016.9), (3000.0, 3000.0), (3000.0, 1000.0)]
         for agent, (x, y) in zip(world.agents, spots):
             agent.x, agent.y, agent.z = x, y, 0.0
-        rifle = world.armory["shock_rifle"]._replace(spread_deg=0.0)
+        rifle = world.armory["shock_rifle"]
         records = []
         aim = (1000.0 + 3.4e-12, 1000.0, 1e150)
-        assert world._hitscan(world.agents[0], rifle, aim, records)
+        assert world._hitscan(world.agents[0], rifle, aim, None, records)
         assert [r[1] for r in records] == [1]
 
     def test_only_agents_near_the_shot_are_tested(self, monkeypatch):
@@ -1229,8 +1267,8 @@ class TestHitscanDistanceTest:
         for agent, (x, y) in zip(world.agents, spots):
             agent.x, agent.y = x, y
         records = []
-        rifle = world.armory["shock_rifle"]._replace(spread_deg=0.0)
-        assert world._hitscan(world.agents[0], rifle, (3000.0, 1000.0, 19.5), records)
+        rifle = world.armory["shock_rifle"]
+        assert world._hitscan(world.agents[0], rifle, (3000.0, 1000.0, 19.5), None, records)
         assert tested == [(3000.0, 1000.0), (2000.0, 1016.5)]
         assert [r[1] for r in records] == [2]
 
@@ -1340,13 +1378,14 @@ def full_scan_pits(world):
 def full_scan_pickups(world, _, dt, events):
     living = [agent for agent in world.agents if agent.alive]
     rl_living = living[:1] if world.agents[RL_AGENT_ID].alive else []
-    for pickup, sx, sy, weapon_spot in world.pickups:
-        if not pickup.timer <= 0.0:
-            pickup.timer -= dt
+    timers = world.pickup_timers
+    for i, (spot, sx, sy, weapon_spot) in enumerate(world.pickups):
+        if not timers[i] <= 0.0:
+            timers[i] -= dt
             continue
         for agent in rl_living if weapon_spot else living:
             if (agent.x - sx) ** 2 + (agent.y - sy) ** 2 <= 60.0 ** 2:
-                world._collect(agent, pickup, events)
+                world._collect(agent, spot, i, events)
                 break
 
 
@@ -1398,7 +1437,7 @@ def standing_points(draw, arena):
 
 def outcome_of(world, events):
     agents = [(a.alive, a.death, sorted(a.inventory.items())) for a in world.agents]
-    timers = [struct.pack("<d", pickup.timer) for pickup, *_ in world.pickups]
+    timers = [struct.pack("<d", timer) for timer in world.pickup_timers]
     stats = (world.game.weapons_collected, world.game.ammo_collected)
     return agents, timers, stats, [format_event(e) for e in events]
 
@@ -1411,8 +1450,8 @@ def play_pits_and_pickups(arena, phases, positions, alive, grounded, killed, tim
     for agent, (x, y), up, ground in zip(world.agents, positions, alive, grounded):
         agent.x, agent.y, agent.alive = x, y, up
         agent.jump_t = -1.0 if ground else 0.1
-    for (pickup, *_), timer in zip(world.pickups, timers):
-        pickup.timer = timer
+    for i, timer in enumerate(timers):
+        world.pickup_timers[i] = timer
     pits, pickups = phases
     events = []
     near = pits(world)

@@ -237,8 +237,8 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, help="checkout of the change")
-    parser.add_argument("--lives", type=int, default=200,
-                        help="frozen-eval lives compared (default 200)")
+    parser.add_argument("--lives", type=int, default=300,
+                        help="frozen-eval lives compared (default 300, twelve blocks)")
     parser.add_argument("--games", type=int, default=100,
                         help="level-5 games compared (default 100, four blocks)")
     parser.add_argument("--setups", type=int, default=100,
