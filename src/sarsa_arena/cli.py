@@ -45,16 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--level", default="all", type=level_or_all,
         help="an [opponent:N] level of the config, or all (default: all)",
     )
-    train.add_argument("--games", type=int, default=None,
-                       help="games per level (default from config)")
-    train.add_argument("--minutes", type=float, default=None,
-                       help="game length in simulated minutes")
+    train.add_argument("--games", type=int, default=30,
+                       help="games per level (default: 30)")
+    train.add_argument("--minutes", type=float, default=3.0,
+                       help="game length in simulated minutes (default: 3.0)")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", type=Path, default=Path("out"))
     train.add_argument("--config", type=Path, default=None,
                        help="INI file overriding bundled defaults")
-    train.add_argument("--snapshot-every", type=int, default=None,
-                       help="retain a snapshot every N lives")
+    train.add_argument("--snapshot-every", type=int, default=50,
+                       help="retain a snapshot every N lives, or none at 0 (default: 50)")
     train.add_argument("--events", action="store_true",
                        help="stream an events.log per campaign")
     train.add_argument("--no-plots", action="store_true")
@@ -73,13 +73,11 @@ def cmd_train(args) -> int:
     try:
         sim = load_config(args.config)
         levels = sorted(sim.profiles) if args.level == "all" else [args.level]
-        # The flags override their [harness] keys; Campaign checks them
-        # before it writes anything.
-        flags = {"games": args.games, "minutes": args.minutes,
-                 "snapshot_every": args.snapshot_every}
-        given = {k: getattr(sim.harness, k) if v is None else v for k, v in flags.items()}
-        runs = [CampaignSettings(level=level, seed=args.seed, out_dir=args.out / f"level{level}",
-                                 record_events=args.events, **given) for level in levels]
+        # Campaign checks the flags' ranges before it writes anything.
+        runs = [CampaignSettings(level=level, games=args.games, minutes=args.minutes,
+                                 seed=args.seed, out_dir=args.out / f"level{level}",
+                                 snapshot_every=args.snapshot_every, record_events=args.events)
+                for level in levels]
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

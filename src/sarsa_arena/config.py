@@ -17,20 +17,11 @@ from .records import (
     Pit,
     Wall,
 )
-from .weapons import PriorityTables, WeaponCategory, WeaponSpec, check_params, field_types
+from .weapons import PriorityTables, WeaponCategory, WeaponSpec, field_types
 
 
 class ConfigError(ValueError):
     pass
-
-
-class HarnessParams(NamedTuple):
-    snapshot_every: int
-    games: int
-    minutes: float
-
-    def check(self) -> None:
-        check_params(self, at_least={"games": 1, "snapshot_every": 0}, above={"minutes": 0})
 
 
 class SimConfig(NamedTuple):
@@ -41,7 +32,6 @@ class SimConfig(NamedTuple):
     physics: PhysicsParams
     behavior: BehaviorParams
     profiles: dict[int, OpponentProfile]
-    harness: HarnessParams
 
 
 def _parse_schedule(section: configparser.SectionProxy, key: str) -> tuple:
@@ -151,7 +141,7 @@ def _level(section: str, name: str) -> int:
     raise ValueError(f"[{section}] must name its level as an integer, such as [opponent:1]")
 
 
-_SECTIONS = {"learner", "schedule", "physics", "behavior", "arena", "priority", "harness"}
+_SECTIONS = {"learner", "schedule", "physics", "behavior", "arena", "priority"}
 
 
 def _build(parser: configparser.ConfigParser) -> SimConfig:
@@ -180,7 +170,6 @@ def _build(parser: configparser.ConfigParser) -> SimConfig:
         physics=_read(PhysicsParams, parser["physics"]),
         behavior=_read(BehaviorParams, parser["behavior"]),
         profiles=profiles,
-        harness=_read(HarnessParams, parser["harness"]),
     )
 
 

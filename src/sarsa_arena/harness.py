@@ -207,7 +207,12 @@ def _row(record, weapon_names=()) -> list[str]:
     row = []
     for name, value in zip(record._fields, record):
         if name == "shoot_s":
-            row.append(_fmt(sum(value.values())))
+            # Added left to right: from Python 3.12 on, `sum` compensates
+            # rounding, and the total's last digits would follow the version.
+            total = 0.0
+            for seconds in value.values():
+                total += seconds
+            row.append(_fmt(total))
             row += [_fmt(value.get(n, 0.0)) for n in weapon_names]
         else:
             row.append(_fmt(value))

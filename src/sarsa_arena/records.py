@@ -85,8 +85,11 @@ class Arena(NamedTuple):
                 raise ValueError(f"pickups: {spot} needs |x| and |y| of at most {m:.0f}")
         if len(self.spawn_points) < OPPONENTS + 1:
             raise ValueError(f"arena needs at least {OPPONENTS + 1} spawn points")
+        # An agent spawns where its point is, before any move clamps it, so
+        # the point must lie in the region movement clamps to.
+        lo, hi = CYLINDER_RADIUS, self.size - CYLINDER_RADIUS
         for sx, sy in self.spawn_points:
-            if not (0 < sx < self.size and 0 < sy < self.size):
+            if not (lo <= sx <= hi and lo <= sy <= hi):
                 raise ValueError("spawn point outside the walkable region")
             for pit in self.pits:
                 if (sx - pit.x) ** 2 + (sy - pit.y) ** 2 <= pit.radius * pit.radius:

@@ -697,6 +697,19 @@ class TestArenaValidation:
                 pickups=(),
             ).check()
 
+    # Movement clamps agents to [CYLINDER_RADIUS, size - CYLINDER_RADIUS],
+    # and agents spawn unclamped, so each spawn point must lie there too.
+    def test_spawn_point_must_lie_where_movement_clamps_agents(self):
+        r, far = CYLINDER_RADIUS, 1000.0 - CYLINDER_RADIUS
+        inside = ((r, r), (far, far), (r, far), (far, r))
+        Arena(size=1000.0, walls=(), pits=(), spawn_points=inside, pickups=()).check()
+        for point in ((math.nextafter(r, 0.0), 500.0), (500.0, math.nextafter(far, math.inf)),
+                      (math.nan, 500.0)):
+            with pytest.raises(ValueError, match="^spawn point outside the walkable region$"):
+                Arena(
+                    size=1000.0, walls=(), pits=(), spawn_points=inside[1:] + (point,), pickups=(),
+                ).check()
+
     # One spawn point for the bot and one for each opponent.
     def test_too_few_spawns_rejected(self):
         points = tuple((100.0 * (i + 1), 100.0) for i in range(OPPONENTS + 1))
@@ -1067,9 +1080,16 @@ class TestLineOfSight:
 
 
 def open_world(size):
+    # Spawn points a quarter of the way in, or where agents can stand
+    # nearest to it in an arena barely wider than one.
+    def place(c):
+        return min(max(c, CYLINDER_RADIUS), size - CYLINDER_RADIUS)
+
     return world_in(Arena(
         size=size, walls=(), pits=(),
-        spawn_points=tuple((size * a, size * b) for a in (0.25, 0.75) for b in (0.25, 0.75)),
+        spawn_points=tuple(
+            (place(size * a), place(size * b)) for a in (0.25, 0.75) for b in (0.25, 0.75)
+        ),
         pickups=(),
     ))
 

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from sarsa_arena import cli
 from sarsa_arena.cli import main
 from sarsa_arena.config import load_config
-from sarsa_arena.harness import GameRecord, _header, load_games_csv
+from sarsa_arena.harness import CampaignSettings, GameRecord, _header, load_games_csv
 from sarsa_arena.records import MAX_ARENA_SIZE
 from sarsa_arena.snapshots import read_snapshot
 
@@ -127,10 +128,6 @@ class TestTrain:
         ("behavior", "pit_avoid_margin", "-1"),
         ("behavior", "strafe_flip_min_s", "2.0"),
         ("opponent:1", "fov_deg", "nan"),
-        ("harness", "games", "0"),
-        ("harness", "minutes", "nan"),
-        ("harness", "minutes", "-1"),
-        ("harness", "snapshot_every", "-1"),
         # Once a traceback from the encoder, or a run gone quietly wrong.
         ("physics", "base_speed", "nan"),
         ("physics", "base_speed", "inf"),
@@ -181,11 +178,9 @@ class TestTrain:
         assert err.startswith("error: invalid configuration:") and key in err
         assert "Traceback" not in err
 
-    # Keys that became constants: the roster is records.OPPONENTS and the
-    # Above step weapons.ABOVE_STEP.  A file written for either stops before
-    # anything is written.
+    # A key that became a constant: the Above step is weapons.ABOVE_STEP.  A
+    # file written for it stops before anything is written.
     @pytest.mark.parametrize("section,key", [
-        ("harness", "opponents"),
         ("weapon:rocket_launcher", "above_step"),
     ])
     def test_retired_key_is_config_error(self, section, key, tmp_path, capsys):
@@ -194,6 +189,16 @@ class TestTrain:
         assert err.startswith(
             f"error: invalid configuration: [{section}] has unknown key '{key}'"
         )
+        assert not (tmp_path / "out").exists()
+
+    # A run's settings are the train flags alone: a file that still has the
+    # [harness] section they once had stops before anything is written.
+    @pytest.mark.parametrize("key", ["games", "opponents"])
+    def test_retired_harness_section_is_config_error(self, key, tmp_path, capsys):
+        assert train_with_config(tmp_path, f"[harness]\n{key} = 3\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: invalid configuration: unknown section [harness]\n"
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value,message", [
@@ -226,12 +231,19 @@ class TestTrain:
          f"pickups: PickupSpot(kind='ammo', weapon=None, x={-PAST_M!r}"),
         (f"weapon_pickups = shock_rifle 600 {PAST_M!r}",
          "pickups: PickupSpot(kind='weapon', weapon='shock_rifle', x=600.0, "),
+        # Spawn points where movement cannot keep an agent, [17, 3983] here:
+        # both runs once trained and exited 0.
+        ("spawns = 0.5 400; 3600 400; 400 3600; 3600 3600",
+         "spawn point outside the walkable region"),
+        ("spawns = 400 400; 3600 400; 400 3600; 3600 3999.5",
+         "spawn point outside the walkable region"),
     ])
     def test_arena_geometry_out_of_range_is_config_error(self, value, message, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[arena]\n{value}\n") == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid configuration: {message}")
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: invalid configuration: {message}")
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     # Each bound of the arena at its edge; one ulp past each is rejected above.
     @pytest.mark.parametrize("value", [
@@ -239,6 +251,7 @@ class TestTrain:
         "walls = 0 1400 1200 0; 4000 2600 2800 4000",
         "pits = 1048576 2000 100; -1048576 -1048576 100; 2000 -1048576 1048576",
         "ammo_pickups = 1048576 600\nweapon_pickups = shock_rifle -1048576 -1048576",
+        "spawns = 17 17; 3983 3983; 400 3600; 3600 400",
     ])
     def test_arena_geometry_at_its_bounds_is_accepted(self, value, tmp_path, capsys):
         assert train_with_config(tmp_path, f"[arena]\n{value}\n") == 0
@@ -273,6 +286,35 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
         assert not out.exists()
+
+    # The smallest game count, a game of 18 ticks and no periodic snapshot.
+    def test_campaign_flags_at_their_edges_are_accepted(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([
+            "train", "--level", "1", "--games", "1", "--minutes", "0.01",
+            "--snapshot-every", "0", "--out", str(out), "--no-plots",
+        ]) == 0
+        assert not capsys.readouterr().err
+        assert sorted(p.name for p in (out / "level1").iterdir()) == [
+            "games.csv", "lives.csv", "snap_1_final.rlsq",
+        ]
+
+    def test_train_without_run_flags_plays_30_games_of_3_minutes(self, tmp_path, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def recording(sim, settings):
+            runs.append(settings)
+            raise Stop
+
+        runs = []
+        monkeypatch.setattr(cli, "run_campaign", recording)
+        out = tmp_path / "out"
+        with pytest.raises(Stop):
+            main(["train", "--level", "1", "--seed", "4", "--out", str(out)])
+        assert runs == [CampaignSettings(
+            level=1, games=30, minutes=3.0, seed=4, out_dir=out / "level1", snapshot_every=50,
+        )]
 
     # The default --level all: the first campaign's check stops the run
     # before any level's directory is made.

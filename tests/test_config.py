@@ -11,7 +11,7 @@ from sarsa_arena.weapons import ASSAULT_RIFLE, SHIELD_GUN, WeaponCategory, Weapo
 
 # The bundled defaults as built, pinned: the INI file is their only source,
 # so a change to how it is read must leave every value and type as it was.
-DEFAULT_CONFIG_REPR_SHA256 = "e8d5c16fe1d94de7294136c136949c7b7dd77576f814c13e630168eecd1128db"
+DEFAULT_CONFIG_REPR_SHA256 = "a0339cb2ade0bb2977d2dfb82cef5001fb58d1554e530edf19042e1c31710206"
 
 
 def load(tmp_path, text):
@@ -77,9 +77,6 @@ def test_override_reaches_only_its_field(tmp_path):
 @pytest.mark.parametrize("text,key", [
     ("[physics]\ntick_hzz = 60\n", "tick_hzz"),
     ("[behavior]\ndodge = 1\n", "dodge"),
-    ("[harness]\ngame = 3\n", "game"),
-    # The roster is records.OPPONENTS; a file that still sets its old key fails.
-    ("[harness]\nopponents = 3\n", "opponents"),
     ("[learner]\nlam = 0.9\n", "lam"),  # the INI key is `lambda`
     ("[schedule]\nband = 0:0.5\n", "band"),
     ("[priority]\nnear = shock_rifle\n", "near"),
@@ -116,7 +113,6 @@ def test_weapon_range_error_names_its_key(tmp_path, key, value, message):
     ("[physics]\ntick_hz = 0\n", "[physics] tick_hz must be >= 1, got 0"),
     ("[behavior]\nstrafe_flip_min_s = 9\n",
      "[behavior] strafe_flip_min_s (9.0) must not exceed strafe_flip_max_s (1.5)"),
-    ("[harness]\ngames = 0\n", "[harness] games must be >= 1, got 0"),
     ("[learner]\nalpha = 0\n", "[learner] alpha 0.0 outside (0, 1]"),
     ("[schedule]\nbands = 5:0.5\n", "[schedule] first band must start at 0 lives"),
 ])
@@ -197,24 +193,6 @@ def test_new_section_lacking_a_required_key_is_rejected(tmp_path, text, key):
 def test_unreadable_value_names_its_section_and_key(tmp_path, text, where):
     with pytest.raises(ConfigError, match=f"invalid configuration: {where}"):
         load(tmp_path, text)
-
-
-@pytest.mark.parametrize("key,value,message", [
-    ("games", "0", "games must be >= 1"),
-    ("minutes", "0", "minutes must be > 0, got 0.0"),
-    ("minutes", "-1", "minutes must be > 0, got -1.0"),
-    ("minutes", "nan", "minutes must be finite, got nan"),
-    ("minutes", "inf", "minutes must be finite, got inf"),
-    ("snapshot_every", "-1", "snapshot_every must be >= 0"),
-])
-def test_campaign_ranges_are_checked(tmp_path, key, value, message):
-    with pytest.raises(ConfigError, match=message):
-        load(tmp_path, f"[harness]\n{key} = {value}\n")
-
-
-def test_campaign_range_edges_are_accepted(tmp_path):
-    harness = load(tmp_path, "[harness]\ngames = 1\nminutes = 0.01\nsnapshot_every = 0\n").harness
-    assert (harness.games, harness.minutes, harness.snapshot_every) == (1, 0.01, 0)
 
 
 # An empty name was once read as the weapon '', and an empty band as ('',),

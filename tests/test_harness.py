@@ -47,6 +47,15 @@ class TestCampaignOutputs:
         assert load_lives_csv(out / "lives.csv") == result.lives
         assert load_games_csv(out / "games.csv") == result.games
 
+    # Ten 0.1 s added left to right make 0.9999999999999999; the builtin sum
+    # compensates rounding from Python 3.12 on and makes 1.0, so games.csv
+    # once differed between interpreters.
+    def test_shoot_total_is_added_left_to_right(self):
+        names = [f"w{i}" for i in range(10)]
+        record = harness.GameRecord("L1-s1", 1, 1, *[0] * 6, 0.0, 0.0, dict.fromkeys(names, 0.1))
+        row = harness._row(record, names)
+        assert row[len(record) - 1:] == ["0.9999999999999999"] + ["0.1"] * 10
+
     def test_one_game_record_per_game(self, campaign):
         result, _ = campaign
         assert [g.game for g in result.games] == [1, 2]

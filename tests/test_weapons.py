@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
-from sarsa_arena.config import HarnessParams, load_config
+from sarsa_arena.config import load_config
 from sarsa_arena.encoder import DistanceBand, N_STATES
 from sarsa_arena.harness import CampaignSettings
 from sarsa_arena.records import BehaviorParams, OpponentProfile, PhysicsParams
@@ -318,7 +318,7 @@ def parent_accepts(cls, v) -> bool:
             )
             and not v["pellets"] < 1
         )
-    if cls in (HarnessParams, CampaignSettings):
+    if cls is CampaignSettings:
         return campaign_ranges()
     raise AssertionError(cls)
 
@@ -336,7 +336,6 @@ NEWLY_REJECTED_NAN = {
         "ammo_pickup_amount",
     },
     "WeaponSpec": {"pellets"},
-    "HarnessParams": {"games", "snapshot_every"},
     "CampaignSettings": {"games", "snapshot_every"},
 }
 
@@ -363,7 +362,6 @@ class TestCheckParams:
         CFG.physics,
         CFG.behavior,
         CFG.armory["rocket_launcher"],
-        CFG.harness,
         CampaignSettings(level=1, games=1, minutes=1.0, seed=1, out_dir=Path("unused"),
                          snapshot_every=0),
     ], ids=lambda base: type(base).__name__)
