@@ -1,6 +1,7 @@
 import copy
 import filecmp
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,26 @@ class TestSettingsRanges:
         with pytest.raises(ValueError, match=message):
             run_campaign(CFG, settings(out, **{key: value}))
         assert not out.exists()
+
+    # CampaignSettings.check is the one range check of a run's settings,
+    # whether they come from the train flags or are built in Python.
+    @pytest.mark.parametrize("key,value,message", [
+        ("games", 0, "^games must be >= 1, got 0$"),
+        ("minutes", 0.0, "^minutes must be > 0, got 0.0$"),
+        ("minutes", -1.0, "^minutes must be > 0, got -1.0$"),
+        ("minutes", float("nan"), "^minutes must be finite, got nan$"),
+        ("minutes", float("inf"), "^minutes must be finite, got inf$"),
+        ("snapshot_every", -1, "^snapshot_every must be >= 0, got -1$"),
+    ])
+    def test_campaign_ranges_are_checked(self, tmp_path, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            settings(tmp_path, **{key: value}).check()
+
+    # One game, the least positive length and no periodic snapshot; Campaign
+    # refuses a game under one tick on its own, after this check.
+    def test_campaign_range_edges_are_accepted(self, tmp_path):
+        edges = settings(tmp_path, games=1, minutes=math.nextafter(0.0, 1.0), snapshot_every=0)
+        assert edges.check() is None
 
     # CampaignSettings is a plain record: Campaign checks it before it makes
     # the output directory.
