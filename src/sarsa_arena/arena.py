@@ -95,6 +95,9 @@ class RlShooterController:
         priority: PriorityTables,
         rng: random.Random,
     ) -> None:
+        if self.learns and tset.cfg.schedule is None:
+            raise ValueError("a learning controller needs a table set with an exploration "
+                             "schedule; a restored snapshot has none")
         self.tset = tset
         self.armory = armory
         self.priority = priority

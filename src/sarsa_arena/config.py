@@ -76,18 +76,20 @@ def _read(cls, section: configparser.SectionProxy, keys: dict[str, str] | None =
     values = dict(given)
     for key, (name, kind) in by_key.items():
         if key in section:
-            try:
-                values[name] = _READERS[kind](section, key)
-            except ValueError as exc:
-                raise ValueError(f"[{section.name}] {key}: {exc}") from exc
+            values[name] = _named(f"[{section.name}] {key}:", _READERS[kind], section, key)
         elif name not in cls._field_defaults:
             raise ValueError(f"[{section.name}] lacks key {key!r}")
     record = cls(**values)
-    try:
-        record.check()
-    except ValueError as exc:
-        raise ValueError(f"[{section.name}] {exc}") from exc
+    _named(f"[{section.name}]", record.check)
     return record
+
+
+def _named(where: str, call, *args):
+    """`call(*args)`, whose ValueError is raised again with `where` in front."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from exc
 
 
 def _check_keys(section: configparser.SectionProxy, known) -> None:
@@ -96,33 +98,39 @@ def _check_keys(section: configparser.SectionProxy, known) -> None:
         raise ValueError(f"[{section.name}] has unknown key {min(unknown)!r}")
 
 
-_ARENA_KEYS = {"size", "walls", "pits", "spawns", "weapon_pickups", "ammo_pickups"}
+# Each list key of [arena]: `;`-separated entries of the fields named here,
+# all numbers but a weapon's name, and what an entry makes of them.
+_ARENA_LISTS = {
+    "walls": ("x1 y1 x2 y2", Wall),
+    "pits": ("x y radius", Pit),
+    "spawns": ("x y", lambda x, y: (x, y)),
+    "weapon_pickups": ("weapon x y", lambda name, x, y: PickupSpot("weapon", name, x, y)),
+    "ammo_pickups": ("x y", lambda x, y: PickupSpot("ammo", None, x, y)),
+}
 
 
-def _numbers(section: configparser.SectionProxy, key: str) -> list[list[float]]:
-    """The `;`-separated entries of `key`, each a list of numbers."""
-    items = section[key].split(";")
-    return [[float(tok) for tok in item.split()] for item in items if item.strip()]
+def _arena_list(section: configparser.SectionProxy, key: str) -> tuple:
+    fields, make = _ARENA_LISTS[key]
+    names = fields.split()
+    entries = []
+    for item in filter(str.strip, section[key].split(";")):
+        values = item.split()
+        if len(values) != len(names):
+            raise ValueError(f"{item.strip()!r} needs the fields {fields}")
+        entries.append(make(*(v if n == "weapon" else float(v) for n, v in zip(names, values))))
+    return tuple(entries)
 
 
 def _parse_arena(section: configparser.SectionProxy) -> Arena:
     """The checked Arena that `section` describes."""
-    _check_keys(section, _ARENA_KEYS)
-    walls = [Wall(x1, y1, x2, y2) for x1, y1, x2, y2 in _numbers(section, "walls")]
-    pits = [Pit(x, y, r) for x, y, r in _numbers(section, "pits")]
-    spawns = [(x, y) for x, y in _numbers(section, "spawns")]
-    pickups = []
-    for item in section["weapon_pickups"].split(";"):
-        if item.strip():
-            name, xs, ys = item.split()
-            pickups.append(PickupSpot("weapon", name, float(xs), float(ys)))
-    pickups += [PickupSpot("ammo", None, x, y) for x, y in _numbers(section, "ammo_pickups")]
+    _check_keys(section, {"size", *_ARENA_LISTS})
+    lists = {key: _named(f"[arena] {key}:", _arena_list, section, key) for key in _ARENA_LISTS}
     arena = Arena(
-        size=section.getfloat("size"),
-        walls=tuple(walls),
-        pits=tuple(pits),
-        spawn_points=tuple(spawns),
-        pickups=tuple(pickups),
+        size=_named("[arena] size:", section.getfloat, "size"),
+        walls=lists["walls"],
+        pits=lists["pits"],
+        spawn_points=lists["spawns"],
+        pickups=lists["weapon_pickups"] + lists["ammo_pickups"],
     )
     # No [arena] prefix: each message names the arena or its key at fault.
     arena.check()
@@ -156,11 +164,13 @@ def _build(parser: configparser.ConfigParser) -> SimConfig:
         elif section not in _SECTIONS:
             raise ValueError(f"unknown section [{section}]")
     priority = _read(PriorityTables, parser["priority"])
-    priority.validate_against(armory)
     arena = _parse_arena(parser["arena"])
-    for spot in arena.pickups:
-        if spot.kind == "weapon" and spot.weapon not in armory:
-            raise ConfigError(f"pickup references unknown weapon {spot.weapon!r}")
+    uses = [(f"[priority] {band}", name)
+            for band, names in priority._asdict().items() for name in names]
+    uses += [("[arena] weapon_pickups", s.weapon) for s in arena.pickups if s.kind == "weapon"]
+    for where, name in uses:
+        if name not in armory:
+            raise ValueError(f"{where} names unknown weapon {name!r}")
     schedule = _read(ExplorationSchedule, parser["schedule"])
     return SimConfig(
         learner=_read(LearnerConfig, parser["learner"], {"lambda": "lam"}, schedule=schedule),
@@ -175,7 +185,7 @@ def _build(parser: configparser.ConfigParser) -> SimConfig:
 
 def load_config(path: str | os.PathLike | None = None) -> SimConfig:
     """Bundled defaults, optionally overridden by the INI file at `path`."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     defaults = resources.files("sarsa_arena").joinpath("data/default.cfg")
     parser.read_string(defaults.read_text(encoding="ascii"))
     if path is not None:
@@ -189,6 +199,4 @@ def load_config(path: str | os.PathLike | None = None) -> SimConfig:
     try:
         return _build(parser)
     except (KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid configuration: {exc}") from exc

@@ -18,20 +18,11 @@ N_ACTIONS = 5
 # so anything this small can no longer move a Q-value measurably.
 TRACE_FLOOR = 1e-8
 
-DEFAULT_BANDS = (
-    (0, 0.50),
-    (10_000, 0.40),
-    (20_000, 0.30),
-    (30_000, 0.20),
-    (40_000, 0.10),
-    (50_000, 0.05),
-)
-
 
 class ExplorationSchedule(NamedTuple):
     """Step schedule mapping completed lives to an exploration rate."""
 
-    bands: tuple[tuple[int, float], ...] = DEFAULT_BANDS
+    bands: tuple[tuple[int, float], ...]
 
     def check(self) -> None:
         if not self.bands:
@@ -60,12 +51,12 @@ def epsilon_for_lives(schedule: ExplorationSchedule, lives: int) -> float:
 
 
 class LearnerConfig(NamedTuple):
-    # [learner] holds alpha, gamma and lambda; the schedule's default serves
-    # a restored snapshot, which stores none.
+    # [learner] holds alpha, gamma and lambda, and [schedule] the schedule.
+    # A restored snapshot stores no schedule, so its set can only be played.
     alpha: float
     gamma: float
     lam: float
-    schedule: ExplorationSchedule = ExplorationSchedule()
+    schedule: ExplorationSchedule | None = None
 
     def check(self) -> None:
         if not 0.0 < self.alpha <= 1.0:

@@ -15,7 +15,10 @@ most once within it, and every q value is finite.
 Eligibility traces and visit counts are not persisted; restoring a snapshot
 starts a fresh life.
 
-A snapshot holds the policy only.  The periodic ones a campaign writes
+A snapshot holds the policy only.  It stores no exploration schedule, so a
+restored set carries `schedule=None`: a GreedyController or RandomController
+plays it, and learning from it means copying its q values into a
+`new_table_set` built from a config.  The periodic snapshots a campaign writes
 mid-game (`snap_<level>_<lives>.rlsq`) are taken between lives but lack the
 campaign's random stream and the game in progress, so training cannot
 resume from one exactly.

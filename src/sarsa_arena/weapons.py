@@ -144,12 +144,6 @@ class PriorityTables(NamedTuple):
     def for_band(self, band: DistanceBand) -> tuple[str, ...]:
         return (self.close, self.medium, self.far)[int(band)]
 
-    def validate_against(self, armory: dict[str, WeaponSpec]) -> None:
-        for band in (self.close, self.medium, self.far):
-            for name in band:
-                if name not in armory:
-                    raise ValueError(f"priority table names unknown weapon {name!r}")
-
 
 def select_weapon(
     inventory: dict[str, int], band: DistanceBand, tables: PriorityTables

@@ -35,7 +35,6 @@ from sarsa_arena.harness import (
     run_campaign,
 )
 from sarsa_arena.learner import (
-    ExplorationSchedule,
     LearnerConfig,
     QTable,
     TRACE_FLOOR,
@@ -138,7 +137,7 @@ def test_criterion_3_state_encoding_bijection_and_pair_count():
 
 
 def test_criterion_4_schedule_boundaries_and_empirical_rate():
-    sched = ExplorationSchedule()
+    sched = CFG.learner.schedule
     expected = {
         0: 0.5, 9_999: 0.5, 10_000: 0.4, 19_999: 0.4, 20_000: 0.3,
         30_000: 0.2, 40_000: 0.1, 49_999: 0.1, 50_000: 0.05,

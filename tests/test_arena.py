@@ -36,6 +36,7 @@ from sarsa_arena.records import (
     format_event,
     unit_towards,
 )
+from sarsa_arena.snapshots import read_snapshot, write_snapshot
 from sarsa_arena.weapons import (
     ASSAULT_RIFLE,
     CYLINDER_HEIGHT,
@@ -1708,6 +1709,22 @@ def test_frozen_play_writes_no_table_state(controller_cls):
     assert deaths > 0 and tset.lives == deaths
     after = [(dict(t.q), dict(t.traces), dict(t.visit_counts)) for t in tset.tables.values()]
     assert after == before
+
+
+# A snapshot stores no exploration schedule, so a restored set can be played
+# but not learned from; learning once fell back on a copy of [schedule].
+def test_restored_set_is_played_but_not_learned_from(tmp_path):
+    cfg = load_config()
+    path = tmp_path / "policy.rlsq"
+    write_snapshot(fixed_policy(cfg), path)
+    restored = read_snapshot(path)
+    assert restored.cfg.schedule is None
+    with pytest.raises(ValueError, match="exploration schedule"):
+        RlShooterController(restored, cfg.armory, cfg.priority, random.Random(0))
+    world, _, _ = make_world(tset=restored, controller_cls=GreedyController)
+    for _ in range(30):
+        world.tick()
+    assert world.tick_count == 30
 
 
 def test_evaluate_policy_plays_the_pinned_loop():

@@ -191,6 +191,24 @@ class TestTrain:
         )
         assert not (tmp_path / "out").exists()
 
+    # Each once a traceback (`%` read as interpolation), a message without
+    # the prefix (an unknown pickup weapon) or one that named no key.
+    @pytest.mark.parametrize("text,message", [
+        ("[weapon:shock_rifle]\ndamage = 45%\n", "[weapon:shock_rifle] damage: "),
+        ("[physics]\ntick_hz = %(x)s\n", "[physics] tick_hz: "),
+        ("[priority]\nclose = nosuch\n", "[priority] close names unknown weapon 'nosuch'"),
+        ("[arena]\nweapon_pickups = nosuch 2000 600\n",
+         "[arena] weapon_pickups names unknown weapon 'nosuch'"),
+        ("[arena]\nwalls = 1200 1400 1200\n", "[arena] walls: "),
+        ("[arena]\nsize = big\n", "[arena] size: "),
+    ])
+    def test_bad_value_is_one_named_config_error(self, text, message, tmp_path, capsys):
+        assert train_with_config(tmp_path, text) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: invalid configuration: {message}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     # A run's settings are the train flags alone: a file that still has the
     # [harness] section they once had stops before anything is written.
     @pytest.mark.parametrize("key", ["games", "opponents"])

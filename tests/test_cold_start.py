@@ -42,8 +42,8 @@ from sarsa_arena import arena, cli, config, harness, snapshots, weapons
 out = sys.argv[1]
 sim = config.load_config()
 snap = out + "/policy.rlsq"
-snapshots.write_snapshot(weapons.new_table_set(sim.learner), snap)
-tset = snapshots.read_snapshot(snap)
+tset = weapons.new_table_set(sim.learner)
+snapshots.write_snapshot(tset, snap)
 rng = random.Random(0)
 world = arena.World(
     sim.arena, sim.armory, sim.physics, sim.behavior, sim.profiles[1],
@@ -58,7 +58,7 @@ assert cli.main([
 ]) == 0
 assert cli.main(["report", out + "/train"]) == 0
 assert cli.main(["inspect", snap]) == 0
-harness.evaluate_policy(sim, tset, arena.GreedyController, [1])
+harness.evaluate_policy(sim, snapshots.read_snapshot(snap), arena.GreedyController, [1])
 outside = sorted(
     name for name in set(sys.modules) - at_start
     if name.partition(".")[0] not in sys.stdlib_module_names | {"sarsa_arena"}

@@ -6,7 +6,6 @@ from importlib import resources
 import pytest
 
 from sarsa_arena.config import ConfigError, load_config
-from sarsa_arena.learner import ExplorationSchedule
 from sarsa_arena.weapons import ASSAULT_RIFLE, SHIELD_GUN, WeaponCategory, WeaponSpec
 
 # The bundled defaults as built, pinned: the INI file is their only source,
@@ -23,13 +22,6 @@ def load(tmp_path, text):
 def test_default_config_repr_is_pinned():
     text = repr(load_config())
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CONFIG_REPR_SHA256
-
-
-# A library default that repeats a value of default.cfg must stay in step
-# with it.  One is left: the schedule's bands, as a restored snapshot stores
-# none.
-def test_schedule_default_matches_schedule_section():
-    assert ExplorationSchedule() == load_config().learner.schedule
 
 
 # No unreachable content: an agent holds only the spawn weapons and what it
@@ -189,10 +181,50 @@ def test_new_section_lacking_a_required_key_is_rejected(tmp_path, text, key):
     ("[weapon:shock_rifle]\ncategory = Laser\n", r"\[weapon:shock_rifle\] category"),
     ("[physics]\ntick_hz = fast\n", r"\[physics\] tick_hz"),
     ("[opponent:1]\nstrafes = maybe\n", r"\[opponent:1\] strafes"),
+    # Once "not enough values to unpack (expected 4, got 3)" and the like,
+    # naming no key.
+    ("[arena]\nwalls = 1200 1400 1200\n",
+     r"\[arena\] walls: '1200 1400 1200' needs the fields x1 y1 x2 y2$"),
+    ("[arena]\nspawns = 400 x; 3600 400; 400 3600; 3600 3600\n",
+     r"\[arena\] spawns: could not convert string to float: 'x'$"),
+    ("[arena]\nweapon_pickups = shock_rifle 2000\n",
+     r"\[arena\] weapon_pickups: 'shock_rifle 2000' needs the fields weapon x y$"),
+    ("[arena]\nsize = big\n", r"\[arena\] size: could not convert string to float: 'big'$"),
+    # `%` is an ordinary character, not configparser's interpolation: these
+    # once ended in an InterpolationSyntaxError or
+    # InterpolationMissingOptionError traceback.
+    ("[weapon:shock_rifle]\ndamage = 45%\n",
+     r"\[weapon:shock_rifle\] damage: could not convert string to float: '45%'$"),
+    ("[physics]\ntick_hz = %(x)s\n",
+     r"\[physics\] tick_hz: invalid literal for int\(\) with base 10: '%\(x\)s'$"),
 ])
 def test_unreadable_value_names_its_section_and_key(tmp_path, text, where):
     with pytest.raises(ConfigError, match=f"invalid configuration: {where}"):
         load(tmp_path, text)
+
+
+def test_percent_is_kept_in_a_weapon_name(tmp_path):
+    sim = load(tmp_path, (
+        "[weapon:100%]\ncategory = Other\ndamage = 5\ninterval = 0.5\n"
+        "[priority]\nclose = 100%, shield_gun\n"
+    ))
+    assert sim.priority.close == ("100%", "shield_gun")
+    assert sim.armory["100%"].name == "100%"
+
+
+# Every weapon name outside [weapon:NAME] is checked against the armory, and
+# the error names where it is written.  The pickup's once lacked the
+# "invalid configuration:" prefix, and the priority one named no band.
+@pytest.mark.parametrize("text,message", [
+    ("[priority]\nclose = nosuch\n", "[priority] close names unknown weapon 'nosuch'"),
+    ("[priority]\nfar = shock_rifle, nosuch\n", "[priority] far names unknown weapon 'nosuch'"),
+    ("[arena]\nweapon_pickups = nosuch 2000 600\n",
+     "[arena] weapon_pickups names unknown weapon 'nosuch'"),
+])
+def test_unknown_weapon_names_its_section(tmp_path, text, message):
+    with pytest.raises(ConfigError) as exc:
+        load(tmp_path, text)
+    assert str(exc.value) == f"invalid configuration: {message}"
 
 
 # An empty name was once read as the weapon '', and an empty band as ('',),

@@ -17,10 +17,20 @@ from sarsa_arena.learner import (
 
 # The paper's alpha, gamma and lambda, which the bundled [learner] holds.
 CFG = LearnerConfig(alpha=0.7, gamma=0.5, lam=0.9)
+# The paper's epsilon schedule, which the bundled [schedule] holds.
+PAPER_BANDS = (
+    (0, 0.50),
+    (10_000, 0.40),
+    (20_000, 0.30),
+    (30_000, 0.20),
+    (40_000, 0.10),
+    (50_000, 0.05),
+)
+SCHEDULE = ExplorationSchedule(PAPER_BANDS)
 
 
 def test_default_config_matches_reference_parameters():
-    assert load_config().learner == CFG
+    assert load_config().learner == CFG._replace(schedule=SCHEDULE)
 
 
 @pytest.mark.parametrize(
@@ -34,15 +44,8 @@ def test_config_rejects_out_of_range_parameters(kwargs):
 
 class TestExplorationSchedule:
     def test_default_bands(self):
-        sched = ExplorationSchedule()
-        assert sched.bands == (
-            (0, 0.50),
-            (10_000, 0.40),
-            (20_000, 0.30),
-            (30_000, 0.20),
-            (40_000, 0.10),
-            (50_000, 0.05),
-        )
+        assert load_config().learner.schedule.bands == PAPER_BANDS
+        SCHEDULE.check()
 
     @pytest.mark.parametrize(
         "lives,expected",
@@ -58,11 +61,11 @@ class TestExplorationSchedule:
         ],
     )
     def test_epsilon_for_lives(self, lives, expected):
-        assert epsilon_for_lives(ExplorationSchedule(), lives) == expected
+        assert epsilon_for_lives(SCHEDULE, lives) == expected
 
     def test_rejects_negative_lives(self):
         with pytest.raises(ValueError):
-            epsilon_for_lives(ExplorationSchedule(), -1)
+            epsilon_for_lives(SCHEDULE, -1)
 
     def test_rejects_unordered_bands(self):
         with pytest.raises(ValueError):

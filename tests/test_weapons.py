@@ -225,9 +225,6 @@ class TestRewardFor:
 
 
 class TestArmory:
-    def test_priority_tables_reference_real_weapons(self):
-        CFG.priority.validate_against(CFG.armory)
-
     def test_spawn_weapons_present(self):
         armory = CFG.armory
         assert ASSAULT_RIFLE in armory and SHIELD_GUN in armory
